@@ -3,7 +3,7 @@ u' + u = f, with a Fourier-mode analyzer that predicts the convergence
 factors the solver achieves."""
 
 from .bench import ScalingPlan, ScalingRow, run_strong_scaling, run_weak_scaling
-from .dg import (BasisSpec, BlockLU, GlobalSystem, LocalOperators, RadauRule,
+from .dg import (BasisSpec, GlobalSystem, LocalOperators, RadauRule,
                  apply_global, assemble_local, forward_solve, jump_error_estimator,
                  radau_rule, rhs_moments, stability_function)
 from .fourier import (BlockSpectrum, FrequencySet, HarmonicsDecomposition,
@@ -14,9 +14,8 @@ from .fourier import (BlockSpectrum, FrequencySet, HarmonicsDecomposition,
 from .multigrid import (CycleConfig, Level, SolveStats, TimeHierarchy,
                         block_jacobi_sweep, measure_convergence_factor,
                         random_initial_guess, solve, two_grid_cycle, v_cycle)
-from .smoothing import (ALPHA_MIN, SmoothingReport, alpha, local_smoother_matrix,
-                        optimal_omega, resolve_damping, smoothing_factor,
-                        smoothing_symbol_modulus)
+from .smoothing import (ALPHA_MIN, SmoothingReport, alpha, optimal_omega, resolve_damping,
+                        smoothing_factor, smoothing_symbol_modulus)
 from .transfers import build_transfers
 
 __version__ = "0.1.0"

@@ -21,9 +21,9 @@ from . import bench as bench_mod
 from .dense import dense_smoother, dense_system, dense_twogrid
 from .dg import BasisSpec, GlobalSystem, forward_solve, rhs_moments
 from .fourier import (frequencies, mode_vector, predicted_rho, rho_profile,
-                      symbol_system, twogrid_symbol)
+                      symbol_smoother, symbol_system, twogrid_symbol)
 from .multigrid import CycleConfig, TimeHierarchy, measure_convergence_factor, solve
-from .smoothing import alpha, local_smoother_matrix, optimal_omega, smoothing_factor
+from .smoothing import alpha, optimal_omega, smoothing_factor
 
 _FORMATS = ("csv", "json")
 
@@ -147,7 +147,7 @@ def _verify_symbols(report: _Report) -> None:
                 err = max(err, np.abs(l_dense @ psi
                                       - mode_vector(theta, symbol_system(ops, theta) @ u, n).ravel()).max())
                 err = max(err, np.abs(s_dense @ psi
-                                      - mode_vector(theta, local_smoother_matrix(ops, theta, 0.7) @ u, n).ravel()).max())
+                                      - mode_vector(theta, symbol_smoother(ops, theta, 0.7) @ u, n).ravel()).max())
             report.check(f"symbols system/smoother p_t={p_t} tau={tau}", err <= 1e-12,
                          f"max err {err:.2e}")
             m_dense = dense_twogrid(ops, ops_c, r1, r2, n, 1, 1, 0.7, periodic=True)

@@ -3,9 +3,9 @@ u'(t) + u(t) = f(t).
 
 The solution is a piecewise polynomial of degree ``p_t`` in time, discontinuous
 at the step boundaries, with continuity enforced weakly through the upwind
-value of the previous step.  Each step couples to its predecessor through a
-rank-one matrix, so the global system is block lower bidiagonal and can be
-solved exactly by block forward substitution.
+value of the previous step.  Each step couples to its predecessor through the
+rank-one matrix ``outer(eval_start, eval_end)``, so the global system is block
+lower bidiagonal and is solved exactly by block forward substitution.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import functools
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor
 from scipy.special import roots_jacobi
 
 NODE_RULES = ("radau_lagrange", "scaled_legendre")
@@ -133,44 +132,6 @@ def basis_derivatives(basis: BasisSpec, x) -> np.ndarray:
     return out
 
 
-class BlockLU:
-    """Reusable LU factorization (partial pivoting) of one small block matrix.
-
-    The substitution loops are written as fixed-order vector operations over
-    the block index so that results are bitwise independent of how a batch of
-    right-hand sides is split across workers.
-    """
-
-    def __init__(self, a: np.ndarray):
-        lu, piv = lu_factor(np.asarray(a, dtype=float))
-        self.lu = lu
-        self.n = a.shape[0]
-        perm = np.arange(self.n)
-        for i, p in enumerate(piv):
-            perm[i], perm[p] = perm[p], perm[i]
-        self.perm = perm
-
-    def solve_rows(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x_i = b_i for every row b_i of ``b`` (shape (m, n))."""
-        b = np.asarray(b)
-        if self.n == 1:
-            return b / self.lu[0, 0]
-        lu = self.lu
-        # work component-major so each substitution step is one contiguous op
-        y = b.T[self.perm].copy()
-        for i in range(1, self.n):
-            for j in range(i):
-                y[i] -= lu[i, j] * y[j]
-        for i in range(self.n - 1, -1, -1):
-            for j in range(i + 1, self.n):
-                y[i] -= lu[i, j] * y[j]
-            y[i] /= lu[i, i]
-        return y.T
-
-    def solve_vec(self, b: np.ndarray) -> np.ndarray:
-        return self.solve_rows(b.reshape(1, -1))[0]
-
-
 class LocalOperators:
     """Per-step matrices of the DG scheme for one (basis, tau) pair.
 
@@ -187,8 +148,8 @@ class LocalOperators:
         stiffness + mass, the block solved once per step.
     eval_start, eval_end : ndarray
         Basis values at the left/right endpoint of the step.
-    lu : BlockLU
-        Reusable factorization of ``step_matrix``.
+    step_inv : ndarray
+        Inverse of ``step_matrix``, computed once at assembly.
     """
 
     def __init__(self, basis: BasisSpec, tau: float, stiffness, mass, coupling,
@@ -203,16 +164,13 @@ class LocalOperators:
         self.eval_start = eval_start
         self.eval_end = eval_end
         self.step_matrix = stiffness + mass
-        self.lu = BlockLU(self.step_matrix)
+        self.step_inv = np.linalg.inv(self.step_matrix)
 
     @functools.cached_property
     def step_inv_coupling(self) -> np.ndarray:
-        """(stiffness + mass)^{-1} @ coupling, the local smoother building block."""
-        return np.linalg.solve(self.step_matrix, self.coupling)
-
-    @functools.cached_property
-    def minus_step_matrix(self) -> np.ndarray:
-        return -self.step_matrix
+        """step_inv @ coupling as the outer product (step_inv @ eval_start) x
+        eval_end, the local smoother building block."""
+        return np.outer(self.step_inv @ self.eval_start, self.eval_end)
 
 
 def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
@@ -288,7 +246,8 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
 
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve the non-periodic system exactly by block forward substitution."""
+    """Solve the non-periodic system exactly by block forward substitution:
+    u[n] = step_inv @ (rhs[n] + eval_start * (eval_end @ u[n-1]))."""
     if system.periodic:
         raise ValueError("forward substitution requires a non-periodic system")
     rhs = np.asarray(rhs)
@@ -296,10 +255,11 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs shape {rhs.shape} does not match "
                          f"({system.n_steps}, {system.ops.n_t})")
     ops = system.ops
+    step_inv, start, end = ops.step_inv, ops.eval_start, ops.eval_end
     u = np.empty_like(rhs, dtype=float)
-    u[0] = ops.lu.solve_vec(rhs[0])
+    u[0] = step_inv @ rhs[0]
     for n in range(1, system.n_steps):
-        u[n] = ops.lu.solve_vec(rhs[n] + ops.coupling @ u[n - 1])
+        u[n] = step_inv @ (rhs[n] + start * (end @ u[n - 1]))
     return u
 
 
@@ -329,11 +289,8 @@ def jump_error_estimator(u: np.ndarray, u0: float, basis: BasisSpec) -> np.ndarr
     Step 1 compares against the initial value.  The jumps scale like
     O(tau^{p_t+1}) for smooth data, which makes them a cheap error indicator.
     """
-    u = np.asarray(u)
-    start = basis_values(basis, np.array([0.0]))[:, 0]
-    end = basis_values(basis, np.array([1.0]))[:, 0]
-    left_vals = u @ start
-    right_vals = u @ end
+    u, ops = np.asarray(u), _unit_ops(basis)
+    left_vals, right_vals = u @ ops.eval_start, u @ ops.eval_end
     jumps = np.empty(len(u))
     jumps[0] = abs(left_vals[0] - u0)
     jumps[1:] = np.abs(left_vals[1:] - right_vals[:-1])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dg import BasisSpec, LocalOperators, assemble_local
+from .dg import BasisSpec, GlobalSystem, LocalOperators, assemble_local, forward_solve
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 from .transfers import build_transfers
@@ -139,7 +139,10 @@ class SolveStats:
 #
 # Block products are spelled out as fixed-order ufunc column operations: per
 # row they are bitwise independent of the slab split, and the inner loops
-# release the GIL so the worker threads overlap.
+# release the GIL so the worker threads overlap.  The step coupling is rank
+# one, C = outer(eval_start, eval_end): every kernel adds eval_start times the
+# end value of the previous block, and the only block products left are with
+# the step matrix S (residual) and its precomputed inverse (sweep).
 
 
 def _block_apply(mat, x, out, add: bool) -> None:
@@ -155,29 +158,35 @@ def _block_apply(mat, x, out, add: bool) -> None:
             out[:, i] = acc
 
 
+def _add_coupling(ops: LocalOperators, u, out, a: int, b: int) -> None:
+    """out[n - a] += eval_start * (eval_end . u[n - 1]) for the steps n >= 1
+    of the slab [a, b); ``out`` holds the slab's b - a rows."""
+    lo = max(a, 1)
+    prev, rows, end = u[lo - 1:b - 1], out[lo - a:], ops.eval_end
+    value = end[0] * prev[:, 0]
+    for j in range(1, len(end)):
+        value += end[j] * prev[:, j]
+    # the default basis has eval_start = e_0: skip zeros, add ones unscaled
+    for i, start in enumerate(ops.eval_start):
+        if start == 1.0:
+            rows[:, i] += value
+        elif start != 0.0:
+            rows[:, i] += start * value
+
+
 def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
-    _block_apply(ops.minus_step_matrix, u[a:b], out[a:b], add=False)
-    out[a:b] += f[a:b]
-    if a == 0:
-        if b > 1:
-            _block_apply(ops.coupling, u[0:b - 1], out[1:b], add=True)
-    else:
-        _block_apply(ops.coupling, u[a - 1:b - 1], out[a:b], add=True)
+    """out = f - S u + C u_prev on the slab [a, b)."""
+    _block_apply(ops.step_matrix, u[a:b], out[a:b], add=False)
+    np.subtract(f[a:b], out[a:b], out=out[a:b])
+    _add_coupling(ops, u, out[a:b], a, b)
 
 
 def _sweep_slab(ops: LocalOperators, omega: float, f, src, dst, a: int, b: int) -> None:
-    r = np.empty((b - a, src.shape[1]))
-    _block_apply(ops.minus_step_matrix, src[a:b], r, add=False)
-    r += f[a:b]
-    if a == 0:
-        if b > 1:
-            _block_apply(ops.coupling, src[0:b - 1], r[1:], add=True)
-    else:
-        _block_apply(ops.coupling, src[a - 1:b - 1], r, add=True)
-    correction = ops.lu.solve_rows(r)
-    correction *= omega
-    correction += src[a:b]
-    dst[a:b] = correction
+    """dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on the slab [a, b)."""
+    rhs = f[a:b].copy()
+    _add_coupling(ops, src, rhs, a, b)
+    np.multiply(src[a:b], 1.0 - omega, out=dst[a:b])
+    _block_apply(omega * ops.step_inv, rhs, dst[a:b], add=True)
 
 
 def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
@@ -195,14 +204,6 @@ def _sqnorm_slab(x, out, a: int, b: int) -> None:
     for j in range(1, x.shape[1]):
         acc += x[a:b, j] * x[a:b, j]
     out[a:b] = acc
-
-
-def _forward_substitute(ops: LocalOperators, rhs, out) -> None:
-    """Exact non-periodic solve by block forward substitution, into ``out``."""
-    out[0] = ops.lu.solve_vec(rhs[0])
-    coupling = ops.coupling
-    for n in range(1, len(rhs)):
-        out[n] = ops.lu.solve_vec(rhs[n] + coupling @ out[n - 1])
 
 
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
@@ -294,7 +295,9 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
         barrier.wait()  # coarse rhs complete
         if wid == 0:
             if last:
-                _forward_substitute(ws.levels[lev + 1].ops, ws.f[lev + 1], ws.u[lev + 1][0])
+                coarse = ws.levels[lev + 1]
+                ws.u[lev + 1][0][:] = forward_solve(
+                    GlobalSystem(coarse.ops, coarse.n_steps), ws.f[lev + 1])
             else:
                 # remaining levels are too small to split: run them serially
                 ws.u[lev + 1][0][:] = 0.0
@@ -359,8 +362,7 @@ def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
     config = config or CycleConfig()
     if level + 1 >= len(hier):
         raise ValueError(f"level {level} has no coarser neighbor")
-    return _serial_cycle(hier, level, np.asarray(u, dtype=float),
-                         np.asarray(f, dtype=float), config, level + 2)
+    return _serial_cycle(hier, level, u, f, config, level + 2)
 
 
 def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray:
@@ -371,8 +373,7 @@ def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray
     depth = _depth(hier, config)
     if depth < 2:
         raise ValueError("v_cycle needs a hierarchy with at least 2 levels")
-    return _serial_cycle(hier, 0, np.asarray(u, dtype=float),
-                         np.asarray(f, dtype=float), config, depth)
+    return _serial_cycle(hier, 0, u, f, config, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +448,11 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     def norm_at(wid, cur):
         t0 = time.perf_counter() if wid == 0 else 0.0
         rows = slab_of(wid, 0)
+        if rows is None and wid == 0:
+            rows = (0, ws.levels[0].n_steps)
         if rows is not None:
             _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.r[0], *rows)
             _sqnorm_slab(ws.r[0], ws.sq, *rows)
-        elif wid == 0:
-            _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.r[0],
-                           0, ws.levels[0].n_steps)
-            _sqnorm_slab(ws.r[0], ws.sq, 0, ws.levels[0].n_steps)
         barrier.wait()
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
@@ -506,29 +505,38 @@ def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
     return rng.random((hier.finest.n_steps, hier.finest.ops.n_t))
 
 
+def _block_input(name: str, x, shape: tuple) -> np.ndarray:
+    """``x`` as a float block vector of exactly ``shape`` with finite entries."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has non-finite entries")
+    return x
+
+
 def solve(hier: TimeHierarchy, f, u_init=None,
           config: CycleConfig = None) -> tuple[np.ndarray, SolveStats]:
     """Iterate V-cycles until the residual drops by ``config.eps``.
 
-    ``u_init`` defaults to a random guess seeded from the config.  Failure to
-    converge within ``max_iters`` is reported through ``stats.converged``,
-    not an exception.
+    ``f`` and ``u_init`` must be finite and shaped (n_steps, n_t) like the
+    finest level, else ``ValueError``.  ``u_init`` defaults to a random guess
+    seeded from the config.  Failure to converge within ``max_iters`` is
+    reported through ``stats.converged``, not an exception.
     """
     config = config or CycleConfig()
     depth = _depth(hier, config)
-    f = np.asarray(f, dtype=float)
+    finest = hier.finest
+    shape = (finest.n_steps, finest.ops.n_t)
+    f = _block_input("f", f, shape)
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
+    u_init = _block_input("u_init", u_init, shape)
     if depth < 2:
-        # degenerate single-level configuration: direct solve
-        u = np.empty_like(f)
-        _forward_substitute(hier.finest.ops, f, u)
-        stats = SolveStats(iterations=0, residual_norms=[0.0], factor=float("nan"),
-                           times=_Timers(True).to_dict(), converged=True,
-                           seed=config.seed, workers=config.workers)
-        return u, stats
-    return _iterate(hier, f, np.asarray(u_init, dtype=float), config, depth,
-                    config.eps, config.max_iters)
+        # single-level configuration: solve directly, then measure the residual
+        u_init = forward_solve(GlobalSystem(finest.ops, finest.n_steps), f)
+        return _iterate(hier, f, u_init, config, 1, config.eps, 0)
+    return _iterate(hier, f, u_init, config, depth, config.eps, config.max_iters)
 
 
 def measure_convergence_factor(hier: TimeHierarchy, config: CycleConfig = None) -> float:

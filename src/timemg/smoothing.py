@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .dg import BasisSpec, LocalOperators, stability_function
+from .dg import BasisSpec, stability_function
 from .fourier import frequencies
 
 # global minimum of R(-tau) over all degrees and tau >= 0
@@ -60,12 +60,6 @@ def smoothing_symbol_modulus(omega: float, a: float, theta) -> np.ndarray:
     sq = (1.0 - omega) ** 2 + 2.0 * omega * (1.0 - omega) * a * np.cos(theta) \
         + (a * omega) ** 2
     return np.sqrt(np.maximum(sq, 0.0))
-
-
-def local_smoother_matrix(ops: LocalOperators, theta: float, omega: float) -> np.ndarray:
-    """Local damped Jacobi iteration matrix at frequency theta."""
-    return (1.0 - omega) * np.eye(ops.n_t, dtype=complex) \
-        + np.exp(-1j * theta) * omega * ops.step_inv_coupling
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,12 +16,11 @@ from timemg.dense import dense_smoother, dense_system, dense_twogrid
 from timemg.dg import (BasisSpec, GlobalSystem, assemble_local, forward_solve,
                        rhs_moments, stability_function)
 from timemg.fourier import (frequencies, mode_vector, predicted_rho,
-                            symbol_system, twogrid_symbol)
+                            symbol_smoother, symbol_system, twogrid_symbol)
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
                               measure_convergence_factor, random_initial_guess,
                               solve)
-from timemg.smoothing import (ALPHA_MIN, alpha, local_smoother_matrix,
-                              optimal_omega, smoothing_factor)
+from timemg.smoothing import ALPHA_MIN, alpha, optimal_omega, smoothing_factor
 
 TAU_GRID_49 = np.logspace(-6, 6, 49)
 
@@ -147,7 +146,7 @@ def test_criterion_7_brute_force_symbol_equivalence():
                 d1 = np.abs(l_dense @ psi
                             - mode_vector(theta, symbol_system(ops, theta) @ u, n).ravel()).max()
                 d2 = np.abs(s_dense @ psi
-                            - mode_vector(theta, local_smoother_matrix(ops, theta, omega) @ u,
+                            - mode_vector(theta, symbol_smoother(ops, theta, omega) @ u,
                                           n).ravel()).max()
                 worst_sym = max(worst_sym, d1, d2)
             m_dense = dense_twogrid(ops, ops_c, hier.levels[0].r1, hier.levels[0].r2,

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from timemg.cli import main
 
 
@@ -108,6 +110,15 @@ class TestSolve:
 
     def test_bad_flag_usage_error(self):
         assert main(["solve", "--pt", "zero"]) == 2
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_rhs_usage_error(self, tmp_path, capsys):
+        # t**-1 is infinite at the first Radau node t = 0
+        code = main(["solve", "--f", "poly", "--f-param", "-1", "--steps", "64",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "solve_stats.json").exists()
 
 
 class TestConfigFile:

@@ -9,7 +9,7 @@ from timemg.fourier import (block_dft, block_idft, frequencies, gamma,
                             harmonics_decomposition, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
-from timemg.smoothing import alpha, local_smoother_matrix, optimal_omega
+from timemg.smoothing import alpha, optimal_omega
 from timemg.transfers import build_transfers
 
 
@@ -169,7 +169,7 @@ class TestBruteForceSymbols:
             psi = mode_vector(theta, u, n).ravel()
             want = mode_vector(theta, symbol_system(ops_f, theta) @ u, n).ravel()
             assert np.max(np.abs(l_dense @ psi - want)) < 1e-12
-            want = mode_vector(theta, local_smoother_matrix(ops_f, theta, 0.7) @ u, n).ravel()
+            want = mode_vector(theta, symbol_smoother(ops_f, theta, 0.7) @ u, n).ravel()
             assert np.max(np.abs(s_dense @ psi - want)) < 1e-12
 
     def test_restriction_maps_harmonics_to_coarse_mode(self, p_t, tau):

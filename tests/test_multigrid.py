@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from timemg.dense import dense_prolongation, dense_restriction, dense_twogrid
-from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
+from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
+                          dense_twogrid)
+from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_values, forward_solve, rhs_moments)
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
                               measure_convergence_factor, random_initial_guess,
@@ -130,6 +131,22 @@ class TestJacobiSweep:
         with pytest.raises(ValueError):
             block_jacobi_sweep(ops, np.ones((2, 1)), np.zeros((2, 1)), omega=2.5)
 
+    @pytest.mark.parametrize("tau", [1e-6, 0.3, 1e6])
+    @pytest.mark.parametrize("node_rule", NODE_RULES)
+    @pytest.mark.parametrize("p_t", range(5))
+    def test_matches_dense_construction(self, p_t, node_rule, tau):
+        # one sweep is S_dense u + omega blockdiag(step_matrix^{-1}) f; the
+        # default rule has eval_start = e_0, scaled_legendre a dense one
+        ops = assemble_local(BasisSpec(p_t, node_rule), tau)
+        n, omega = 8, 0.7
+        rng = np.random.default_rng(p_t)
+        u = rng.standard_normal((n, ops.n_t))
+        f = rng.standard_normal((n, ops.n_t))
+        d_inv = np.kron(np.eye(n), np.linalg.inv(ops.step_matrix))
+        want = dense_smoother(ops, n, omega) @ u.ravel() + omega * d_inv @ f.ravel()
+        got = block_jacobi_sweep(ops, u, f, omega).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestTwoGridCycle:
     def test_zero_input_stays_zero(self):
@@ -248,6 +265,40 @@ class TestSolve:
         base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1, min_slab=256))
         got, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=workers, min_slab=256))
         assert got.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_count_invariance_scaled_legendre(self, workers):
+        # dense eval_start: every coupling column is a scaled update
+        basis = BasisSpec(2, "scaled_legendre")
+        hier = TimeHierarchy.build(basis, 0.05, 256)
+        rhs = rhs_moments(np.cos, basis, 0.05, 256, u0=1.0)
+        u_init = random_initial_guess(hier, 3)
+        base, _ = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=1, min_slab=16))
+        got, stats = solve(hier, rhs, u_init,
+                           CycleConfig(eps=1e-10, workers=workers, min_slab=16))
+        assert stats.converged
+        assert got.tobytes() == base.tobytes()
+
+    def test_single_level_reports_measured_residual(self):
+        basis = BasisSpec(1)
+        hier = TimeHierarchy.build(basis, 0.1, 64)
+        rhs = rhs_moments(np.cos, basis, 0.1, 64, u0=1.0)
+        u, stats = solve(hier, rhs, config=CycleConfig(levels=1))
+        want = np.linalg.norm(rhs - apply_global(GlobalSystem(hier.finest.ops, 64), u))
+        assert stats.converged and stats.iterations == 0 and len(stats.residual_norms) == 1
+        assert 0.0 < stats.residual_norms[0] <= 1e-14 * np.linalg.norm(rhs)
+        assert abs(stats.residual_norms[0] - want) <= 1e-15 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("f, u_init", [
+        (0.0, None),
+        (np.zeros((32, 2)), np.zeros(2)),
+        (np.full((32, 2), np.nan), None),
+        (np.zeros((32, 2)), np.full((32, 2), np.inf)),
+    ], ids=["scalar-f", "block-shaped-guess", "nan-in-f", "inf-in-guess"])
+    def test_rejects_unsolvable_input(self, f, u_init):
+        hier = TimeHierarchy.build(BasisSpec(1), 0.1, 32)
+        with pytest.raises(ValueError):
+            solve(hier, f, u_init)
 
     def test_worker_result_independent_of_min_slab(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1e-2, 1 << 10)

@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from timemg.dense import dense_smoother
 from timemg.dg import BasisSpec, assemble_local
+from timemg.fourier import symbol_smoother
 from timemg.multigrid import block_jacobi_sweep
-from timemg.smoothing import (ALPHA_MIN, alpha, local_smoother_matrix,
-                              optimal_omega, resolve_damping, smoothing_factor,
-                              smoothing_symbol_modulus)
+from timemg.smoothing import (ALPHA_MIN, alpha, optimal_omega, resolve_damping,
+                              smoothing_factor, smoothing_symbol_modulus)
 
 TAUS = np.logspace(-6, 6, 13)
 
@@ -73,7 +73,7 @@ class TestSymbolModulus:
             a = alpha(basis, tau)
             for omega in (0.4, 0.8, 1.0):
                 for theta in (-2.5, -0.7, 0.0, 1.1, np.pi):
-                    s = local_smoother_matrix(ops, theta, omega)
+                    s = symbol_smoother(ops, theta, omega)
                     lam = np.linalg.eigvals(s)
                     expected = np.array([1 - omega] * p_t
                                         + [1 - omega + np.exp(-1j * theta) * omega * a])
@@ -95,7 +95,7 @@ class TestLocalSpectralRadius:
             for omega in (0.3, 0.7, 1.0):
                 for theta in thetas:
                     rho = np.max(np.abs(np.linalg.eigvals(
-                        local_smoother_matrix(ops, theta, omega))))
+                        symbol_smoother(ops, theta, omega))))
                     assert rho < 1.0
 
 
