@@ -294,7 +294,7 @@ class TestSolve:
         (np.zeros((32, 2)), np.zeros(2)),
         (np.full((32, 2), np.nan), None),
         (np.zeros((32, 2)), np.full((32, 2), np.inf)),
-    ], ids=["scalar-f", "block-shaped-guess", "nan-in-f", "inf-in-guess"])
+    ], ids=["scalar-f", "one-block-guess", "nan-in-f", "inf-in-guess"])
     def test_rejects_unsolvable_input(self, f, u_init):
         hier = TimeHierarchy.build(BasisSpec(1), 0.1, 32)
         with pytest.raises(ValueError):
