@@ -3,7 +3,7 @@ solving, and scaling benchmarks.  All figure/table data is written to files
 for offline plotting.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 solver
-non-convergence.
+non-convergence (iteration cap, divergence or a non-finite residual).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .dense import dense_smoother, dense_system, dense_twogrid
+from . import checks
 from .dg import BasisSpec, GlobalSystem, forward_solve, rhs_moments
-from .fourier import (frequencies, mode_vector, predicted_rho, rho_profile,
-                      symbol_smoother, symbol_system, twogrid_symbol)
-from .multigrid import CycleConfig, TimeHierarchy, measure_convergence_factor, solve
+from .fourier import rho_profile
+from .multigrid import DIVERGENCE_RATIO, CycleConfig, TimeHierarchy, solve
 from .smoothing import alpha, optimal_omega, smoothing_factor
 
 _FORMATS = ("csv", "json")
@@ -114,118 +113,25 @@ def cmd_analyze(args) -> int:
 # verify
 
 
-class _Report:
-    def __init__(self):
-        self.failures = []
-
-    def check(self, label: str, ok: bool, detail: str = "") -> None:
-        print(f"{'PASS' if ok else 'FAIL'}  {label}" + (f"  [{detail}]" if detail else ""))
-        if not ok:
-            self.failures.append(label)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if not self.failures else 1
-
-
-def _verify_symbols(report: _Report) -> None:
-    n = 16
-    freqs = frequencies(n)
-    rng = np.random.default_rng(7)
-    for p_t in (0, 1, 2):
-        basis = BasisSpec(p_t)
-        for tau in (0.1, 1.0, 10.0):
-            hier = TimeHierarchy.build(basis, tau, n, n_levels=2, coarsest=2)
-            ops, ops_c = hier.levels[0].ops, hier.levels[1].ops
-            r1, r2 = hier.levels[0].r1, hier.levels[0].r2
-            l_dense = dense_system(ops, n, periodic=True)
-            s_dense = dense_smoother(ops, n, 0.7, periodic=True)
-            err = 0.0
-            for theta in freqs.all:
-                u = rng.standard_normal(basis.n_t) + 1j * rng.standard_normal(basis.n_t)
-                psi = mode_vector(theta, u, n).ravel()
-                err = max(err, np.abs(l_dense @ psi
-                                      - mode_vector(theta, symbol_system(ops, theta) @ u, n).ravel()).max())
-                err = max(err, np.abs(s_dense @ psi
-                                      - mode_vector(theta, symbol_smoother(ops, theta, 0.7) @ u, n).ravel()).max())
-            report.check(f"symbols system/smoother p_t={p_t} tau={tau}", err <= 1e-12,
-                         f"max err {err:.2e}")
-            m_dense = dense_twogrid(ops, ops_c, r1, r2, n, 1, 1, 0.7, periodic=True)
-            moduli_dense = np.sort(np.abs(np.linalg.eigvals(m_dense)))
-            moduli_pairs = []
-            for theta in freqs.low:
-                m_hat = twogrid_symbol(ops, ops_c, (r1, r2), theta, 1, 1, 0.7)
-                moduli_pairs.extend(np.abs(np.linalg.eigvals(m_hat)))
-            moduli_pairs = np.sort(np.asarray(moduli_pairs))
-            gap = np.max(np.abs(moduli_dense - moduli_pairs))
-            report.check(f"two-grid spectrum p_t={p_t} tau={tau}", gap <= 1e-9,
-                         f"max gap {gap:.2e}")
-
-
-def _verify_rho(report: _Report) -> None:
-    for tau in (1e-3, 1e-1, 1.0, 10.0, 1e3):
-        got = predicted_rho(BasisSpec(0), tau, 1024, 1, 1, "optimal")
-        want = 1.0 / (2.0 + 2.0 * tau + tau * tau)
-        ok = abs(got - want) <= 1e-9 * want
-        report.check(f"closed-form rho p_t=0 tau={tau}", ok, f"{got:.6e} vs {want:.6e}")
-    for p_t, tau in ((0, 1.0), (1, 1e-2)):
-        basis = BasisSpec(p_t)
-        hier = TimeHierarchy.build(basis, tau, 1024, n_levels=2)
-        measured = measure_convergence_factor(
-            hier, CycleConfig(nu1=1, nu2=1, eps=1e-100, seed=42))
-        predicted = predicted_rho(basis, tau, 1024, 1, 1, "optimal")
-        ok = abs(measured - predicted) <= 0.1 * predicted
-        report.check(f"measured vs predicted p_t={p_t} tau={tau} nu=1", ok,
-                     f"{measured:.4f} vs {predicted:.4f}")
-
-
-def _verify_smoothing(report: _Report) -> None:
-    taus = np.logspace(-6, 6, 49)
-    bound = 1.0 / math.sqrt(2.0) + 1e-12
-    for p_t in range(6):
-        basis = BasisSpec(p_t)
-        worst = max(smoothing_factor(basis, tau, "optimal", 1024).mu_s for tau in taus)
-        report.check(f"mu_s <= 1/sqrt(2) p_t={p_t}", worst <= bound, f"max {worst:.6f}")
-    for p_t in range(4):
-        basis = BasisSpec(p_t)
-        bad = None
-        for tau in (0.01, 1.0, 100.0):
-            a = alpha(basis, tau)
-            rep = smoothing_factor(basis, tau, "optimal", 1024)
-            all_theta_bound = abs(a) * (1 + abs(a)) / (1 + a * a) + 1e-12
-            if rep.rho_all > all_theta_bound:
-                bad = (p_t, tau, rep.rho_all, all_theta_bound)
-        report.check(f"all-frequency bound p_t={p_t}", bad is None,
-                     "" if bad is None else f"violated at {bad}")
-
-
-def _verify_order(report: _Report) -> None:
-    f = np.cos
-    for p_t, steps in ((0, (64, 128, 256, 512)), (1, (8, 16, 32, 64)), (2, (4, 8, 16, 32))):
-        basis = BasisSpec(p_t)
-        exact_t = 0.5 * math.exp(-1.0) + 0.5 * (math.cos(1.0) + math.sin(1.0))
-        errs = []
-        for n in steps:
-            tau = 1.0 / n
-            ops = GlobalSystem(TimeHierarchy.build(basis, tau, n).finest.ops, n)
-            rhs = rhs_moments(f, basis, tau, n, u0=1.0)
-            u = forward_solve(ops, rhs)
-            end_vals = u[-1] @ np.asarray(ops.ops.eval_end)
-            errs.append(abs(end_vals - exact_t))
-        slope = -np.polyfit(np.log2(steps), np.log2(errs), 1)[0]
-        want = 2 * p_t + 1
-        report.check(f"order p_t={p_t}", abs(slope - want) <= 0.2,
-                     f"slope {slope:.2f} vs {want}")
+_VERIFY_SUITES = {
+    "symbols": lambda: checks.symbol_equivalence((0, 1, 2), (0.1, 1.0, 10.0), 0.7, seed=7),
+    "rho": lambda: (checks.closed_form_rho((1e-3, 1e-1, 1.0, 10.0, 1e3))
+                    + checks.measured_vs_predicted(((0, 1, 1.0), (1, 1, 1e-2)))),
+    "smoothing": lambda: (checks.smoothing_bound(range(6), np.logspace(-6, 6, 49))
+                          + checks.all_frequency_bound(range(4), (0.01, 1.0, 100.0))),
+    "order": lambda: checks.order_of_accuracy(((0, (64, 128, 256, 512)), (1, (8, 16, 32, 64)),
+                                               (2, (4, 8, 16, 32)))),
+}
 
 
 def cmd_verify(args) -> int:
-    report = _Report()
-    suites = {"symbols": _verify_symbols, "rho": _verify_rho,
-              "smoothing": _verify_smoothing, "order": _verify_order}
-    suites[args.suite](report)
-    if report.failures:
-        print(f"{len(report.failures)} check(s) failed")
-    return report.exit_code
+    failed = 0
+    for r in _VERIFY_SUITES[args.suite]():
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.label}" + (f"  [{r.detail}]" if r.detail else ""))
+        failed += not r.ok
+    if failed:
+        print(f"{failed} check(s) failed")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +175,17 @@ def cmd_solve(args) -> int:
     sol_path = _out_path(args, "solve_solution")
     _write_rows(sol_path, rows, args.format)
     stats_path = os.path.join(args.out, "solve_stats.json")
+    # strict JSON: an unmeasured factor and non-finite residuals become null
+    record = json.loads(json.dumps(stats.to_dict()), parse_constant=lambda _: None)
     with open(stats_path, "w") as fh:
-        json.dump(stats.to_dict(), fh, indent=2)
+        json.dump(record, fh, indent=2, allow_nan=False)
     res_path = os.path.join(args.out, "solve_residuals.csv")
     with open(res_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual_norm"])
         writer.writerows(enumerate(stats.residual_norms))
-    print(f"measured convergence factor: {stats.factor:.6e}")
+    factor = f"{stats.factor:.6e}" if len(stats.residual_norms) > 1 else "not measured"
+    print(f"measured convergence factor: {factor}")
     print(f"wrote {sol_path}, {stats_path} and {res_path}")
 
     if args.compare_sequential:
@@ -285,7 +194,11 @@ def cmd_solve(args) -> int:
         print(f"max deviation from forward substitution: {dev:.6e}")
 
     if not stats.converged:
-        print(f"did not converge within {config.max_iters} iterations", file=sys.stderr)
+        print({"max_iters": f"did not converge within {config.max_iters} iterations",
+               "diverged": f"diverged after {stats.iterations} iterations: residual above "
+                           f"{DIVERGENCE_RATIO:g} times its initial value",
+               "non_finite": f"stopped after {stats.iterations} iterations: non-finite residual",
+               }[stats.status], file=sys.stderr)
         return 3
     return 0
 
@@ -359,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze, defaults=_ANALYZE_DEFAULTS)
 
     p = subs.add_parser("verify", help="run theory-vs-practice cross checks")
-    p.add_argument("suite", choices=("symbols", "rho", "smoothing", "order"))
+    p.add_argument("suite", choices=tuple(_VERIFY_SUITES))
     p.set_defaults(func=cmd_verify, defaults=None)
 
     p = subs.add_parser("solve", help="solve u' + u = f with the time-multigrid solver",

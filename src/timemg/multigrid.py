@@ -10,6 +10,7 @@ solver output bitwise independent of the worker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Optional, Sequence
 
@@ -116,11 +117,17 @@ class CycleConfig:
             raise ValueError(f"levels must be 'max' or >= 1, got {self.levels}")
 
 
+# residual growth over the initial residual that stops a solve as diverged; no
+# convergent solve (p_t 0-3, tau 1e-6..1e3, damping <= 1.99) exceeds 1
+DIVERGENCE_RATIO = 1e6
+
+
 @dataclasses.dataclass
 class SolveStats:
     """Per-solve diagnostics; ``factor`` is the max residual ratio between
     consecutive cycles (the first, transient ratio is excluded when more than
-    one is available)."""
+    one is available).  ``status`` is why the iteration stopped: "converged",
+    "max_iters", "diverged" (see ``DIVERGENCE_RATIO``) or "non_finite"."""
 
     iterations: int
     residual_norms: list
@@ -129,6 +136,7 @@ class SolveStats:
     converged: bool
     seed: int
     workers: int
+    status: str
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -438,9 +446,10 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     ws.u[0][0][:] = u_init
     ws.f[0][:] = f
     omegas = _resolve_omegas(hier, config, depth)
-    slab_of = _make_slab_table(ws, config.workers, config.min_slab)
-    top_partitioned = slab_of(0, 0) is not None
-    barrier = team_barrier(config.workers)
+    # a finest level too small to split runs on one worker
+    workers = config.workers if _make_slab_table(ws, config.workers, config.min_slab)(0, 0) else 1
+    slab_of = _make_slab_table(ws, workers, config.min_slab)
+    barrier = team_barrier(workers)
     timers = _Timers(True)
     shared = {"norm": np.zeros(1), "cur": 0, "iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f))
@@ -448,29 +457,14 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     def norm_at(wid, cur):
         t0 = time.perf_counter() if wid == 0 else 0.0
         rows = slab_of(wid, 0)
-        if rows is None and wid == 0:
-            rows = (0, ws.levels[0].n_steps)
-        if rows is not None:
-            _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.r[0], *rows)
-            _sqnorm_slab(ws.r[0], ws.sq, *rows)
+        _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.r[0], *rows)
+        _sqnorm_slab(ws.r[0], ws.sq, *rows)
         barrier.wait()
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
             timers.residual += time.perf_counter() - t0
         barrier.wait()
         return float(shared["norm"][0])
-
-    def run_cycle(wid, cur):
-        if top_partitioned:
-            return _cycle(ws, 0, cur, config.nu1, config.nu2, omegas, slab_of,
-                          barrier, wid, timers if wid == 0 else _Timers(False))
-        # problem too small to split at all: worker 0 runs the whole cycle
-        if wid == 0:
-            cur = _cycle(ws, 0, cur, config.nu1, config.nu2, omegas,
-                         ws.full_slab, NullBarrier(), 0, timers)
-            shared["cur"] = cur
-        barrier.wait()
-        return shared["cur"]
 
     def body(wid):
         cur = 0
@@ -480,8 +474,10 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
         tol = max(eps * r0, floor)
         rk = r0
         iters = 0
-        while rk > tol and iters < max_iters:
-            cur = run_cycle(wid, cur)
+        # all workers read the same norm and leave together; NaN fails both tests
+        while tol < rk <= DIVERGENCE_RATIO * r0 and iters < max_iters:
+            cur = _cycle(ws, 0, cur, config.nu1, config.nu2, omegas, slab_of,
+                         barrier, wid, timers if wid == 0 else _Timers(False))
             rk = norm_at(wid, cur)
             iters += 1
             if wid == 0:
@@ -490,12 +486,16 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
             shared["cur"] = cur
             shared["iters"] = iters
 
-    run_team(config.workers, body, barrier)
+    run_team(workers, body, barrier)
     norms = shared["norms"]
-    converged = norms[-1] <= max(eps * norms[0], floor)
+    last = norms[-1]
+    status = ("non_finite" if not math.isfinite(last)
+              else "converged" if last <= max(eps * norms[0], floor)
+              else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=timers.to_dict(),
-                       converged=converged, seed=config.seed, workers=config.workers)
+                       converged=status == "converged", seed=config.seed,
+                       workers=config.workers, status=status)
     return ws.u[0][shared["cur"]].copy(), stats
 
 
@@ -521,8 +521,9 @@ def solve(hier: TimeHierarchy, f, u_init=None,
 
     ``f`` and ``u_init`` must be finite and shaped (n_steps, n_t) like the
     finest level, else ``ValueError``.  ``u_init`` defaults to a random guess
-    seeded from the config.  Failure to converge within ``max_iters`` is
-    reported through ``stats.converged``, not an exception.
+    seeded from the config.  Failure to converge (iteration cap, divergence
+    or a non-finite residual) is reported through ``stats.status``, not an
+    exception.
     """
     config = config or CycleConfig()
     depth = _depth(hier, config)

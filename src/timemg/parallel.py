@@ -43,16 +43,12 @@ def run_team(n_workers: int, body, barrier=None) -> None:
             errors.append(exc)
             if barrier is not None:
                 barrier.abort()
-            raise
 
     threads = [threading.Thread(target=entry, args=(wid,), daemon=True)
                for wid in range(1, n_workers)]
     for t in threads:
         t.start()
-    try:
-        entry(0)
-    except BaseException:
-        pass
+    entry(0)
     for t in threads:
         t.join()
     if errors:

@@ -12,15 +12,12 @@ import numpy as np
 
 from oracles import pade_exp_eval
 from timemg.bench import ScalingPlan, run_strong_scaling, run_weak_scaling
-from timemg.dense import dense_smoother, dense_system, dense_twogrid
-from timemg.dg import (BasisSpec, GlobalSystem, assemble_local, forward_solve,
-                       rhs_moments, stability_function)
-from timemg.fourier import (frequencies, mode_vector, predicted_rho,
-                            symbol_smoother, symbol_system, twogrid_symbol)
+from timemg.checks import (closed_form_rho, measured_vs_predicted, order_of_accuracy,
+                           smoothing_bound, symbol_equivalence)
+from timemg.dg import BasisSpec, assemble_local, stability_function
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
-                              measure_convergence_factor, random_initial_guess,
-                              solve)
-from timemg.smoothing import ALPHA_MIN, alpha, optimal_omega, smoothing_factor
+                              random_initial_guess, solve)
+from timemg.smoothing import ALPHA_MIN, alpha
 
 TAU_GRID_49 = np.logspace(-6, 6, 49)
 
@@ -31,41 +28,26 @@ def report(num, name, ok, detail):
 
 
 def test_criterion_1_closed_form_two_grid_factor():
-    basis = BasisSpec(0)
-    worst = 0.0
-    for tau in (1e-3, 1e-1, 1.0, 10.0, 1e3):
-        got = predicted_rho(basis, tau, 1024, 1, 1, "optimal")
-        want = 1.0 / (2.0 + 2.0 * tau + tau * tau)
-        worst = max(worst, abs(got - want) / want)
-    report(1, "closed-form two-grid factor", worst <= 1e-9,
+    results = closed_form_rho((1e-3, 1e-1, 1.0, 10.0, 1e3))
+    worst = max(r.value for r in results)
+    report(1, "closed-form two-grid factor", all(r.ok for r in results),
            f"max relative deviation {worst:.2e} over 5 step sizes")
 
 
 def test_criterion_2_theory_practice_agreement():
-    worst = (0.0, None)
-    for p_t in (0, 1, 2, 3):
-        basis = BasisSpec(p_t)
-        for nu in (1, 2, 5):
-            for tau in (1e-4, 1e-2, 1.0, 1e2):
-                hier = TimeHierarchy.build(basis, tau, 1024, n_levels=2)
-                cfg = CycleConfig(nu1=nu, nu2=nu, eps=1e-100, seed=42, max_iters=250)
-                measured = measure_convergence_factor(hier, cfg)
-                predicted = predicted_rho(basis, tau, 1024, nu, nu, "optimal")
-                rel = abs(measured - predicted) / predicted
-                if rel > worst[0]:
-                    worst = (rel, (p_t, nu, tau))
-    report(2, "theory-practice agreement", worst[0] <= 0.10,
-           f"worst relative gap {worst[0]:.3f} at (p_t, nu, tau)={worst[1]} over 48 points")
+    points = [(p_t, nu, tau) for p_t in (0, 1, 2, 3) for nu in (1, 2, 5)
+              for tau in (1e-4, 1e-2, 1.0, 1e2)]
+    results = measured_vs_predicted(points)
+    k = int(np.argmax([r.value for r in results]))
+    report(2, "theory-practice agreement", all(r.ok for r in results),
+           f"worst relative gap {results[k].value:.3f} at (p_t, nu, tau)={points[k]} "
+           f"over 48 points")
 
 
 def test_criterion_3_smoothing_bound():
-    bound = 1.0 / math.sqrt(2.0) + 1e-12
-    worst = 0.0
-    for p_t in range(6):
-        basis = BasisSpec(p_t)
-        for tau in TAU_GRID_49:
-            worst = max(worst, smoothing_factor(basis, tau, "optimal", 1024).mu_s)
-    report(3, "smoothing factor bound", worst <= bound,
+    results = smoothing_bound(range(6), TAU_GRID_49)
+    worst = max(r.value for r in results)
+    report(3, "smoothing factor bound", all(r.ok for r in results),
            f"max mu_s {worst:.12f} vs 1/sqrt(2) {1/math.sqrt(2):.12f}")
 
 
@@ -107,60 +89,18 @@ def test_criterion_5_pade_identity_and_a_stability():
 
 
 def test_criterion_6_order_of_accuracy():
-    exact = 0.5 * math.exp(-1.0) + 0.5 * (math.cos(1.0) + math.sin(1.0))
-    details = []
-    ok = True
-    for p_t, steps in ((0, (64, 128, 256, 512)), (1, (8, 16, 32, 64)),
-                       (2, (4, 8, 16, 32))):
-        basis = BasisSpec(p_t)
-        errs = []
-        for n in steps:
-            tau = 1.0 / n
-            ops = assemble_local(basis, tau)
-            u = forward_solve(GlobalSystem(ops, n),
-                              rhs_moments(np.cos, basis, tau, n, u0=1.0))
-            errs.append(abs(u[-1] @ ops.eval_end - exact))
-        slope = -np.polyfit(np.log2(steps), np.log2(errs), 1)[0]
-        want = 2 * p_t + 1
-        ok = ok and abs(slope - want) <= 0.2
-        details.append(f"p_t={p_t}: {slope:.3f} vs {want}")
-    report(6, "order of accuracy", ok, "; ".join(details))
+    cases = ((0, (64, 128, 256, 512)), (1, (8, 16, 32, 64)), (2, (4, 8, 16, 32)))
+    results = order_of_accuracy(cases)
+    report(6, "order of accuracy", all(r.ok for r in results),
+           "; ".join(f"p_t={p_t}: {r.value:.3f} vs {2 * p_t + 1}"
+                     for (p_t, _), r in zip(cases, results)))
 
 
 def test_criterion_7_brute_force_symbol_equivalence():
-    n = 16
-    freqs = frequencies(n)
-    rng = np.random.default_rng(4)
-    worst_sym, worst_spec = 0.0, 0.0
-    for p_t in (0, 1, 2):
-        basis = BasisSpec(p_t)
-        for tau in (0.5, 2.0):
-            hier = TimeHierarchy.build(basis, tau, n, n_levels=2, coarsest=2)
-            ops, ops_c = hier.levels[0].ops, hier.levels[1].ops
-            omega = optimal_omega(alpha(basis, tau))
-            l_dense = dense_system(ops, n, periodic=True)
-            s_dense = dense_smoother(ops, n, omega, periodic=True)
-            for theta in freqs.all:
-                u = rng.standard_normal(basis.n_t) + 1j * rng.standard_normal(basis.n_t)
-                psi = mode_vector(theta, u, n).ravel()
-                d1 = np.abs(l_dense @ psi
-                            - mode_vector(theta, symbol_system(ops, theta) @ u, n).ravel()).max()
-                d2 = np.abs(s_dense @ psi
-                            - mode_vector(theta, symbol_smoother(ops, theta, omega) @ u,
-                                          n).ravel()).max()
-                worst_sym = max(worst_sym, d1, d2)
-            m_dense = dense_twogrid(ops, ops_c, hier.levels[0].r1, hier.levels[0].r2,
-                                    n, 1, 1, omega, periodic=True)
-            union = []
-            for theta in freqs.low:
-                m_hat = twogrid_symbol(ops, ops_c, (hier.levels[0].r1, hier.levels[0].r2),
-                                       theta, 1, 1, omega)
-                union.extend(np.linalg.eigvals(m_hat))
-            got = np.sort(np.abs(np.linalg.eigvals(m_dense)))
-            want = np.sort(np.abs(np.asarray(union)))
-            worst_spec = max(worst_spec, float(np.max(np.abs(got - want))))
-    ok = worst_sym <= 1e-12 and worst_spec <= 1e-9
-    report(7, "brute-force symbol equivalence", ok,
+    results = symbol_equivalence((0, 1, 2), (0.5, 2.0), "optimal", seed=4)
+    worst_sym = max(r.value for r in results[0::2])
+    worst_spec = max(r.value for r in results[1::2])
+    report(7, "brute-force symbol equivalence", all(r.ok for r in results),
            f"max symbol gap {worst_sym:.2e}, max spectrum gap {worst_spec:.2e}")
 
 

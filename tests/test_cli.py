@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from timemg import cli
+from timemg.checks import Result
 from timemg.cli import main
 
 
@@ -68,6 +70,17 @@ class TestVerify:
     def test_rho_suite_passes(self):
         assert main(["verify", "rho"]) == 0
 
+    def test_smoothing_suite_passes(self, capsys):
+        assert main(["verify", "smoothing"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 10
+
+    def test_failed_check_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._VERIFY_SUITES, "order", lambda: [
+            Result("holds", 0.0, True), Result("broken", 1.0, False, "forced")])
+        assert main(["verify", "order"]) == 1
+        out = capsys.readouterr().out
+        assert out == "PASS  holds\nFAIL  broken  [forced]\n1 check(s) failed\n"
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "everything"]) == 2
 
@@ -107,6 +120,21 @@ class TestSolve:
         assert code == 3
         assert (tmp_path / "solve_stats.json").exists()
         assert json.loads((tmp_path / "solve_stats.json").read_text())["converged"] is False
+
+    @pytest.mark.filterwarnings("ignore:damping 1.99:UserWarning", "ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("flags, code, status, message", [
+        (["--levels", "1"], 0, "converged", ""),
+        (["--pt", "1", "--tau", "0.1", "--steps", "256", "--omega", "1.99"], 3, "diverged",
+         "diverged after 2 iterations: residual above 1e+06 times its initial value"),
+        (["--f", "const", "--f-param", "1e300"], 3, "non_finite",
+         "stopped after 0 iterations: non-finite residual"),
+    ], ids=["unmeasured-factor", "diverged", "overflow"])
+    def test_stop_status_and_strict_stats_json(self, tmp_path, capsys, flags, code,
+                                               status, message):
+        assert main(["solve", *flags, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.strip() == message
+        text = (tmp_path / "solve_stats.json").read_text()
+        assert json.loads(text, parse_constant=pytest.fail)["status"] == status
 
     def test_bad_flag_usage_error(self):
         assert main(["solve", "--pt", "zero"]) == 2

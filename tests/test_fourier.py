@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
-                          dense_system, dense_twogrid)
+from timemg.checks import symbol_equivalence
+from timemg.dense import dense_prolongation, dense_restriction
 from timemg.dg import BasisSpec, assemble_local
 from timemg.fourier import (block_dft, block_idft, frequencies, gamma,
                             harmonics_decomposition, mode_vector, predicted_rho,
@@ -150,30 +150,15 @@ class TestBruteForceSymbols:
 
     N = 16
 
-    def _setup(self, p_t, tau):
-        basis = BasisSpec(p_t)
-        ops_f = assemble_local(basis, tau)
-        ops_c = assemble_local(basis, 2 * tau)
-        r1, r2 = build_transfers(basis, tau)
-        return basis, ops_f, ops_c, r1, r2
-
     def test_system_and_smoother(self, p_t, tau):
-        basis, ops_f, _, _, _ = self._setup(p_t, tau)
-        n = self.N
-        fs = frequencies(n)
-        rng = np.random.default_rng(4)
-        l_dense = dense_system(ops_f, n, periodic=True)
-        s_dense = dense_smoother(ops_f, n, 0.7, periodic=True)
-        for theta in fs.all:
-            u = rng.standard_normal(basis.n_t) + 1j * rng.standard_normal(basis.n_t)
-            psi = mode_vector(theta, u, n).ravel()
-            want = mode_vector(theta, symbol_system(ops_f, theta) @ u, n).ravel()
-            assert np.max(np.abs(l_dense @ psi - want)) < 1e-12
-            want = mode_vector(theta, symbol_smoother(ops_f, theta, 0.7) @ u, n).ravel()
-            assert np.max(np.abs(s_dense @ psi - want)) < 1e-12
+        # single-mode system/smoother symbols and the two-grid spectrum
+        for damping in (0.7, "optimal"):
+            for result in symbol_equivalence([p_t], [tau], damping, seed=4, n=self.N):
+                assert result.ok, result
 
     def test_restriction_maps_harmonics_to_coarse_mode(self, p_t, tau):
-        basis, ops_f, _, r1, r2 = self._setup(p_t, tau)
+        basis = BasisSpec(p_t)
+        r1, r2 = build_transfers(basis, tau)
         n = self.N
         fs = frequencies(n)
         rng = np.random.default_rng(5)
@@ -188,7 +173,8 @@ class TestBruteForceSymbols:
             assert np.max(np.abs(r_dense @ psi - want)) < 1e-12
 
     def test_prolongation_maps_coarse_mode_to_harmonics(self, p_t, tau):
-        basis, ops_f, _, r1, r2 = self._setup(p_t, tau)
+        basis = BasisSpec(p_t)
+        r1, r2 = build_transfers(basis, tau)
         n = self.N
         fs = frequencies(n)
         rng = np.random.default_rng(6)
@@ -201,19 +187,6 @@ class TestBruteForceSymbols:
             want = (mode_vector(theta, phat_t @ u, n)
                     + mode_vector(gamma(theta), phat_g @ u, n)).ravel()
             assert np.max(np.abs(p_dense @ psi_c - want)) < 1e-12
-
-    def test_twogrid_spectrum_equals_harmonic_union(self, p_t, tau):
-        basis, ops_f, ops_c, r1, r2 = self._setup(p_t, tau)
-        n = self.N
-        omega = optimal_omega(alpha(basis, tau))
-        m_dense = dense_twogrid(ops_f, ops_c, r1, r2, n, 1, 1, omega, periodic=True)
-        union = []
-        for theta in frequencies(n).low:
-            m_hat = twogrid_symbol(ops_f, ops_c, (r1, r2), theta, 1, 1, omega)
-            union.extend(np.linalg.eigvals(m_hat))
-        got = np.sort(np.abs(np.linalg.eigvals(m_dense)))
-        want = np.sort(np.abs(np.asarray(union)))
-        assert np.max(np.abs(got - want)) < 1e-9
 
 
 class TestFrequencyDoubling:
@@ -267,12 +240,6 @@ class TestTwoGridSymbol:
 
 
 class TestPredictedRho:
-    @pytest.mark.parametrize("tau", [1e-3, 1e-1, 1.0, 10.0, 1e3])
-    def test_closed_form_p0(self, tau):
-        got = predicted_rho(BasisSpec(0), tau, 1024, 1, 1, "optimal")
-        want = 1.0 / (2.0 + 2.0 * tau + tau * tau)
-        assert abs(got - want) <= 1e-9 * want
-
     def test_small_step_limit(self):
         assert predicted_rho(BasisSpec(0), 1e-9, 256, 1, 1) == pytest.approx(0.5, abs=1e-6)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from timemg.checks import all_frequency_bound
 from timemg.dense import dense_smoother
 from timemg.dg import BasisSpec, assemble_local
 from timemg.fourier import symbol_smoother
@@ -18,12 +19,6 @@ class TestAlpha:
     def test_values(self):
         assert abs(alpha(BasisSpec(0), 1.0) - 0.5) < 1e-14
         assert alpha(BasisSpec(3), 0.0) == 1.0
-
-    @pytest.mark.parametrize("p_t", range(6))
-    def test_bounds_over_sweep(self, p_t):
-        vals = np.array([alpha(BasisSpec(p_t), t) for t in TAUS])
-        assert vals.min() >= ALPHA_MIN - 1e-9
-        assert vals.max() <= 1.0
 
     def test_global_minimum_location(self):
         # for degree 1 the minimum (5 - 3 sqrt 3)/2 is attained at 3 + 3 sqrt 3
@@ -107,13 +102,6 @@ class TestSmoothingFactor:
         assert rep.mu_s <= rep.rho_all + 1e-15
 
     @pytest.mark.parametrize("p_t", range(6))
-    def test_optimal_bound(self, p_t):
-        bound = 1.0 / math.sqrt(2.0) + 1e-12
-        for tau in TAUS:
-            rep = smoothing_factor(BasisSpec(p_t), tau, "optimal", 1024)
-            assert rep.mu_s <= bound
-
-    @pytest.mark.parametrize("p_t", range(6))
     def test_uniform_half_damping_bound(self, p_t):
         # the same bound holds empirically for the fixed damping 1/2
         bound = 1.0 / math.sqrt(2.0) + 1e-12
@@ -133,11 +121,8 @@ class TestSmoothingFactor:
     @pytest.mark.parametrize("p_t", range(6))
     def test_all_frequency_bound(self, p_t):
         # max over every frequency stays below |a|(1+|a|)/(1+a^2)
-        basis = BasisSpec(p_t)
-        for tau in TAUS:
-            a = alpha(basis, tau)
-            rep = smoothing_factor(basis, tau, "optimal", 1024)
-            assert rep.rho_all <= abs(a) * (1 + abs(a)) / (1 + a * a) + 1e-12
+        [result] = all_frequency_bound([p_t], TAUS)
+        assert result.ok, result
 
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
