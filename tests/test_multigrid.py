@@ -241,8 +241,7 @@ class TestSolve:
         (1, 0.1, 256, 0.0, "diverged", 2), (0, 1e-6, 1024, 0.0, "diverged", 1),
         (0, 0.1, 64, 1e300, "non_finite", 0)])
     def test_early_stop(self, p_t, tau, n, f, status, iterations):
-        # without the stop the diverging solves ran to the cap on an infinite
-        # residual, or until it turned NaN
+        # damping 1.99 diverges; a 1e300 right-hand side overflows the first residual
         hier = TimeHierarchy.build(BasisSpec(p_t), tau, n)
         _, stats = solve(hier, np.full((n, p_t + 1), f),
                          config=CycleConfig(damping=1.99, max_iters=50))
