@@ -150,11 +150,19 @@ class TestBruteForceSymbols:
 
     N = 16
 
-    def test_system_and_smoother(self, p_t, tau):
-        # single-mode system/smoother symbols and the two-grid spectrum
+    def _assert_symbol_checks(self, p_t, tau, label):
         for damping in (0.7, "optimal"):
-            for result in symbol_equivalence([p_t], [tau], damping, seed=4, n=self.N):
+            results = [r for r in symbol_equivalence([p_t], [tau], damping, seed=4, n=self.N)
+                       if r.label.startswith(label)]
+            assert results
+            for result in results:
                 assert result.ok, result
+
+    def test_system_and_smoother(self, p_t, tau):
+        self._assert_symbol_checks(p_t, tau, "symbols system/smoother")
+
+    def test_twogrid_spectrum_equals_harmonic_union(self, p_t, tau):
+        self._assert_symbol_checks(p_t, tau, "two-grid spectrum")
 
     def test_restriction_maps_harmonics_to_coarse_mode(self, p_t, tau):
         basis = BasisSpec(p_t)
