@@ -42,8 +42,6 @@ class ScalingPlan:
     eps: float = 1e-8
     repetitions: int = 3
     seed: int = 42
-    nu1: int = 2
-    nu2: int = 2
 
     def __post_init__(self):
         if self.mode not in ("strong", "weak"):
@@ -76,8 +74,7 @@ class ScalingRow:
 
 def _run_point(basis: BasisSpec, n_steps: int, plan: ScalingPlan, workers: int):
     hier = TimeHierarchy.build(basis, plan.tau, n_steps)
-    config = CycleConfig(nu1=plan.nu1, nu2=plan.nu2, eps=plan.eps,
-                         seed=plan.seed, workers=workers)
+    config = CycleConfig(eps=plan.eps, seed=plan.seed, workers=workers)
     f = np.zeros((n_steps, basis.n_t))
     u_init = random_initial_guess(hier, plan.seed)
     samples = []
@@ -97,41 +94,23 @@ def _warn_if_oversubscribed(workers: int) -> None:
                       "timings will not scale", stacklevel=3)
 
 
-def run_strong_scaling(plan: ScalingPlan) -> list:
-    """Fixed problem size, growing worker count; rows carry speedup vs 1 worker."""
-    if plan.mode != "strong":
-        raise ValueError("plan mode must be 'strong'")
+def run_scaling(plan: ScalingPlan) -> list:
+    """Measure every (degree, worker count) point of the plan: strong mode
+    keeps ``total_steps`` fixed, weak mode runs ``steps_per_worker`` steps per
+    worker; ``ScalingRow.scaled`` compares each point with the first."""
+    strong = plan.mode == "strong"
     rows = []
     for p_t in plan.p_t_list:
         basis = BasisSpec(p_t)
         base_time = None
         for w in plan.workers:
             _warn_if_oversubscribed(w)
-            med, iters, samples = _run_point(basis, plan.total_steps, plan, w)
-            if base_time is None:
-                base_time = med
-            rows.append(ScalingRow(mode="strong", workers=w, steps=plan.total_steps,
-                                   p_t=p_t, median_time=med, scaled=base_time / med,
-                                   iterations=iters, samples=samples))
-    return rows
-
-
-def run_weak_scaling(plan: ScalingPlan) -> list:
-    """Fixed steps per worker, growing worker count; rows carry the wall-time
-    ratio vs the single-worker baseline."""
-    if plan.mode != "weak":
-        raise ValueError("plan mode must be 'weak'")
-    rows = []
-    for p_t in plan.p_t_list:
-        basis = BasisSpec(p_t)
-        base_time = None
-        for w in plan.workers:
-            _warn_if_oversubscribed(w)
-            n_steps = w * plan.steps_per_worker
+            n_steps = plan.total_steps if strong else w * plan.steps_per_worker
             med, iters, samples = _run_point(basis, n_steps, plan, w)
             if base_time is None:
                 base_time = med
-            rows.append(ScalingRow(mode="weak", workers=w, steps=n_steps,
-                                   p_t=p_t, median_time=med, scaled=med / base_time,
+            rows.append(ScalingRow(mode=plan.mode, workers=w, steps=n_steps, p_t=p_t,
+                                   median_time=med,
+                                   scaled=base_time / med if strong else med / base_time,
                                    iterations=iters, samples=samples))
     return rows

@@ -11,10 +11,10 @@ import numpy as np
 
 from .dense import dense_smoother, dense_system, dense_twogrid
 from .dg import BasisSpec, GlobalSystem, assemble_local, forward_solve, rhs_moments
-from .fourier import (frequencies, mode_vector, predicted_rho, symbol_smoother,
-                      symbol_system, twogrid_symbol)
+from .fourier import (frequencies, mode_vector, predicted_rho, smoothing_factor,
+                      symbol_smoother, symbol_system, twogrid_symbol)
 from .multigrid import CycleConfig, TimeHierarchy, measure_convergence_factor
-from .smoothing import alpha, resolve_damping, smoothing_factor
+from .smoothing import alpha, resolve_damping
 
 
 class Result(NamedTuple):

@@ -20,9 +20,9 @@ import numpy as np
 from . import bench as bench_mod
 from . import checks
 from .dg import BasisSpec, GlobalSystem, forward_solve, rhs_moments
-from .fourier import rho_profile
+from .fourier import rho_profile, smoothing_factor
 from .multigrid import DIVERGENCE_RATIO, CycleConfig, TimeHierarchy, solve
-from .smoothing import alpha, optimal_omega, smoothing_factor
+from .smoothing import alpha, optimal_omega
 
 _FORMATS = ("csv", "json")
 
@@ -220,8 +220,7 @@ def cmd_bench(args) -> int:
                                  p_t_list=tuple(_parse_int_list(args.pt)),
                                  tau=args.tau, eps=args.eps,
                                  repetitions=args.reps, seed=args.seed)
-    runner = bench_mod.run_strong_scaling if args.mode == "strong" else bench_mod.run_weak_scaling
-    rows = runner(plan)
+    rows = bench_mod.run_scaling(plan)
     if args.mode == "strong":
         for prev, cur in zip(rows, rows[1:]):
             if cur.p_t == prev.p_t and cur.median_time > prev.median_time:

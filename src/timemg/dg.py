@@ -27,10 +27,6 @@ class RadauRule:
     c: np.ndarray
     b: np.ndarray
 
-    @property
-    def s(self) -> int:
-        return len(self.c)
-
 
 def radau_rule(s: int) -> RadauRule:
     """Return the s-point left Radau rule on [0, 1].
@@ -197,14 +193,13 @@ def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
 
 @dataclasses.dataclass(frozen=True)
 class GlobalSystem:
-    """Block lower bidiagonal system over ``n_steps`` steps (circulant when periodic).
+    """Block lower bidiagonal system over ``n_steps`` steps.
 
     Never stored dense: the action is defined blockwise by the local operators.
     """
 
     ops: LocalOperators
     n_steps: int
-    periodic: bool = False
 
 
 def apply_global(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
@@ -215,8 +210,6 @@ def apply_global(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
                          f"({system.n_steps}, {system.ops.n_t})")
     out = np.einsum("ij,nj->ni", system.ops.step_matrix, u)
     out[1:] -= np.einsum("ij,nj->ni", system.ops.coupling, u[:-1])
-    if system.periodic:
-        out[0] -= system.ops.coupling @ u[-1]
     return out
 
 
@@ -246,10 +239,8 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
 
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve the non-periodic system exactly by block forward substitution:
+    """Solve the system exactly by block forward substitution:
     u[n] = step_inv @ (rhs[n] + eval_start * (eval_end @ u[n-1]))."""
-    if system.periodic:
-        raise ValueError("forward substitution requires a non-periodic system")
     rhs = np.asarray(rhs)
     if rhs.shape != (system.n_steps, system.ops.n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match "
@@ -282,16 +273,3 @@ def stability_function(basis: BasisSpec, z: complex) -> complex:
     x = np.linalg.solve(a, ops.eval_start.astype(complex))
     return complex(ops.eval_end @ x)
 
-
-def jump_error_estimator(u: np.ndarray, u0: float, basis: BasisSpec) -> np.ndarray:
-    """Per-step jump magnitudes |u^n(t_{n-1}) - u^{n-1}(t_{n-1})| of a solution.
-
-    Step 1 compares against the initial value.  The jumps scale like
-    O(tau^{p_t+1}) for smooth data, which makes them a cheap error indicator.
-    """
-    u, ops = np.asarray(u), _unit_ops(basis)
-    left_vals, right_vals = u @ ops.eval_start, u @ ops.eval_end
-    jumps = np.empty(len(u))
-    jumps[0] = abs(left_vals[0] - u0)
-    jumps[1:] = np.abs(left_vals[1:] - right_vals[:-1])
-    return jumps

@@ -1,5 +1,5 @@
-"""Blockwise Fourier-mode machinery: frequency sets, the block DFT, local
-operator symbols, and the two-grid symbol on pairs of aliased harmonics.
+"""Blockwise Fourier-mode machinery: frequency sets, local operator symbols,
+the smoothing factor, and the two-grid symbol on pairs of aliased harmonics.
 
 The analysis is exact for time-periodic coupling; for the initial value
 problem it predicts the asymptotic behavior of the actual cycles.
@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 
 from .dg import BasisSpec, LocalOperators, assemble_local
+from .smoothing import alpha, resolve_damping, smoothing_symbol_modulus
 from .transfers import build_transfers
 
 _BOUNDARY_TOL = 1e-12
@@ -34,14 +35,6 @@ class FrequencySet:
     all: np.ndarray
     low: np.ndarray
     high: np.ndarray
-
-    def index(self, theta: float) -> int:
-        """Position of a frequency in ``all``."""
-        k = int(round(theta * self.n_steps / (2.0 * np.pi)))
-        idx = k + self.n_steps // 2 - 1
-        if not 0 <= idx < self.n_steps or abs(self.all[idx] - theta) > _BOUNDARY_TOL:
-            raise ValueError(f"{theta} is not a grid frequency for n_steps={self.n_steps}")
-        return idx
 
 
 def frequencies(n_steps: int) -> FrequencySet:
@@ -67,42 +60,6 @@ def gamma(theta):
     return float(out) if np.isscalar(theta) else out
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockSpectrum:
-    """Blockwise DFT coefficients, one n_t-vector per frequency in freqs.all."""
-
-    freqs: FrequencySet
-    coeffs: np.ndarray  # (n_steps, n_t) complex
-
-
-def block_dft(u: np.ndarray) -> BlockSpectrum:
-    """Decompose a block vector into blockwise Fourier modes.
-
-    Componentwise over the local index, coefficient k is
-    (1/n) * sum_n u_n * exp(-i*n*theta_k) with 1-based block index n.
-    """
-    u = np.asarray(u)
-    n_steps = u.shape[0]
-    _check_n_steps(n_steps)
-    freqs = frequencies(n_steps)
-    raw = np.fft.fft(u, axis=0) / n_steps                  # sum over 0-based index
-    k = np.arange(1 - n_steps // 2, n_steps // 2 + 1)
-    phase = np.exp(-1j * freqs.all)                        # shift to 1-based blocks
-    coeffs = raw[np.mod(k, n_steps)] * phase[:, None]
-    return BlockSpectrum(freqs=freqs, coeffs=coeffs)
-
-
-def block_idft(spectrum: BlockSpectrum) -> np.ndarray:
-    """Invert :func:`block_dft`; returns a complex (n_steps, n_t) array."""
-    freqs = spectrum.freqs
-    n_steps = freqs.n_steps
-    k = np.arange(1 - n_steps // 2, n_steps // 2 + 1)
-    y = np.zeros((n_steps, spectrum.coeffs.shape[1]), dtype=complex)
-    phase = np.exp(1j * freqs.all)
-    np.add.at(y, np.mod(k, n_steps), spectrum.coeffs * phase[:, None])
-    return np.fft.ifft(y, axis=0) * n_steps
-
-
 def mode_vector(theta: float, coeff: np.ndarray, n_steps: int) -> np.ndarray:
     """Block vector of the single mode theta with coefficient vector ``coeff``."""
     n = np.arange(1, n_steps + 1)
@@ -110,30 +67,31 @@ def mode_vector(theta: float, coeff: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class HarmonicsDecomposition:
-    """Coefficients of the aliased pairs {theta, gamma(theta)} per low frequency."""
+class SmoothingReport:
+    """Smoothing diagnostics for one (p_t, tau, omega) combination."""
 
-    low: np.ndarray       # (n/2,) low frequencies
-    u1: np.ndarray        # (n/2, n_t) coefficients at theta
-    u2: np.ndarray        # (n/2, n_t) coefficients at gamma(theta)
-    n_steps: int
-
-    def reassemble(self) -> np.ndarray:
-        out = np.zeros((self.n_steps, self.u1.shape[1]), dtype=complex)
-        for theta, c1, c2 in zip(self.low, self.u1, self.u2):
-            out += mode_vector(theta, c1, self.n_steps)
-            out += mode_vector(gamma(theta), c2, self.n_steps)
-        return out
+    p_t: int
+    tau: float
+    omega: float
+    alpha: float
+    mu_s: float       # worst spectral radius over the high frequencies
+    rho_all: float    # worst spectral radius over all frequencies
 
 
-def harmonics_decomposition(u: np.ndarray) -> HarmonicsDecomposition:
-    """Split a block vector into its pairs of aliased harmonics."""
-    spectrum = block_dft(u)
-    freqs = spectrum.freqs
-    idx_low = np.array([freqs.index(t) for t in freqs.low])
-    idx_high = np.array([freqs.index(gamma(t)) for t in freqs.low])
-    return HarmonicsDecomposition(low=freqs.low, u1=spectrum.coeffs[idx_low],
-                                  u2=spectrum.coeffs[idx_high], n_steps=freqs.n_steps)
+def smoothing_factor(basis: BasisSpec, tau: float, omega, n_steps: int) -> SmoothingReport:
+    """Asymptotic smoothing factor over the discrete high frequencies.
+
+    ``omega`` may be a number in (0, 2) or "optimal".  ``rho_all`` takes the
+    same maximum over all frequencies and bounds the plain iteration.
+    """
+    freqs = frequencies(n_steps)
+    a = alpha(basis, tau)
+    w = resolve_damping(omega, a)
+    base = abs(1.0 - w)
+    mu_s = max(base, float(np.max(smoothing_symbol_modulus(w, a, freqs.high))))
+    rho_all = max(base, float(np.max(smoothing_symbol_modulus(w, a, freqs.all))))
+    return SmoothingReport(p_t=basis.p_t, tau=tau, omega=w, alpha=a,
+                           mu_s=mu_s, rho_all=rho_all)
 
 
 def symbol_system(ops: LocalOperators, theta: float) -> np.ndarray:
@@ -191,11 +149,6 @@ def twogrid_symbol(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     return s_post @ correction @ s_pre
 
 
-def _resolved_omega(basis: BasisSpec, tau: float, damping) -> float:
-    from .smoothing import alpha, resolve_damping
-    return resolve_damping(damping, alpha(basis, tau))
-
-
 def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
                 nu1: int = 1, nu2: int = 1, damping="optimal"):
     """Spectral radius of the two-grid symbol at every low frequency.
@@ -204,7 +157,7 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     convergence factor and its argmax locates the worst frequency.
     """
     _check_n_steps(n_steps)
-    omega = _resolved_omega(basis, tau, damping)
+    omega = resolve_damping(damping, alpha(basis, tau))
     ops_f = assemble_local(basis, tau)
     ops_c = assemble_local(basis, 2.0 * tau)
     transfers = build_transfers(basis, tau)

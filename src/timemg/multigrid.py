@@ -30,7 +30,6 @@ from .transfers import build_transfers
 class Level:
     """One time grid plus the transfer blocks to the next coarser level."""
 
-    index: int
     n_steps: int
     tau: float
     ops: LocalOperators
@@ -73,10 +72,10 @@ class TimeHierarchy:
                            and n // 2 >= max(2, coarsest))
             if can_coarsen:
                 r1, r2 = build_transfers(basis, t)
-                levels.append(Level(len(levels), n, t, ops, r1, r2))
+                levels.append(Level(n, t, ops, r1, r2))
                 n, t = n // 2, 2.0 * t
             else:
-                levels.append(Level(len(levels), n, t, ops))
+                levels.append(Level(n, t, ops))
                 break
         return cls(basis, levels)
 
@@ -127,19 +126,37 @@ class SolveStats:
     """Per-solve diagnostics; ``factor`` is the max residual ratio between
     consecutive cycles (the first, transient ratio is excluded when more than
     one is available).  ``status`` is why the iteration stopped: "converged",
-    "max_iters", "diverged" (see ``DIVERGENCE_RATIO``) or "non_finite"."""
+    "max_iters", "diverged" (see ``DIVERGENCE_RATIO``) or "non_finite"; the
+    read-only ``converged`` is ``status == "converged"``.
+
+    The constructor still takes ``converged`` so that
+    ``dataclasses.replace(stats, converged=False)`` marks a record as not
+    converged (status "max_iters"); it cannot mark one converged."""
 
     iterations: int
     residual_norms: list
     factor: float
     times: dict
-    converged: bool
     seed: int
     workers: int
     status: str
+    converged: dataclasses.InitVar[Optional[bool]] = None
+
+    def __post_init__(self, converged):
+        if converged and self.status != "converged":
+            raise ValueError(f"a solve with status {self.status!r} did not converge")
+        if converged is False and self.status == "converged":
+            self.status = "max_iters"
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"iterations": self.iterations, "residual_norms": list(self.residual_norms),
+                "factor": self.factor, "times": dict(self.times),
+                "converged": self.converged, "seed": self.seed,
+                "workers": self.workers, "status": self.status}
+
+
+# set after the class body, where it would become the default of the InitVar
+SolveStats.converged = property(lambda self: self.status == "converged")
 
 
 # ---------------------------------------------------------------------------
@@ -389,39 +406,37 @@ def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray
 
 
 def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
-    """Per (worker, level) block ranges; None marks levels run by worker 0.
+    """Per (worker, level) block ranges, and the worker count they are for;
+    None marks levels run by worker 0.
 
     Each level is split over the largest power-of-two worker count that keeps
     every slab at least ``min_slab`` blocks (the surplus workers hold empty
     slabs and only join the barriers); slabs are even-sized so restriction
     always writes whole coarse blocks.  Levels that cannot keep two workers
-    busy are marked None and run serially between two barriers.
+    busy, and all levels below them, are marked None and run serially between
+    two barriers.  A finest level too small to split runs on one worker.
     """
     table = []
     for lev in ws.levels:
         n = lev.n_steps
-        if workers == 1:
-            table.append([(0, n)])
-            continue
         active = workers
         while active > 1 and (n % active != 0 or n // active < max(min_slab, 2)
                               or (n // active) % 2 != 0):
             active //= 2
-        if active < 2:
+        if active < 2 or (table and table[-1] is None):
             table.append(None)
             continue
         per = n // active
         table.append([(w * per, (w + 1) * per) if w < active else (n, n)
                       for w in range(workers)])
-    for lev in range(1, len(table)):
-        if table[lev - 1] is None:
-            table[lev] = None
+    if table[0] is None:
+        workers, table = 1, [[(0, lev.n_steps)] for lev in ws.levels]
 
     def slab(wid, lev):
         rows = table[lev]
         return None if rows is None else rows[wid]
 
-    return slab
+    return slab, workers
 
 
 def _max_ratio(norms: Sequence[float]) -> float:
@@ -446,9 +461,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     ws.u[0][0][:] = u_init
     ws.f[0][:] = f
     omegas = _resolve_omegas(hier, config, depth)
-    # a finest level too small to split runs on one worker
-    workers = config.workers if _make_slab_table(ws, config.workers, config.min_slab)(0, 0) else 1
-    slab_of = _make_slab_table(ws, workers, config.min_slab)
+    slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
     barrier = team_barrier(workers)
     timers = _Timers(True)
     shared = {"norm": np.zeros(1), "cur": 0, "iters": 0, "norms": []}
@@ -494,8 +507,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=timers.to_dict(),
-                       converged=status == "converged", seed=config.seed,
-                       workers=config.workers, status=status)
+                       seed=config.seed, workers=config.workers, status=status)
     return ws.u[0][shared["cur"]].copy(), stats
 
 

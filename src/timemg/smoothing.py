@@ -1,4 +1,5 @@
-"""Damping parameters and smoothing factors for the damped block Jacobi iteration.
+"""Damping parameters and the smoothing symbol of the damped block Jacobi
+iteration; ``fourier.smoothing_factor`` maximizes it over a frequency grid.
 
 The local iteration matrix at frequency theta has eigenvalues
 {1 - omega, 1 - omega + e^{-i theta} omega alpha(tau)}, where alpha(tau) is the
@@ -8,14 +9,12 @@ high-frequency modulus at alpha/sqrt(1 + alpha^2) <= 1/sqrt(2).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 
 from .dg import BasisSpec, stability_function
-from .fourier import frequencies
 
 # global minimum of R(-tau) over all degrees and tau >= 0
 ALPHA_MIN = (5.0 - 3.0 * math.sqrt(3.0)) / 2.0
@@ -60,34 +59,3 @@ def smoothing_symbol_modulus(omega: float, a: float, theta) -> np.ndarray:
     sq = (1.0 - omega) ** 2 + 2.0 * omega * (1.0 - omega) * a * np.cos(theta) \
         + (a * omega) ** 2
     return np.sqrt(np.maximum(sq, 0.0))
-
-
-@dataclasses.dataclass(frozen=True)
-class SmoothingReport:
-    """Smoothing diagnostics for one (p_t, tau, omega) combination."""
-
-    p_t: int
-    tau: float
-    omega: float
-    alpha: float
-    mu_s: float       # worst spectral radius over the high frequencies
-    rho_all: float    # worst spectral radius over all frequencies
-
-    def to_row(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def smoothing_factor(basis: BasisSpec, tau: float, omega, n_steps: int) -> SmoothingReport:
-    """Asymptotic smoothing factor over the discrete high frequencies.
-
-    ``omega`` may be a number in (0, 2) or "optimal".  ``rho_all`` takes the
-    same maximum over all frequencies and bounds the plain iteration.
-    """
-    freqs = frequencies(n_steps)
-    a = alpha(basis, tau)
-    w = resolve_damping(omega, a)
-    base = abs(1.0 - w)
-    mu_s = max(base, float(np.max(smoothing_symbol_modulus(w, a, freqs.high))))
-    rho_all = max(base, float(np.max(smoothing_symbol_modulus(w, a, freqs.all))))
-    return SmoothingReport(p_t=basis.p_t, tau=tau, omega=w, alpha=a,
-                           mu_s=mu_s, rho_all=rho_all)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from oracles import pade_exp_eval
-from timemg.bench import ScalingPlan, run_strong_scaling, run_weak_scaling
+from timemg.bench import ScalingPlan, run_scaling
 from timemg.checks import (closed_form_rho, measured_vs_predicted, order_of_accuracy,
                            smoothing_bound, symbol_equivalence)
 from timemg.dg import BasisSpec, assemble_local, stability_function
@@ -138,10 +138,10 @@ def test_criterion_10_desk_scale_scaling_trends():
     cpus = os.cpu_count() or 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        strong = run_strong_scaling(ScalingPlan(
+        strong = run_scaling(ScalingPlan(
             mode="strong", workers=[1, 2, 4], total_steps=1 << 17,
             p_t_list=(0,), tau=1e-6, eps=1e-8, repetitions=3, seed=42))
-        weak = run_weak_scaling(ScalingPlan(
+        weak = run_scaling(ScalingPlan(
             mode="weak", workers=[1, 2, 4, 8], steps_per_worker=1 << 15,
             p_t_list=(0,), tau=1e-6, eps=1e-8, repetitions=3, seed=42))
     speedup4 = [r.scaled for r in strong if r.workers == 4][0]

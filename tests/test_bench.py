@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from timemg.bench import ScalingPlan, run_strong_scaling, run_weak_scaling
+from timemg.bench import ScalingPlan, run_scaling
 
 
 def tiny_plan(mode, **kw):
@@ -33,16 +33,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan("strong", total_steps=510, workers=[1, 4])
 
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            run_weak_scaling(tiny_plan("strong"))
-        with pytest.raises(ValueError):
-            run_strong_scaling(tiny_plan("weak"))
-
 
 class TestStrongScaling:
     def test_rows_and_invariants(self):
-        rows = run_strong_scaling(tiny_plan("strong"))
+        rows = run_scaling(tiny_plan("strong"))
         assert [r.workers for r in rows] == [1, 2]
         assert all(r.steps == 512 for r in rows)
         assert rows[0].scaled == 1.0
@@ -51,7 +45,7 @@ class TestStrongScaling:
         assert all(len(r.samples) == 3 for r in rows)
 
     def test_row_serialization(self):
-        row = run_strong_scaling(tiny_plan("strong", workers=[1]))[0]
+        row = run_scaling(tiny_plan("strong", workers=[1]))[0]
         d = row.to_dict()
         assert {"mode", "workers", "steps", "p_t", "median_time", "scaled",
                 "iterations", "samples"} == set(d)
@@ -59,7 +53,7 @@ class TestStrongScaling:
 
 class TestWeakScaling:
     def test_rows_and_invariants(self):
-        rows = run_weak_scaling(tiny_plan("weak"))
+        rows = run_scaling(tiny_plan("weak"))
         assert [r.steps for r in rows] == [256, 512]
         assert rows[0].scaled == 1.0
         # mesh-independent convergence: iteration growth at most 2
@@ -69,7 +63,7 @@ class TestWeakScaling:
         cpus = os.cpu_count() or 1
         workers = [1, 2 ** (cpus.bit_length() + 1)]
         with pytest.warns(UserWarning):
-            rows = run_weak_scaling(tiny_plan("weak", workers=workers))
+            rows = run_scaling(tiny_plan("weak", workers=workers))
         assert len(rows) == 2
 
 
@@ -79,6 +73,6 @@ class TestStrongSpeedupTrend:
         if (os.cpu_count() or 1) < 2:
             pytest.skip("needs at least 2 hardware threads")
         plan = tiny_plan("strong", total_steps=1 << 20, tau=1e-6, eps=1e-8, seed=42)
-        rows = run_strong_scaling(plan)
+        rows = run_scaling(plan)
         assert rows[1].scaled >= 1.4
         assert rows[0].iterations == rows[1].iterations

@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import pade_exp_eval
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       forward_solve, jump_error_estimator, radau_rule,
-                       rhs_moments, stability_function)
+                       forward_solve, radau_rule, rhs_moments, stability_function)
 
 
 class TestRadauRule:
@@ -87,11 +86,6 @@ class TestApplyGlobal:
         sys = GlobalSystem(assemble_local(BasisSpec(0), 1.0), 2)
         out = apply_global(sys, np.ones((2, 1)))
         assert_allclose(out.ravel(), [2.0, 1.0], atol=1e-15)
-
-    def test_periodic_example(self):
-        sys = GlobalSystem(assemble_local(BasisSpec(0), 1.0), 2, periodic=True)
-        out = apply_global(sys, np.ones((2, 1)))
-        assert_allclose(out.ravel(), [1.0, 1.0], atol=1e-15)
 
     def test_linearity_and_zero(self):
         sys = GlobalSystem(assemble_local(BasisSpec(2), 0.2), 9)
@@ -186,11 +180,6 @@ class TestForwardSolve:
         slopes = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(np.abs(slopes - 5.0) < 0.4)
 
-    def test_periodic_rejected(self):
-        sys = GlobalSystem(assemble_local(BasisSpec(0), 1.0), 4, periodic=True)
-        with pytest.raises(ValueError):
-            forward_solve(sys, np.zeros((4, 1)))
-
 
 class TestStabilityFunction:
     def test_p0_values(self):
@@ -232,34 +221,3 @@ class TestStabilityFunction:
             basis = BasisSpec(p_t)
             vals = [abs(stability_function(basis, complex(a, b))) for a, b in zip(re, im)]
             assert max(vals) < 1.0
-
-
-class TestJumpEstimator:
-    def test_exact_polynomial_no_jumps(self):
-        # choose f so the solution is u(t) = 1 + t, inside the trial space
-        basis = BasisSpec(1)
-        tau, n = 0.25, 8
-        f = lambda t: 2.0 + t  # u' + u with u = 1 + t
-        sys = GlobalSystem(assemble_local(basis, tau), n)
-        u = forward_solve(sys, rhs_moments(f, basis, tau, n, u0=1.0))
-        assert np.max(jump_error_estimator(u, 1.0, basis)) < 1e-12
-
-    def test_backward_euler_jump(self):
-        basis = BasisSpec(0)
-        sys = GlobalSystem(assemble_local(basis, 0.1), 4)
-        u = forward_solve(sys, rhs_moments(lambda t: 0.0 * t, basis, 0.1, 4, u0=1.0))
-        jumps = jump_error_estimator(u, 1.0, basis)
-        assert abs(jumps[0] - (1.0 - 1.0 / 1.1)) < 1e-14
-
-    @pytest.mark.parametrize("p_t", [0, 1, 2])
-    def test_jump_scaling(self, p_t):
-        # jumps shrink like tau^{p_t+1} for smooth data
-        basis = BasisSpec(p_t)
-        sizes = []
-        for n in (8, 16, 32):
-            tau = 1.0 / n
-            sys = GlobalSystem(assemble_local(basis, tau), n)
-            u = forward_solve(sys, rhs_moments(np.cos, basis, tau, n, u0=1.0))
-            sizes.append(np.max(jump_error_estimator(u, 1.0, basis)))
-        slopes = np.log2(np.array(sizes[:-1]) / sizes[1:])
-        assert np.all(np.abs(slopes - (p_t + 1)) < 0.35)

@@ -5,8 +5,7 @@ from numpy.testing import assert_allclose
 from timemg.checks import symbol_equivalence
 from timemg.dense import dense_prolongation, dense_restriction
 from timemg.dg import BasisSpec, assemble_local
-from timemg.fourier import (block_dft, block_idft, frequencies, gamma,
-                            harmonics_decomposition, mode_vector, predicted_rho,
+from timemg.fourier import (frequencies, gamma, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
 from timemg.smoothing import alpha, optimal_omega
@@ -57,37 +56,6 @@ class TestGamma:
 
 
 class TestBlockDft:
-    def test_single_mode_support(self):
-        fs = frequencies(16)
-        theta = fs.all[4]
-        coeff = np.array([1.0, -2.0])
-        spectrum = block_dft(mode_vector(theta, coeff, 16))
-        idx = fs.index(theta)
-        mask = np.ones(16, bool)
-        mask[idx] = False
-        assert np.max(np.abs(spectrum.coeffs[mask])) < 1e-12
-        assert_allclose(spectrum.coeffs[idx], coeff, atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal((16, 2))
-        back = block_idft(block_dft(u))
-        assert np.max(np.abs(back - u)) < 1e-12
-
-    def test_constant_vector_support(self):
-        fs = frequencies(8)
-        spectrum = block_dft(np.ones((8, 1)))
-        for i, theta in enumerate(fs.all):
-            if abs(theta) > 1e-14:
-                assert np.max(np.abs(spectrum.coeffs[i])) < 1e-13
-        assert_allclose(spectrum.coeffs[fs.index(0.0)], 1.0, atol=1e-13)
-
-    def test_harmonics_reassembly(self):
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal((32, 3))
-        h = harmonics_decomposition(u)
-        assert np.max(np.abs(h.reassemble() - u)) < 1e-12
-
     def test_shifting_property(self):
         # psi_{n-1}(theta) = e^{-i theta} psi_n(theta)
         fs = frequencies(8)

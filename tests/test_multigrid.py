@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 
@@ -259,10 +260,21 @@ class TestSolve:
         f = np.zeros((32, 1))
         _, stats = solve(hier, f, config=CycleConfig(eps=1e-6, seed=0))
         d = stats.to_dict()
-        assert {"iterations", "residual_norms", "factor", "times",
-                "converged", "seed", "workers", "status"} <= set(d)
-        assert d["status"] == "converged"
+        assert list(d) == ["iterations", "residual_norms", "factor", "times",
+                           "converged", "seed", "workers", "status"]
+        assert d["status"] == "converged" and d["converged"] is True
         assert set(d["times"]) == {"smoothing", "transfer", "coarse", "residual"}
+
+    def test_converged_follows_status(self):
+        hier = TimeHierarchy.build(BasisSpec(0), 0.5, 32)
+        _, stats = solve(hier, np.zeros((32, 1)), config=CycleConfig(eps=1e-6, seed=0))
+        with pytest.raises(AttributeError):
+            stats.converged = False
+        marked = dataclasses.replace(stats, converged=False)
+        assert (marked.converged, marked.status) == (False, "max_iters")
+        assert dataclasses.replace(marked).status == "max_iters"
+        with pytest.raises(ValueError):
+            dataclasses.replace(marked, converged=True)
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_worker_count_invariance_small(self, workers):

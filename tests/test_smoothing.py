@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from timemg.checks import all_frequency_bound
 from timemg.dense import dense_smoother
 from timemg.dg import BasisSpec, assemble_local
-from timemg.fourier import symbol_smoother
+from timemg.fourier import smoothing_factor, symbol_smoother
 from timemg.multigrid import block_jacobi_sweep
 from timemg.smoothing import (ALPHA_MIN, alpha, optimal_omega, resolve_damping,
-                              smoothing_factor, smoothing_symbol_modulus)
+                              smoothing_symbol_modulus)
 
 TAUS = np.logspace(-6, 6, 13)
 
@@ -127,10 +127,6 @@ class TestSmoothingFactor:
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
             smoothing_factor(BasisSpec(0), 1.0, "optimal", 100)
-
-    def test_report_round_trip(self):
-        row = smoothing_factor(BasisSpec(1), 2.0, "optimal", 64).to_row()
-        assert set(row) == {"p_t", "tau", "omega", "alpha", "mu_s", "rho_all"}
 
 
 class TestGlobalSmoother:
