@@ -148,12 +148,8 @@ class LocalOperators:
         Inverse of ``step_matrix``, computed once at assembly.
     """
 
-    def __init__(self, basis: BasisSpec, tau: float, stiffness, mass, coupling,
-                 eval_start, eval_end):
-        self.basis = basis
-        self.p_t = basis.p_t
+    def __init__(self, basis: BasisSpec, stiffness, mass, coupling, eval_start, eval_end):
         self.n_t = basis.n_t
-        self.tau = tau
         self.stiffness = stiffness
         self.mass = mass
         self.coupling = coupling
@@ -188,7 +184,7 @@ def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
     mass = tau * (phi * wg) @ phi.T
     stiffness = -(dphi * wg) @ phi.T + np.outer(eval_end, eval_end)
     coupling = np.outer(eval_start, eval_end)
-    return LocalOperators(basis, tau, stiffness, mass, coupling, eval_start, eval_end)
+    return LocalOperators(basis, stiffness, mass, coupling, eval_start, eval_end)
 
 
 @dataclasses.dataclass(frozen=True)

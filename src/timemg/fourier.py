@@ -94,59 +94,85 @@ def smoothing_factor(basis: BasisSpec, tau: float, omega, n_steps: int) -> Smoot
                            mu_s=mu_s, rho_all=rho_all)
 
 
-def symbol_system(ops: LocalOperators, theta: float) -> np.ndarray:
-    """Symbol of the periodic block operator: step_matrix - e^{-i theta} coupling."""
-    return ops.step_matrix - np.exp(-1j * theta) * ops.coupling
+def _phase(theta, sign: int) -> np.ndarray:
+    """exp(sign i theta), shaped (..., 1, 1) to scale a stack of blocks."""
+    return np.exp(sign * 1j * np.asarray(theta, dtype=float))[..., None, None]
 
 
-def symbol_smoother(ops: LocalOperators, theta: float, omega: float, nu: int = 1) -> np.ndarray:
-    """nu-th power of the local damped Jacobi iteration matrix at frequency theta."""
+def symbol_system(ops: LocalOperators, theta) -> np.ndarray:
+    """Symbol of the periodic block operator: step_matrix - e^{-i theta} coupling.
+
+    ``theta`` is a frequency or an array of them; the result stacks one
+    n_t x n_t block per frequency, shape ``theta.shape + (n_t, n_t)``.
+    """
+    return ops.step_matrix - _phase(theta, -1) * ops.coupling
+
+
+def symbol_smoother(ops: LocalOperators, theta, omega: float, nu: int = 1) -> np.ndarray:
+    """nu-th power of the local damped Jacobi iteration matrix at frequency theta.
+
+    ``theta`` may be an array; the result then stacks one n_t x n_t block per
+    frequency, shape ``theta.shape + (n_t, n_t)``.
+    """
     if nu < 0:
         raise ValueError(f"smoothing count must be >= 0, got {nu}")
     s = (1.0 - omega) * np.eye(ops.n_t, dtype=complex) \
-        + np.exp(-1j * theta) * omega * ops.step_inv_coupling
+        + _phase(theta, -1) * omega * ops.step_inv_coupling
     return np.linalg.matrix_power(s, nu)
 
 
-def transfer_symbols(r1: np.ndarray, r2: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols (restriction, prolongation) of the transfer pair at frequency theta."""
-    rhat = np.exp(-1j * theta) * r1 + r2
-    phat = 0.5 * (np.exp(1j * theta) * r1.T + r2.T)
+def transfer_symbols(r1: np.ndarray, r2: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols (restriction, prolongation) of the transfer pair at frequency theta.
+
+    ``theta`` may be an array; each symbol then has shape
+    ``theta.shape + (n_t, n_t)``.
+    """
+    rhat = _phase(theta, -1) * r1 + r2
+    phat = 0.5 * (_phase(theta, 1) * r1.T + r2.T)
     return rhat, phat
 
 
+def _fill_block_diagonal(out: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> None:
+    """Write the two n_t x n_t diagonal blocks of each 2 n_t x 2 n_t matrix in ``out``."""
+    n_t = upper.shape[-1]
+    out[..., :n_t, :n_t] = upper
+    out[..., n_t:, n_t:] = lower
+
+
 def twogrid_symbol(ops_fine: LocalOperators, ops_coarse: LocalOperators,
-                   transfers: tuple[np.ndarray, np.ndarray], theta: float,
+                   transfers: tuple[np.ndarray, np.ndarray], theta,
                    nu1: int, nu2: int, omega: float) -> np.ndarray:
     """Two-grid iteration symbol on the harmonics pair {theta, gamma(theta)}.
 
     Returns the 2 n_t x 2 n_t matrix  S^{nu2} [I - P Lc(2 theta)^{-1} R Lf] S^{nu1}
     with the pre/post smoother symbols block diagonal over the pair.  The
     coarse symbol uses the operators at 2*tau and the doubled frequency.
+    ``theta`` may be an array of low frequencies; the result then stacks one
+    matrix per frequency, shape ``theta.shape + (2 n_t, 2 n_t)``.
     """
     g = gamma(theta)
     n_t = ops_fine.n_t
     r1, r2 = transfers
-    lf_t = symbol_system(ops_fine, theta)
-    lf_g = symbol_system(ops_fine, g)
-    lc = symbol_system(ops_coarse, 2.0 * theta)
     rhat_t, phat_t = transfer_symbols(r1, r2, theta)
     rhat_g, phat_g = transfer_symbols(r1, r2, g)
+    p_col = np.concatenate([phat_t, phat_g], axis=-2)     # (..., 2 n_t, n_t)
+    r_row = np.concatenate([rhat_t, rhat_g], axis=-1)     # (..., n_t, 2 n_t)
 
-    p_col = np.vstack([phat_t, phat_g])               # (2 n_t, n_t)
-    r_row = np.hstack([rhat_t, rhat_g])               # (n_t, 2 n_t)
-    l_diag = np.zeros((2 * n_t, 2 * n_t), dtype=complex)
-    l_diag[:n_t, :n_t] = lf_t
-    l_diag[n_t:, n_t:] = lf_g
-    correction = np.eye(2 * n_t, dtype=complex) - p_col @ np.linalg.solve(lc, r_row @ l_diag)
+    # one block-diagonal buffer holds L_f, then the smoother blocks; its
+    # off-diagonal blocks stay zero throughout
+    blocks = np.zeros(np.shape(theta) + (2 * n_t, 2 * n_t), dtype=complex)
+    _fill_block_diagonal(blocks, symbol_system(ops_fine, theta), symbol_system(ops_fine, g))
+    lc = symbol_system(ops_coarse, 2.0 * theta)
+    correction = p_col @ np.linalg.solve(lc, r_row @ blocks)
+    np.subtract(np.eye(2 * n_t, dtype=complex), correction, out=correction)
 
-    s_pre = np.zeros_like(correction)
-    s_pre[:n_t, :n_t] = symbol_smoother(ops_fine, theta, omega, nu1)
-    s_pre[n_t:, n_t:] = symbol_smoother(ops_fine, g, omega, nu1)
-    s_post = np.zeros_like(correction)
-    s_post[:n_t, :n_t] = symbol_smoother(ops_fine, theta, omega, nu2)
-    s_post[n_t:, n_t:] = symbol_smoother(ops_fine, g, omega, nu2)
-    return s_post @ correction @ s_pre
+    _fill_block_diagonal(blocks, symbol_smoother(ops_fine, theta, omega, nu2),
+                         symbol_smoother(ops_fine, g, omega, nu2))
+    post_correction = blocks @ correction
+    if nu1 != nu2:
+        _fill_block_diagonal(blocks, symbol_smoother(ops_fine, theta, omega, nu1),
+                             symbol_smoother(ops_fine, g, omega, nu1))
+    return post_correction @ blocks
 
 
 def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
@@ -162,10 +188,8 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     ops_c = assemble_local(basis, 2.0 * tau)
     transfers = build_transfers(basis, tau)
     low = frequencies(n_steps).low
-    radii = np.empty(len(low))
-    for i, theta in enumerate(low):
-        m = twogrid_symbol(ops_f, ops_c, transfers, theta, nu1, nu2, omega)
-        radii[i] = np.max(np.abs(np.linalg.eigvals(m)))
+    symbols = twogrid_symbol(ops_f, ops_c, transfers, low, nu1, nu2, omega)
+    radii = np.abs(np.linalg.eigvals(symbols)).max(axis=-1)
     return low, radii
 
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from timemg.checks import symbol_equivalence
 from timemg.dense import dense_prolongation, dense_restriction
-from timemg.dg import BasisSpec, assemble_local
+from timemg.dg import NODE_RULES, BasisSpec, LocalOperators, assemble_local
 from timemg.fourier import (frequencies, gamma, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
@@ -74,11 +74,9 @@ class TestLocalSymbols:
     def test_system_symbol_decoupled_limit(self):
         # with the step coupling zeroed out the symbol loses its frequency
         # dependence and reduces to the diagonal block
-        from timemg.dg import LocalOperators
         base = assemble_local(BasisSpec(1), 0.5)
-        ops = LocalOperators(BasisSpec(1), 0.5, base.stiffness, base.mass,
-                             np.zeros_like(base.coupling), base.eval_start,
-                             base.eval_end)
+        ops = LocalOperators(BasisSpec(1), base.stiffness, base.mass,
+                             np.zeros_like(base.coupling), base.eval_start, base.eval_end)
         for theta in (0.0, 1.3, np.pi):
             assert_allclose(symbol_system(ops, theta), base.step_matrix, atol=1e-15)
 
@@ -213,6 +211,65 @@ class TestTwoGridSymbol:
                 c = rng.standard_normal(basis.n_t) + 1j * rng.standard_normal(basis.n_t)
                 x = np.concatenate([phat_t @ c, phat_g @ c])
                 assert np.max(np.abs(m @ x)) < 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("p_t", [0, 1, 2, 3])
+@pytest.mark.parametrize("node_rule", NODE_RULES)
+@pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
+class TestArrayFrequencies:
+    """An array of frequencies gives, bitwise, the stack of the scalar calls."""
+
+    LOW = frequencies(32).low
+    NU_PAIRS = ((0, 0), (1, 1), (2, 1), (1, 3))
+
+    def _setup(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        transfers = build_transfers(basis, tau)
+        return (assemble_local(basis, tau), assemble_local(basis, 2 * tau), transfers,
+                optimal_omega(alpha(basis, tau)))
+
+    def test_symbols_stack_scalar_calls(self, p_t, node_rule, tau):
+        ops_f, ops_c, (r1, r2), omega = self._setup(p_t, node_rule, tau)
+        symbols = [lambda th: symbol_system(ops_f, th),
+                   lambda th: transfer_symbols(r1, r2, th)[0],
+                   lambda th: transfer_symbols(r1, r2, th)[1]]
+        symbols += [lambda th, nu=nu: symbol_smoother(ops_f, th, omega, nu) for nu in range(4)]
+        symbols += [lambda th, nu1=nu1, nu2=nu2: twogrid_symbol(
+            ops_f, ops_c, (r1, r2), th, nu1, nu2, omega) for nu1, nu2 in self.NU_PAIRS]
+        for symbol in symbols:
+            scalar = [symbol(float(theta)) for theta in self.LOW]
+            assert all(m.ndim == 2 for m in scalar)
+            stacked = symbol(self.LOW)
+            assert stacked.shape == (len(self.LOW),) + scalar[0].shape
+            assert np.array_equal(stacked, np.stack(scalar))
+
+    def test_twogrid_is_smoothed_coarse_correction(self, p_t, node_rule, tau):
+        # S^{nu2} M(0, 0) S^{nu1} with the block-diagonal smoother pair built here
+        ops_f, ops_c, transfers, omega = self._setup(p_t, node_rule, tau)
+        n_t = ops_f.n_t
+        correction = twogrid_symbol(ops_f, ops_c, transfers, self.LOW, 0, 0, omega)
+
+        def smoother_pair(nu):
+            s = np.zeros_like(correction)
+            s[:, :n_t, :n_t] = symbol_smoother(ops_f, self.LOW, omega, nu)
+            s[:, n_t:, n_t:] = symbol_smoother(ops_f, gamma(self.LOW), omega, nu)
+            return s
+
+        for nu1, nu2 in self.NU_PAIRS:
+            want = smoother_pair(nu2) @ correction @ smoother_pair(nu1)
+            got = twogrid_symbol(ops_f, ops_c, transfers, self.LOW, nu1, nu2, omega)
+            assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    def test_rho_profile_matches_per_frequency_loop(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        ops_f, ops_c, transfers, omega = self._setup(p_t, node_rule, tau)
+        for nu1, nu2 in self.NU_PAIRS:
+            low, radii = rho_profile(basis, tau, 32, nu1, nu2, "optimal")
+            want = [np.max(np.abs(np.linalg.eigvals(
+                twogrid_symbol(ops_f, ops_c, transfers, theta, nu1, nu2, omega))))
+                for theta in low]
+            assert np.array_equal(low, self.LOW)
+            assert np.array_equal(radii, want)
 
 
 class TestPredictedRho:

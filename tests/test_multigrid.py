@@ -10,6 +10,7 @@ from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
 from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_values, forward_solve, rhs_moments)
+from timemg.fourier import predicted_rho
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
                               measure_convergence_factor, random_initial_guess,
                               solve, two_grid_cycle, v_cycle)
@@ -348,7 +349,6 @@ class TestMeasuredVersusPredicted:
         # the measured two-grid factor never exceeds the prediction by more
         # than 0.02 across degrees and twelve decades of step sizes (the
         # reduction target only needs to reach the asymptotic regime)
-        from timemg.fourier import predicted_rho
         for p_t in range(6):
             basis = BasisSpec(p_t)
             for tau in (1e-6, 1e-3, 1.0, 1e3, 1e6):
