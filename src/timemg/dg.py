@@ -199,8 +199,11 @@ class GlobalSystem:
 
 
 def apply_global(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
-    """Apply the global block operator to a block vector of shape (n_steps, n_t)."""
-    u = np.asarray(u)
+    """Apply the global block operator to a block vector of shape (n_steps, n_t).
+
+    The input is read as a C-ordered float array, so the result (C-ordered)
+    does not depend on the input's memory layout."""
+    u = np.ascontiguousarray(u, dtype=float)
     if u.shape != (system.n_steps, system.ops.n_t):
         raise ValueError(f"block vector shape {u.shape} does not match "
                          f"({system.n_steps}, {system.ops.n_t})")
@@ -236,14 +239,17 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the system exactly by block forward substitution:
-    u[n] = step_inv @ (rhs[n] + eval_start * (eval_end @ u[n-1]))."""
-    rhs = np.asarray(rhs)
+    u[n] = step_inv @ (rhs[n] + eval_start * (eval_end @ u[n-1])).
+
+    ``rhs`` is read as a C-ordered float array and the result is C-ordered,
+    so the rounding does not depend on the input's memory layout."""
+    rhs = np.ascontiguousarray(rhs, dtype=float)
     if rhs.shape != (system.n_steps, system.ops.n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match "
                          f"({system.n_steps}, {system.ops.n_t})")
     ops = system.ops
     step_inv, start, end = ops.step_inv, ops.eval_start, ops.eval_end
-    u = np.empty_like(rhs, dtype=float)
+    u = np.empty(rhs.shape)
     u[0] = step_inv @ rhs[0]
     for n in range(1, system.n_steps):
         u[n] = step_inv @ (rhs[n] + start * (end @ u[n - 1]))

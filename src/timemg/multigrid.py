@@ -4,7 +4,9 @@ and V-cycle iterations, and measured convergence factors.
 All block kernels operate on a contiguous slab of steps [a, b) so the same
 code runs serially (one slab covering everything) and inside the worker team.
 Every kernel computes each block with a fixed operation order, which makes the
-solver output bitwise independent of the worker count.
+solver output bitwise independent of the worker count.  The workspace stores
+block vectors as (n_t, n_steps), one contiguous row per basis coefficient;
+the public functions take and return C-ordered (n_steps, n_t) arrays.
 """
 
 from __future__ import annotations
@@ -162,72 +164,74 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # ---------------------------------------------------------------------------
 # slab kernels
 #
-# Block products are spelled out as fixed-order ufunc column operations: per
-# row they are bitwise independent of the slab split, and the inner loops
-# release the GIL so the worker threads overlap.  The step coupling is rank
-# one, C = outer(eval_start, eval_end): every kernel adds eval_start times the
-# end value of the previous block, and the only block products left are with
-# the step matrix S (residual) and its precomputed inverse (sweep).
+# Block vectors are stored as (n_t, n_steps), one contiguous row per basis
+# coefficient, so each kernel streams whole rows.  Block products are spelled
+# out as fixed-order ufunc row operations: per step they are bitwise
+# independent of the slab split, and the inner loops release the GIL so the
+# worker threads overlap.  The step coupling is rank one,
+# C = outer(eval_start, eval_end): every kernel adds eval_start times the end
+# value of the previous block, and the only block products left are with the
+# step matrix S (residual) and its precomputed inverse (sweep).
 
 
 def _block_apply(mat, x, out, add: bool) -> None:
-    """out[n, i] (+)= sum_j mat[i, j] * x[n, j], summed in fixed j order."""
+    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order."""
     n_t = mat.shape[0]
     for i in range(n_t):
-        acc = mat[i, 0] * x[:, 0]
+        acc = mat[i, 0] * x[0]
         for j in range(1, n_t):
-            acc += mat[i, j] * x[:, j]
+            acc += mat[i, j] * x[j]
         if add:
-            out[:, i] += acc
+            out[i] += acc
         else:
-            out[:, i] = acc
+            out[i] = acc
 
 
 def _add_coupling(ops: LocalOperators, u, out, a: int, b: int) -> None:
-    """out[n - a] += eval_start * (eval_end . u[n - 1]) for the steps n >= 1
-    of the slab [a, b); ``out`` holds the slab's b - a rows."""
+    """out[:, n - a] += eval_start * (eval_end . u[:, n - 1]) for the steps
+    n >= 1 of the slab [a, b); ``out`` holds the slab's b - a columns."""
     lo = max(a, 1)
-    prev, rows, end = u[lo - 1:b - 1], out[lo - a:], ops.eval_end
-    value = end[0] * prev[:, 0]
+    prev, rows, end = u[:, lo - 1:b - 1], out[:, lo - a:], ops.eval_end
+    value = end[0] * prev[0]
     for j in range(1, len(end)):
-        value += end[j] * prev[:, j]
+        value += end[j] * prev[j]
     # the default basis has eval_start = e_0: skip zeros, add ones unscaled
     for i, start in enumerate(ops.eval_start):
         if start == 1.0:
-            rows[:, i] += value
+            rows[i] += value
         elif start != 0.0:
-            rows[:, i] += start * value
+            rows[i] += start * value
 
 
 def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
     """out = f - S u + C u_prev on the slab [a, b)."""
-    _block_apply(ops.step_matrix, u[a:b], out[a:b], add=False)
-    np.subtract(f[a:b], out[a:b], out=out[a:b])
-    _add_coupling(ops, u, out[a:b], a, b)
+    _block_apply(ops.step_matrix, u[:, a:b], out[:, a:b], add=False)
+    np.subtract(f[:, a:b], out[:, a:b], out=out[:, a:b])
+    _add_coupling(ops, u, out[:, a:b], a, b)
 
 
 def _sweep_slab(ops: LocalOperators, omega: float, f, src, dst, a: int, b: int) -> None:
     """dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on the slab [a, b)."""
-    rhs = f[a:b].copy()
+    rhs = f[:, a:b].copy()
     _add_coupling(ops, src, rhs, a, b)
-    np.multiply(src[a:b], 1.0 - omega, out=dst[a:b])
-    _block_apply(omega * ops.step_inv, rhs, dst[a:b], add=True)
+    np.multiply(src[:, a:b], 1.0 - omega, out=dst[:, a:b])
+    _block_apply(omega * ops.step_inv, rhs, dst[:, a:b], add=True)
 
 
 def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
-    _block_apply(r1, fine[2 * ca:2 * cb:2], coarse[ca:cb], add=False)
-    _block_apply(r2, fine[2 * ca + 1:2 * cb:2], coarse[ca:cb], add=True)
+    _block_apply(r1, fine[:, 2 * ca:2 * cb:2], coarse[:, ca:cb], add=False)
+    _block_apply(r2, fine[:, 2 * ca + 1:2 * cb:2], coarse[:, ca:cb], add=True)
 
 
 def _prolong_add_slab(r1, r2, coarse, fine, ca: int, cb: int) -> None:
-    _block_apply(r1.T, coarse[ca:cb], fine[2 * ca:2 * cb:2], add=True)
-    _block_apply(r2.T, coarse[ca:cb], fine[2 * ca + 1:2 * cb:2], add=True)
+    _block_apply(r1.T, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
+    _block_apply(r2.T, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
 
 
 def _sqnorm_slab(x, out, a: int, b: int) -> None:
-    acc = x[a:b, 0] * x[a:b, 0]
-    for j in range(1, x.shape[1]):
-        acc += x[a:b, j] * x[a:b, j]
+    acc = x[0, a:b] * x[0, a:b]
+    for j in range(1, len(x)):
+        acc += x[j, a:b] * x[j, a:b]
     out[a:b] = acc
 
 
@@ -238,12 +242,14 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
         raise ValueError(f"damping must lie in (0, 2), got {omega}")
     if nu < 0:
         raise ValueError(f"sweep count must be >= 0, got {nu}")
-    buf = [np.array(u, dtype=float), np.empty_like(u, dtype=float)]
+    ut = np.array(np.transpose(u), dtype=float, order="C")
+    ft = np.ascontiguousarray(np.transpose(f), dtype=float)
+    buf = [ut, np.empty_like(ut)]
     cur = 0
     for _ in range(nu):
-        _sweep_slab(ops, omega, f, buf[cur], buf[1 - cur], 0, len(u))
+        _sweep_slab(ops, omega, ft, buf[cur], buf[1 - cur], 0, ut.shape[1])
         cur ^= 1
-    return buf[cur]
+    return buf[cur].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +274,8 @@ class _Timers:
 
 
 class _Workspace:
-    """Preallocated per-level arrays: two smoothing buffers, rhs, residual."""
+    """Preallocated per-level arrays: two smoothing buffers, rhs, residual,
+    each stored as (n_t, n_steps)."""
 
     def __init__(self, levels: Sequence[Level], depth: int):
         self.levels = list(levels[:depth])
@@ -276,7 +283,7 @@ class _Workspace:
         self.f = []
         self.r = []
         for lev in self.levels:
-            shape = (lev.n_steps, lev.ops.n_t)
+            shape = (lev.ops.n_t, lev.n_steps)
             self.u.append([np.zeros(shape), np.zeros(shape)])
             self.f.append(np.zeros(shape))
             self.r.append(np.zeros(shape))
@@ -322,7 +329,7 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
             if last:
                 coarse = ws.levels[lev + 1]
                 ws.u[lev + 1][0][:] = forward_solve(
-                    GlobalSystem(coarse.ops, coarse.n_steps), ws.f[lev + 1])
+                    GlobalSystem(coarse.ops, coarse.n_steps), ws.f[lev + 1].T).T
             else:
                 # remaining levels are too small to split: run them serially
                 ws.u[lev + 1][0][:] = 0.0
@@ -337,7 +344,7 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
             timers.coarse += t1 - t0
             t0 = t1
     else:
-        ws.u[lev + 1][0][ca:cb] = 0.0
+        ws.u[lev + 1][0][:, ca:cb] = 0.0
         barrier.wait()  # coarse rhs and zero guess complete
         ccur = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, slab_of, barrier, wid, timers)
         t0 = time.perf_counter() if timers.active else 0.0
@@ -372,12 +379,12 @@ def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig, depth: int) -> lis
 def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
                   depth: int) -> np.ndarray:
     ws = _Workspace(hier.levels[level:], depth - level)
-    ws.u[0][0][:] = u
-    ws.f[0][:] = f
+    ws.u[0][0][:] = np.transpose(u)
+    ws.f[0][:] = np.transpose(f)
     omegas = _resolve_omegas(hier, config, depth)[level:]
     cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
                  NullBarrier(), 0, _Timers(False))
-    return ws.u[0][cur].copy()
+    return ws.u[0][cur].T.copy()
 
 
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
@@ -458,8 +465,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     to machine precision without running any cycle.
     """
     ws = _Workspace(hier.levels, depth)
-    ws.u[0][0][:] = u_init
-    ws.f[0][:] = f
+    ws.u[0][0][:] = u_init.T
+    ws.f[0][:] = f.T
     omegas = _resolve_omegas(hier, config, depth)
     slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
     barrier = team_barrier(workers)
@@ -508,7 +515,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=timers.to_dict(),
                        seed=config.seed, workers=config.workers, status=status)
-    return ws.u[0][shared["cur"]].copy(), stats
+    return ws.u[0][shared["cur"]].T.copy(), stats
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
@@ -518,8 +525,9 @@ def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
 
 
 def _block_input(name: str, x, shape: tuple) -> np.ndarray:
-    """``x`` as a float block vector of exactly ``shape`` with finite entries."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a C-ordered float block vector of exactly ``shape`` with finite
+    entries."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != shape:
         raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
     if not np.all(np.isfinite(x)):

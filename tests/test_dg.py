@@ -181,6 +181,21 @@ class TestForwardSolve:
         assert np.all(np.abs(slopes - 5.0) < 0.4)
 
 
+class TestMemoryLayout:
+    @pytest.mark.parametrize("rule", ["radau_lagrange", "scaled_legendre"])
+    @pytest.mark.parametrize("p_t", range(6))
+    def test_result_independent_of_input_layout(self, p_t, rule):
+        # a Fortran-ordered or transposed-view input must round like a C-ordered one
+        basis = BasisSpec(p_t, rule)
+        sys = GlobalSystem(assemble_local(basis, 1e-6), 64)
+        x = np.random.default_rng(p_t).random((64, basis.n_t))
+        layouts = [x, np.asfortranarray(x), np.ascontiguousarray(x.T).T]
+        for op in (forward_solve, apply_global):
+            outs = [op(sys, v) for v in layouts]
+            assert all(out.flags.c_contiguous for out in outs)
+            assert {out.tobytes() for out in outs} == {outs[0].tobytes()}
+
+
 class TestStabilityFunction:
     def test_p0_values(self):
         assert abs(stability_function(BasisSpec(0), -1.0) - 0.5) < 1e-14

@@ -279,14 +279,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_worker_count_invariance_small(self, workers):
-        # same bits for any worker count, including non powers of two
-        basis = BasisSpec(1)
-        hier = TimeHierarchy.build(basis, 1e-3, 1 << 12)
-        f = np.zeros((1 << 12, 2))
-        u_init = random_initial_guess(hier, 42)
-        base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1, min_slab=256))
-        got, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=workers, min_slab=256))
-        assert got.tobytes() == base.tobytes()
+        # same bits for any worker count, including non powers of two; n_t = 4
+        # is where a block product's memory layout could change the rounding
+        for p_t in (1, 3):
+            basis = BasisSpec(p_t)
+            hier = TimeHierarchy.build(basis, 1e-3, 1 << 12)
+            f = np.zeros((1 << 12, basis.n_t))
+            u_init = random_initial_guess(hier, 42)
+            base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1, min_slab=256))
+            got, _ = solve(hier, f, u_init,
+                           CycleConfig(eps=1e-8, workers=workers, min_slab=256))
+            assert got.tobytes() == base.tobytes(), p_t
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_invariance_scaled_legendre(self, workers):
@@ -330,6 +333,29 @@ class TestSolve:
                           CycleConfig(eps=1e-8, workers=2, min_slab=ms))[0].tobytes()
                 for ms in (64, 256, 1 << 20)}
         assert len(set(outs.values())) == 1
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_public_api_returns_c_ordered_blocks(self, p_t):
+        # (n_steps, n_t) C-ordered results whose bytes do not depend on
+        # whether the inputs are C- or Fortran-ordered
+        basis = BasisSpec(p_t)
+        hier = TimeHierarchy.build(basis, 0.01, 256)
+        f = rhs_moments(np.cos, basis, 0.01, 256, u0=1.0)
+        u = random_initial_guess(hier, 5)
+        calls = {
+            "solve": lambda u, f: solve(hier, f, u, CycleConfig(eps=1e-10))[0],
+            "solve levels=1": lambda u, f: solve(hier, f, u, CycleConfig(levels=1))[0],
+            "two_grid_cycle": lambda u, f: two_grid_cycle(hier, 0, u, f),
+            "v_cycle": lambda u, f: v_cycle(hier, u, f),
+            "block_jacobi_sweep": lambda u, f: block_jacobi_sweep(hier.finest.ops, u, f, 0.7, 2),
+        }
+        for name, call in calls.items():
+            outs = [call(u, f), call(np.asfortranarray(u), np.asfortranarray(f))]
+            for out in outs:
+                assert out.shape == (256, basis.n_t) and out.flags.c_contiguous, name
+            assert outs[0].tobytes() == outs[1].tobytes(), name
 
 
 class TestSolveLargeScale:
