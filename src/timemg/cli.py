@@ -75,6 +75,10 @@ def _parse_int_list(value) -> list:
 
 
 def _tau_grid(args) -> np.ndarray:
+    given = (args.tau,) if args.tau is not None else (args.tau_min, args.tau_max)
+    for tau in given:
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
     if args.tau is not None:
         return np.array([args.tau], dtype=float)
     if args.tau_min > args.tau_max or args.tau_points < 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -131,6 +132,10 @@ def basis_derivatives(basis: BasisSpec, x) -> np.ndarray:
 class LocalOperators:
     """Per-step matrices of the DG scheme for one (basis, tau) pair.
 
+    As built by :func:`assemble_local`, ``stiffness``, ``coupling``,
+    ``eval_start`` and ``eval_end`` are the basis's shared read-only
+    :class:`ReferenceTables`; the other arrays belong to this step size.
+
     Attributes
     ----------
     stiffness : ndarray
@@ -165,14 +170,41 @@ class LocalOperators:
         return np.outer(self.step_inv @ self.eval_start, self.eval_end)
 
 
-def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
-    """Assemble the per-step DG matrices for step size ``tau``.
+@dataclasses.dataclass(frozen=True)
+class ReferenceTables:
+    """Step-size independent tables of one basis on the reference step [0, 1].
 
-    Integrals use Gauss-Legendre quadrature with p_t + 1 points, exact for
-    polynomial degree 2 p_t + 1.
+    Built once per basis by :func:`reference_tables`; every array is
+    read-only, because the same arrays are shared by all operators assembled
+    from the basis.
+
+    Attributes
+    ----------
+    xg : ndarray
+        The p_t + 1 Gauss-Legendre points mapped to [0, 1].
+    phi : ndarray
+        Basis values at ``xg``, shape (n_t, n_t).
+    phi_w : ndarray
+        ``phi`` times the Gauss weights on [0, 1]: ``tau * phi_w @ phi.T`` is
+        the mass matrix of a step of size tau.
+    eval_start, eval_end : ndarray
+        Basis values at the left/right endpoint of the step.
+    stiffness, coupling : ndarray
+        The tau-independent blocks of :class:`LocalOperators`.
     """
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
+
+    xg: np.ndarray
+    phi: np.ndarray
+    phi_w: np.ndarray
+    eval_start: np.ndarray
+    eval_end: np.ndarray
+    stiffness: np.ndarray
+    coupling: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tables(basis: BasisSpec) -> ReferenceTables:
+    """Quadrature tables and tau-independent blocks of ``basis``, cached."""
     xg, wg = np.polynomial.legendre.leggauss(basis.n_t)
     xg = (xg + 1.0) / 2.0
     wg = wg / 2.0
@@ -180,11 +212,33 @@ def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
     dphi = basis_derivatives(basis, xg)
     eval_start = basis_values(basis, np.array([0.0]))[:, 0]
     eval_end = basis_values(basis, np.array([1.0]))[:, 0]
+    tables = ReferenceTables(
+        xg=xg, phi=phi, phi_w=phi * wg, eval_start=eval_start, eval_end=eval_end,
+        stiffness=-(dphi * wg) @ phi.T + np.outer(eval_end, eval_end),
+        coupling=np.outer(eval_start, eval_end))
+    for field in dataclasses.fields(tables):
+        getattr(tables, field.name).flags.writeable = False
+    return tables
 
-    mass = tau * (phi * wg) @ phi.T
-    stiffness = -(dphi * wg) @ phi.T + np.outer(eval_end, eval_end)
-    coupling = np.outer(eval_start, eval_end)
-    return LocalOperators(basis, stiffness, mass, coupling, eval_start, eval_end)
+
+def check_step_size(tau: float) -> None:
+    """Raise ``ValueError`` unless ``tau`` is a finite positive step size."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"time step must be finite and positive, got {tau}")
+
+
+def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
+    """Assemble the per-step DG matrices for step size ``tau``.
+
+    Integrals use Gauss-Legendre quadrature with p_t + 1 points, exact for
+    polynomial degree 2 p_t + 1.  Only ``mass`` and what is derived from it
+    depend on tau; the other blocks are the basis's shared read-only tables.
+    """
+    check_step_size(tau)
+    ref = reference_tables(basis)
+    mass = tau * ref.phi_w @ ref.phi.T
+    return LocalOperators(basis, ref.stiffness, mass, ref.coupling,
+                          ref.eval_start, ref.eval_end)
 
 
 @dataclasses.dataclass(frozen=True)

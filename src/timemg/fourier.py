@@ -180,7 +180,10 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     """Spectral radius of the two-grid symbol at every low frequency.
 
     Returns (low_frequencies, radii); the max of ``radii`` is the predicted
-    convergence factor and its argmax locates the worst frequency.
+    convergence factor and its argmax locates the worst frequency.  The
+    symbol is built from real blocks, so at -theta it is the complex
+    conjugate of the one at theta and has the same radius: only the
+    frequencies in [0, pi/2] are diagonalized, and their radii are mirrored.
     """
     _check_n_steps(n_steps)
     omega = resolve_damping(damping, alpha(basis, tau))
@@ -188,9 +191,11 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     ops_c = assemble_local(basis, 2.0 * tau)
     transfers = build_transfers(basis, tau)
     low = frequencies(n_steps).low
-    symbols = twogrid_symbol(ops_f, ops_c, transfers, low, nu1, nu2, omega)
+    # low is 2 pi k / n for k = 1 - n/4 .. n/4, so its last n/4 + 1 entries
+    # are theta >= 0 and the first n/4 - 1 mirror entries n/4 - 1 .. 1 of them
+    symbols = twogrid_symbol(ops_f, ops_c, transfers, low[n_steps // 4 - 1:], nu1, nu2, omega)
     radii = np.abs(np.linalg.eigvals(symbols)).max(axis=-1)
-    return low, radii
+    return low, np.concatenate((radii[-2:0:-1], radii))
 
 
 def predicted_rho(basis: BasisSpec, tau: float, n_steps: int = 1024,

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dg import BasisSpec, GlobalSystem, LocalOperators, assemble_local, forward_solve
+from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, check_step_size,
+                 forward_solve)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 from .transfers import build_transfers
@@ -61,8 +62,7 @@ class TimeHierarchy:
         grid would drop below ``coarsest`` steps (never below 2)."""
         if n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {n_steps}")
-        if tau <= 0:
-            raise ValueError(f"time step must be positive, got {tau}")
+        check_step_size(tau)
         max_levels = np.inf if n_levels == "max" else int(n_levels)
         if max_levels < 1:
             raise ValueError(f"need at least one level, got {n_levels}")

@@ -22,8 +22,8 @@ ALPHA_MIN = (5.0 - 3.0 * math.sqrt(3.0)) / 2.0
 
 def alpha(basis: BasisSpec, tau: float) -> float:
     """One-step amplification R(-tau); real, in [(5 - 3 sqrt 3)/2, 1]."""
-    if tau < 0:
-        raise ValueError(f"step size must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"step size must be finite and >= 0, got {tau}")
     if tau == 0:
         return 1.0
     return float(np.real(stability_function(basis, -tau)))

@@ -8,9 +8,22 @@ exactly on the fine grid.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .dg import BasisSpec, basis_values
+from .dg import BasisSpec, basis_values, check_step_size, reference_tables
+
+
+@functools.lru_cache(maxsize=None)
+def _half_step_values(basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse basis values at the fine Gauss points of the first and second
+    half of the coarse step, each (n_t, n_t); cached and read-only."""
+    xg = reference_tables(basis).xg
+    halves = (basis_values(basis, xg / 2.0), basis_values(basis, (xg + 1.0) / 2.0))
+    for values in halves:
+        values.flags.writeable = False
+    return halves
 
 
 def build_transfers(basis: BasisSpec, tau_fine: float) -> tuple[np.ndarray, np.ndarray]:
@@ -21,17 +34,13 @@ def build_transfers(basis: BasisSpec, tau_fine: float) -> tuple[np.ndarray, np.n
     fine basis on the first/second half.  Quadrature is Gauss-Legendre with
     p_t + 1 points, exact for the degree 2 p_t integrands.
     """
-    if tau_fine <= 0:
-        raise ValueError(f"time step must be positive, got {tau_fine}")
-    xg, wg = np.polynomial.legendre.leggauss(basis.n_t)
-    xg = (xg + 1.0) / 2.0
-    wg = wg / 2.0
-    phi = basis_values(basis, xg)                     # fine basis at fine ref points
-    phi_c1 = basis_values(basis, xg / 2.0)            # coarse basis over first half
-    phi_c2 = basis_values(basis, (xg + 1.0) / 2.0)    # coarse basis over second half
-    mass = tau_fine * (phi * wg) @ phi.T
-    proj1 = tau_fine * (phi * wg) @ phi_c1.T          # proj1[k, l] = int phi~_l phi_k
-    proj2 = tau_fine * (phi * wg) @ phi_c2.T
+    check_step_size(tau_fine)
+    ref = reference_tables(basis)
+    phi_c1, phi_c2 = _half_step_values(basis)
+    weighted = tau_fine * ref.phi_w
+    mass = weighted @ ref.phi.T
+    proj1 = weighted @ phi_c1.T          # proj1[k, l] = int phi~_l phi_k
+    proj2 = weighted @ phi_c2.T
     r1 = np.linalg.solve(mass, proj1).T
     r2 = np.linalg.solve(mass, proj2).T
     return r1, r2

@@ -45,6 +45,18 @@ class TestAnalyze:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, value", [
+        (["--tau", "nan"], "nan"), (["--tau", "inf"], "inf"), (["--tau", "0"], "0.0"),
+        (["--tau-min", "0"], "0.0"), (["--tau-max", "inf"], "inf"),
+        (["--tau-min", "nan"], "nan"),
+    ])
+    def test_non_finite_or_non_positive_tau_usage_error(self, tmp_path, capsys, recwarn,
+                                                        flags, value):
+        assert main(["analyze", *flags, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: tau must be finite and positive, got {value}\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_usage_error(self):
         assert main(["analyze", "--does-not-exist", "1"]) == 2
 
@@ -138,6 +150,13 @@ class TestSolve:
 
     def test_bad_flag_usage_error(self):
         assert main(["solve", "--pt", "zero"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tau_usage_error(self, tmp_path, capsys, recwarn, value):
+        assert main(["solve", "--tau", value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: time step must be finite and positive, got {value}\n"
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_rhs_usage_error(self, tmp_path, capsys):

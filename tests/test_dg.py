@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import pade_exp_eval
-from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       forward_solve, radau_rule, rhs_moments, stability_function)
+from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
+                       basis_derivatives, basis_values, forward_solve, radau_rule,
+                       reference_tables, rhs_moments, stability_function)
+from timemg.transfers import _half_step_values, build_transfers
 
 
 class TestRadauRule:
@@ -76,9 +80,74 @@ class TestAssembleLocal:
         with pytest.raises(ValueError):
             assemble_local(BasisSpec(0), 0.0)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match=f"must be finite and positive, got {tau}"):
+            assemble_local(BasisSpec(0), tau)
+
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             BasisSpec(-1)
+
+
+def _gauss_tables(basis):
+    """Gauss-Legendre points, weights and basis values on [0, 1], from scratch."""
+    xg, wg = np.polynomial.legendre.leggauss(basis.n_t)
+    xg = (xg + 1.0) / 2.0
+    return xg, wg / 2.0, basis_values(basis, xg)
+
+
+@pytest.mark.parametrize("p_t", range(6))
+@pytest.mark.parametrize("node_rule", NODE_RULES)
+@pytest.mark.parametrize("tau", [1e-6, 0.37, 1e6])
+class TestReferenceCache:
+    """Operators built from the cached per-basis tables equal, bitwise, the
+    formulas evaluated from scratch; the shared tables are read-only."""
+
+    def test_assemble_local_matches_direct_formulas(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        xg, wg, phi = _gauss_tables(basis)
+        dphi = basis_derivatives(basis, xg)
+        start = basis_values(basis, np.array([0.0]))[:, 0]
+        end = basis_values(basis, np.array([1.0]))[:, 0]
+        mass = tau * (phi * wg) @ phi.T
+        stiffness = -(dphi * wg) @ phi.T + np.outer(end, end)
+        ops = assemble_local(basis, tau)
+        for got, want in ((ops.mass, mass), (ops.stiffness, stiffness),
+                          (ops.coupling, np.outer(start, end)),
+                          (ops.eval_start, start), (ops.eval_end, end),
+                          (ops.step_matrix, stiffness + mass),
+                          (ops.step_inv, np.linalg.inv(stiffness + mass))):
+            assert np.array_equal(got, want)
+
+    def test_build_transfers_matches_direct_formulas(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        xg, wg, phi = _gauss_tables(basis)
+        mass = tau * (phi * wg) @ phi.T
+        proj1 = tau * (phi * wg) @ basis_values(basis, xg / 2.0).T
+        proj2 = tau * (phi * wg) @ basis_values(basis, (xg + 1.0) / 2.0).T
+        r1, r2 = build_transfers(basis, tau)
+        assert np.array_equal(r1, np.linalg.solve(mass, proj1).T)
+        assert np.array_equal(r2, np.linalg.solve(mass, proj2).T)
+
+    def test_cached_tables_are_read_only(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        ref = reference_tables(basis)
+        ops = assemble_local(basis, tau)
+        tables = [getattr(ref, field.name) for field in dataclasses.fields(ref)]
+        tables += [*_half_step_values(basis), ops.stiffness, ops.coupling,
+                   ops.eval_start, ops.eval_end]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = table
+
+    def test_operators_own_their_step_dependent_blocks(self, p_t, node_rule, tau):
+        basis = BasisSpec(p_t, node_rule)
+        a, b = assemble_local(basis, tau), assemble_local(basis, 2.0 * tau)
+        for name in ("mass", "step_matrix", "step_inv"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).flags.writeable
+        assert a.stiffness is b.stiffness and a.coupling is b.coupling
 
 
 class TestApplyGlobal:
@@ -117,7 +186,6 @@ class TestRhsMoments:
         xg, wg = np.polynomial.legendre.leggauss(8)
         xg = (xg + 1.0) / 2.0
         wg = wg / 2.0
-        from timemg.dg import basis_values
         exact = (basis_values(basis, xg) * (wg * xg)).sum(axis=1)
         assert_allclose(rhs[0], exact, atol=1e-14)
 
@@ -125,7 +193,6 @@ class TestRhsMoments:
         basis = BasisSpec(2)
         base = rhs_moments(lambda t: np.sin(t), basis, 0.3, 5)
         with_u0 = rhs_moments(lambda t: np.sin(t), basis, 0.3, 5, u0=2.0)
-        from timemg.dg import basis_values
         start = basis_values(basis, np.array([0.0]))[:, 0]
         assert_allclose(with_u0[0] - base[0], 2.0 * start, atol=1e-14)
         assert_allclose(with_u0[1:], base[1:], atol=0.0)

@@ -272,6 +272,40 @@ class TestArrayFrequencies:
             assert np.array_equal(radii, want)
 
 
+@pytest.mark.parametrize("n", [4, 8, 1024])
+@pytest.mark.parametrize("p_t", [0, 1, 2, 3])
+@pytest.mark.parametrize("node_rule", NODE_RULES)
+@pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("nu1, nu2", [(1, 1), (2, 1)])
+class TestConjugateMirror:
+    """rho_profile diagonalizes the frequencies in [0, pi/2] only and mirrors
+    their radii onto (-pi/2, 0)."""
+
+    def _setup(self, n, p_t, node_rule, tau, nu1, nu2):
+        basis = BasisSpec(p_t, node_rule)
+        ops_f, ops_c = assemble_local(basis, tau), assemble_local(basis, 2 * tau)
+        transfers = build_transfers(basis, tau)
+        omega = optimal_omega(alpha(basis, tau))
+        return basis, lambda theta: twogrid_symbol(ops_f, ops_c, transfers, theta,
+                                                   nu1, nu2, omega)
+
+    def test_radii_equal_full_diagonalization(self, n, p_t, node_rule, tau, nu1, nu2):
+        basis, symbol = self._setup(n, p_t, node_rule, tau, nu1, nu2)
+        low = frequencies(n).low
+        want = np.abs(np.linalg.eigvals(symbol(low))).max(axis=-1)
+        got_low, radii = rho_profile(basis, tau, n, nu1, nu2)
+        assert np.array_equal(got_low, low)
+        assert np.array_equal(radii, want)
+
+    def test_symbol_at_minus_theta_is_conjugate(self, n, p_t, node_rule, tau, nu1, nu2):
+        _, symbol = self._setup(n, p_t, node_rule, tau, nu1, nu2)
+        low = frequencies(n).low
+        mirrored = low[(low > 0.0) & (low < np.pi / 2)]
+        assert len(mirrored) == n // 4 - 1
+        assert np.array_equal(-mirrored, low[:n // 4 - 1][::-1])
+        assert np.array_equal(symbol(-mirrored), np.conj(symbol(mirrored)))
+
+
 class TestPredictedRho:
     def test_small_step_limit(self):
         assert predicted_rho(BasisSpec(0), 1e-9, 256, 1, 1) == pytest.approx(0.5, abs=1e-6)

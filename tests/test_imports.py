@@ -1,8 +1,10 @@
 """Import structure of the timemg package: every import sits at module level,
 and each submodule imports cleanly when it is the first one loaded, so an
-import cycle cannot hide behind an import deferred into a function."""
+import cycle cannot hide behind an import deferred into a function.  The
+import itself builds no quadrature tables: every cache starts empty."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
@@ -22,6 +24,17 @@ sys.modules["timemg"] = pkg
 importlib.import_module("timemg." + sys.argv[2])
 """
 
+# prints {module.function: cache size} for every cached function of the package
+_CACHES_AFTER_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import timemg
+print(json.dumps({f"{name}.{attr}": fn.cache_info().currsize
+                  for name, module in sys.modules.items() if name.startswith("timemg.")
+                  for attr, fn in vars(module).items()
+                  if hasattr(fn, "cache_info") and fn.__module__ == name}))
+"""
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_import_inside_functions(module):
@@ -37,3 +50,13 @@ def test_imports_when_loaded_first(module):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_FIRST, str(PACKAGE), module],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_caches_empty():
+    proc = subprocess.run([sys.executable, "-c", _CACHES_AFTER_IMPORT, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"timemg.dg.reference_tables", "timemg.dg._unit_ops",
+            "timemg.transfers._half_step_values"} <= set(sizes)
+    assert all(size == 0 for size in sizes.values()), sizes

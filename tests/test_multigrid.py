@@ -65,6 +65,11 @@ class TestTransfers:
         with pytest.raises(ValueError):
             build_transfers(BasisSpec(1), -1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match=f"must be finite and positive, got {tau}"):
+            build_transfers(BasisSpec(1), tau)
+
 
 class TestHierarchy:
     def test_nesting(self):
@@ -82,6 +87,11 @@ class TestHierarchy:
     def test_coarsest_at_least_two(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, coarsest=2)
         assert hier.levels[-1].n_steps >= 2
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_tau(self, tau):
+        with pytest.raises(ValueError, match=f"must be finite and positive, got {tau}"):
+            TimeHierarchy.build(BasisSpec(1), tau, 64)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,11 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(BasisSpec(0), -1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {tau}"):
+            alpha(BasisSpec(0), tau)
+
 
 class TestOptimalOmega:
     def test_examples(self):
