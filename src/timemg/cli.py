@@ -162,6 +162,8 @@ def _preset_f(name: str, param: float):
 
 def cmd_solve(args) -> int:
     basis = BasisSpec(args.pt)
+    if args.steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
     tau = args.tau if args.tau is not None else args.T / args.steps
     levels = args.levels if args.levels == "max" else int(args.levels)
     hier = TimeHierarchy.build(basis, tau, args.steps, n_levels=levels)

@@ -164,10 +164,16 @@ class LocalOperators:
         self.step_inv = np.linalg.inv(self.step_matrix)
 
     @functools.cached_property
+    def step_inv_start(self) -> np.ndarray:
+        """step_inv @ eval_start, the coupling column of step_inv_coupling;
+        the multigrid sweep kernel scales it by the damping."""
+        return self.step_inv @ self.eval_start
+
+    @functools.cached_property
     def step_inv_coupling(self) -> np.ndarray:
-        """step_inv @ coupling as the outer product (step_inv @ eval_start) x
+        """step_inv @ coupling as the outer product step_inv_start x
         eval_end, the local smoother building block."""
-        return np.outer(self.step_inv @ self.eval_start, self.eval_end)
+        return np.outer(self.step_inv_start, self.eval_end)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -169,9 +169,10 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # out as fixed-order ufunc row operations: per step they are bitwise
 # independent of the slab split, and the inner loops release the GIL so the
 # worker threads overlap.  The step coupling is rank one,
-# C = outer(eval_start, eval_end): every kernel adds eval_start times the end
-# value of the previous block, and the only block products left are with the
-# step matrix S (residual) and its precomputed inverse (sweep).
+# C = outer(eval_start, eval_end): the residual adds eval_start, and the sweep
+# omega S^{-1} eval_start, times the end value of the previous block.  The
+# only block products left are S u (residual) and g = omega S^{-1} f, made
+# once per right-hand side (sweep).
 
 
 def _block_apply(mat, x, out, add: bool) -> None:
@@ -187,35 +188,41 @@ def _block_apply(mat, x, out, add: bool) -> None:
             out[i] = acc
 
 
-def _add_coupling(ops: LocalOperators, u, out, a: int, b: int) -> None:
-    """out[:, n - a] += eval_start * (eval_end . u[:, n - 1]) for the steps
-    n >= 1 of the slab [a, b); ``out`` holds the slab's b - a columns."""
+def _add_coupling(start, end, u, out, a: int, b: int) -> None:
+    """out[:, n - a] += start * (end . u[:, n - 1]) for the steps n >= 1 of
+    the slab [a, b); ``out`` holds the slab's b - a columns."""
     lo = max(a, 1)
-    prev, rows, end = u[:, lo - 1:b - 1], out[:, lo - a:], ops.eval_end
+    prev, rows = u[:, lo - 1:b - 1], out[:, lo - a:]
     value = end[0] * prev[0]
     for j in range(1, len(end)):
         value += end[j] * prev[j]
     # the default basis has eval_start = e_0: skip zeros, add ones unscaled
-    for i, start in enumerate(ops.eval_start):
-        if start == 1.0:
+    for i, s in enumerate(start):
+        if s == 1.0:
             rows[i] += value
-        elif start != 0.0:
-            rows[i] += start * value
+        elif s != 0.0:
+            rows[i] += s * value
 
 
 def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
     """out = f - S u + C u_prev on the slab [a, b)."""
     _block_apply(ops.step_matrix, u[:, a:b], out[:, a:b], add=False)
     np.subtract(f[:, a:b], out[:, a:b], out=out[:, a:b])
-    _add_coupling(ops, u, out[:, a:b], a, b)
+    _add_coupling(ops.eval_start, ops.eval_end, u, out[:, a:b], a, b)
 
 
-def _sweep_slab(ops: LocalOperators, omega: float, f, src, dst, a: int, b: int) -> None:
-    """dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on the slab [a, b)."""
-    rhs = f[:, a:b].copy()
-    _add_coupling(ops, src, rhs, a, b)
+def _smoother_rhs_slab(ops: LocalOperators, omega: float, f, g, a: int, b: int) -> None:
+    """g = omega S^{-1} f on the slab [a, b): the part of the sweep that does
+    not depend on the iterate."""
+    _block_apply(omega * ops.step_inv, f[:, a:b], g[:, a:b], add=False)
+
+
+def _sweep_slab(ops: LocalOperators, omega: float, g, src, dst, a: int, b: int) -> None:
+    """dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on the slab [a, b),
+    given g = omega S^{-1} f."""
     np.multiply(src[:, a:b], 1.0 - omega, out=dst[:, a:b])
-    _block_apply(omega * ops.step_inv, rhs, dst[:, a:b], add=True)
+    np.add(dst[:, a:b], g[:, a:b], out=dst[:, a:b])
+    _add_coupling(omega * ops.step_inv_start, ops.eval_end, src, dst[:, a:b], a, b)
 
 
 def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
@@ -244,10 +251,13 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
         raise ValueError(f"sweep count must be >= 0, got {nu}")
     ut = np.array(np.transpose(u), dtype=float, order="C")
     ft = np.ascontiguousarray(np.transpose(f), dtype=float)
+    n = ut.shape[1]
+    g = np.empty_like(ft)
+    _smoother_rhs_slab(ops, omega, ft, g, 0, n)
     buf = [ut, np.empty_like(ut)]
     cur = 0
     for _ in range(nu):
-        _sweep_slab(ops, omega, ft, buf[cur], buf[1 - cur], 0, ut.shape[1])
+        _sweep_slab(ops, omega, g, buf[cur], buf[1 - cur], 0, n)
         cur ^= 1
     return buf[cur].T.copy()
 
@@ -274,19 +284,20 @@ class _Timers:
 
 
 class _Workspace:
-    """Preallocated per-level arrays: two smoothing buffers, rhs, residual,
-    each stored as (n_t, n_steps)."""
+    """Preallocated per-level arrays, each stored as (n_t, n_steps): two
+    smoothing buffers, the rhs f and the sweep's g = omega S^{-1} f.  A
+    residual goes into the smoothing buffer that does not hold the iterate."""
 
     def __init__(self, levels: Sequence[Level], depth: int):
         self.levels = list(levels[:depth])
         self.u = []
         self.f = []
-        self.r = []
+        self.g = []
         for lev in self.levels:
             shape = (lev.ops.n_t, lev.n_steps)
             self.u.append([np.zeros(shape), np.zeros(shape)])
             self.f.append(np.zeros(shape))
-            self.r.append(np.zeros(shape))
+            self.g.append(np.zeros(shape))
         self.sq = np.zeros(self.levels[0].n_steps)
 
     def full_slab(self, wid: int, lev: int):
@@ -305,7 +316,7 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
     t0 = time.perf_counter() if timers.active else 0.0
 
     for _ in range(nu1):
-        _sweep_slab(level.ops, omega, ws.f[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
+        _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
         cur ^= 1
         barrier.wait()
     if timers.active:
@@ -313,15 +324,20 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
         timers.smoothing += t1 - t0
         t0 = t1
 
-    _residual_slab(level.ops, ws.f[lev], ws.u[lev][cur], ws.r[lev], a, b)
+    # the residual goes into the free smoothing buffer on this worker's slab,
+    # which only this worker's restriction reads before post-smoothing
+    _residual_slab(level.ops, ws.f[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
     ca, cb = a // 2, b // 2
-    _restrict_slab(level.r1, level.r2, ws.r[lev], ws.f[lev + 1], ca, cb)
+    _restrict_slab(level.r1, level.r2, ws.u[lev][1 - cur], ws.f[lev + 1], ca, cb)
+    last = lev + 1 == len(ws.levels) - 1
+    if not last:
+        _smoother_rhs_slab(ws.levels[lev + 1].ops, omegas[lev + 1], ws.f[lev + 1],
+                           ws.g[lev + 1], ca, cb)
     if timers.active:
         t1 = time.perf_counter()
         timers.transfer += t1 - t0
         t0 = t1
 
-    last = lev + 1 == len(ws.levels) - 1
     coarse_partitioned = slab_of(wid, lev + 1) is not None
     if last or not coarse_partitioned:
         barrier.wait()  # coarse rhs complete
@@ -357,7 +373,7 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
         t0 = t1
 
     for _ in range(nu2):
-        _sweep_slab(level.ops, omega, ws.f[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
+        _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
         cur ^= 1
         barrier.wait()
     if timers.active:
@@ -382,6 +398,7 @@ def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
     ws.u[0][0][:] = np.transpose(u)
     ws.f[0][:] = np.transpose(f)
     omegas = _resolve_omegas(hier, config, depth)[level:]
+    _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
     cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
                  NullBarrier(), 0, _Timers(False))
     return ws.u[0][cur].T.copy()
@@ -477,8 +494,9 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     def norm_at(wid, cur):
         t0 = time.perf_counter() if wid == 0 else 0.0
         rows = slab_of(wid, 0)
-        _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.r[0], *rows)
-        _sqnorm_slab(ws.r[0], ws.sq, *rows)
+        # the free smoothing buffer holds the residual, as in _cycle
+        _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.u[0][1 - cur], *rows)
+        _sqnorm_slab(ws.u[0][1 - cur], ws.sq, *rows)
         barrier.wait()
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
@@ -487,6 +505,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
         return float(shared["norm"][0])
 
     def body(wid):
+        # the finest slab is fixed, so each worker reads only the g it made
+        _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *slab_of(wid, 0))
         cur = 0
         r0 = norm_at(wid, cur)
         if wid == 0:

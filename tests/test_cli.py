@@ -158,6 +158,15 @@ class TestSolve:
             f"error: time step must be finite and positive, got {value}\n"
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("steps", ["0", "-4"])
+    def test_too_few_steps_usage_error(self, tmp_path, capsys, steps):
+        # rejected before the step size T / steps is formed, naming the flag
+        assert main(["solve", "--steps", steps, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --steps must be at least 2, got {steps}\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "solve_stats.json").exists()
+
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_rhs_usage_error(self, tmp_path, capsys):
         # t**-1 is infinite at the first Radau node t = 0

@@ -35,6 +35,14 @@ print(json.dumps({f"{name}.{attr}": fn.cache_info().currsize
                   if hasattr(fn, "cache_info") and fn.__module__ == name}))
 """
 
+# prints whether importing the package loaded scipy.signal
+_SCIPY_SIGNAL_AFTER_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import timemg
+print("scipy.signal" in sys.modules)
+"""
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_import_inside_functions(module):
@@ -60,3 +68,12 @@ def test_import_leaves_caches_empty():
     assert {"timemg.dg.reference_tables", "timemg.dg._unit_ops",
             "timemg.transfers._half_step_values"} <= set(sizes)
     assert all(size == 0 for size in sizes.values()), sizes
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import cold, which would land in
+    # every command's start-up, and imports cannot be deferred into functions
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_AFTER_IMPORT,
+                           str(PACKAGE.parent)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

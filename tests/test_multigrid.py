@@ -163,19 +163,22 @@ class TestTwoGridCycle:
         out = two_grid_cycle(hier, 0, np.zeros((16, 1)), np.zeros((16, 1)))
         assert np.max(np.abs(out)) == 0.0
 
+    @pytest.mark.parametrize("nu1, nu2", [(1, 1), (0, 1), (1, 0), (2, 2)])
     @pytest.mark.parametrize("p_t", [0, 1])
-    def test_matches_dense_error_propagation(self, p_t):
+    def test_matches_dense_error_propagation(self, p_t, nu1, nu2):
         # with f = 0 the exact solution is 0, so the cycle output IS the
-        # propagated error and must match the dense two-grid matrix
+        # propagated error and must match the dense two-grid matrix; the
+        # residual shares a buffer with the smoother, so cover an empty
+        # pre- and an empty post-smoothing side
         basis = BasisSpec(p_t)
         tau, n = 0.8, 8
         hier = TimeHierarchy.build(basis, tau, n, n_levels=2, coarsest=2)
         omega = optimal_omega(alpha(basis, tau))
         m_dense = dense_twogrid(hier.levels[0].ops, hier.levels[1].ops,
                                 hier.levels[0].r1, hier.levels[0].r2,
-                                n, 1, 1, omega, periodic=False)
+                                n, nu1, nu2, omega, periodic=False)
         rng = np.random.default_rng(7)
-        cfg = CycleConfig(nu1=1, nu2=1)
+        cfg = CycleConfig(nu1=nu1, nu2=nu2)
         f = np.zeros((n, p_t + 1))
         for _ in range(20):
             err = rng.standard_normal((n, p_t + 1))
@@ -301,17 +304,24 @@ class TestSolve:
                            CycleConfig(eps=1e-8, workers=workers, min_slab=256))
             assert got.tobytes() == base.tobytes(), p_t
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_invariance_scaled_legendre(self, workers):
-        # dense eval_start: every coupling column is a scaled update
-        basis = BasisSpec(2, "scaled_legendre")
-        hier = TimeHierarchy.build(basis, 0.05, 256)
-        rhs = rhs_moments(np.cos, basis, 0.05, 256, u0=1.0)
-        u_init = random_initial_guess(hier, 3)
-        base, _ = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=1, min_slab=16))
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("basis", [BasisSpec(3), BasisSpec(2, "scaled_legendre")],
+                             ids=["radau-p3", "legendre-p2"])
+    def test_worker_count_invariance_nonzero_rhs(self, basis, workers):
+        # a non-zero f makes the finest g = omega S^{-1} f non-zero, and
+        # scaled_legendre's dense eval_start makes every coupling row a scaled
+        # update; with min_slab 256 and 4 workers the levels split over 4,
+        # then 2 workers, then run as a serial tail, so coarse g is made on
+        # slabs of one split and read on another
+        tau, n = 1e-3, 1 << 12
+        hier = TimeHierarchy.build(basis, tau, n)
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        u_init = random_initial_guess(hier, 5)
+        base, base_stats = solve(hier, rhs, u_init,
+                                 CycleConfig(eps=1e-10, workers=1, min_slab=256))
         got, stats = solve(hier, rhs, u_init,
-                           CycleConfig(eps=1e-10, workers=workers, min_slab=16))
-        assert stats.converged
+                           CycleConfig(eps=1e-10, workers=workers, min_slab=256))
+        assert stats.converged and stats.iterations == base_stats.iterations
         assert got.tobytes() == base.tobytes()
 
     def test_single_level_reports_measured_residual(self):
