@@ -131,6 +131,14 @@ class SolveStats:
     "max_iters", "diverged" (see ``DIVERGENCE_RATIO``) or "non_finite"; the
     read-only ``converged`` is ``status == "converged"``.
 
+    ``times`` holds worker 0's wall time in seconds per phase: "smoothing"
+    (the sweeps and every g = omega S^{-1} f), "transfer" (residual,
+    restriction and prolongation inside a cycle), "coarse" (the exact
+    coarsest solve and, in a team, the serial tail of levels too small to
+    split, which worker 0 runs alone) and "residual" (the residual norms
+    that decide when to stop).  The phases leave no gaps: they add up to
+    worker 0's time from the first g to the last residual norm.
+
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
     converged (status "max_iters"); it cannot mark one converged."""
@@ -217,12 +225,21 @@ def _smoother_rhs_slab(ops: LocalOperators, omega: float, f, g, a: int, b: int) 
     _block_apply(omega * ops.step_inv, f[:, a:b], g[:, a:b], add=False)
 
 
-def _sweep_slab(ops: LocalOperators, omega: float, g, src, dst, a: int, b: int) -> None:
-    """dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on the slab [a, b),
-    given g = omega S^{-1} f."""
-    np.multiply(src[:, a:b], 1.0 - omega, out=dst[:, a:b])
-    np.add(dst[:, a:b], g[:, a:b], out=dst[:, a:b])
-    _add_coupling(omega * ops.step_inv_start, ops.eval_end, src, dst[:, a:b], a, b)
+def _sweep_slab(ops: LocalOperators, omega: float, g, u, cur: int, nu: int,
+                a: int, b: int, barrier) -> int:
+    """``nu`` sweeps dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on
+    the slab [a, b), given g = omega S^{-1} f, from u[cur] alternating between
+    the buffers u[0] and u[1], each followed by a barrier; returns the index of
+    the buffer that holds the result."""
+    q = omega * ops.step_inv_start
+    for _ in range(nu):
+        src, dst = u[cur], u[1 - cur][:, a:b]
+        np.multiply(src[:, a:b], 1.0 - omega, out=dst)
+        np.add(dst, g[:, a:b], out=dst)
+        _add_coupling(q, ops.eval_end, src, dst, a, b)
+        cur ^= 1
+        barrier.wait()
+    return cur
 
 
 def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
@@ -244,43 +261,43 @@ def _sqnorm_slab(x, out, a: int, b: int) -> None:
 
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
     """Apply ``nu`` damped block Jacobi sweeps; every block update reads only
-    the previous iterate (blocks n and n-1), so all updates are independent."""
+    the previous iterate (blocks n and n-1), so all updates are independent.
+    ``u`` and ``f`` must be finite and shaped (n_steps, n_t), else
+    ``ValueError``."""
     if not 0.0 < omega < 2.0:
         raise ValueError(f"damping must lie in (0, 2), got {omega}")
     if nu < 0:
         raise ValueError(f"sweep count must be >= 0, got {nu}")
-    ut = np.array(np.transpose(u), dtype=float, order="C")
-    ft = np.ascontiguousarray(np.transpose(f), dtype=float)
+    shape = np.shape(u)[:1] + (ops.n_t,)
+    ut = _block_input("u", u, shape).T.copy()
+    ft = _block_input("f", f, shape).T.copy()
     n = ut.shape[1]
     g = np.empty_like(ft)
     _smoother_rhs_slab(ops, omega, ft, g, 0, n)
     buf = [ut, np.empty_like(ut)]
-    cur = 0
-    for _ in range(nu):
-        _sweep_slab(ops, omega, g, buf[cur], buf[1 - cur], 0, n)
-        cur ^= 1
-    return buf[cur].T.copy()
+    return buf[_sweep_slab(ops, omega, g, buf, 0, nu, 0, n, NullBarrier())].T.copy()
 
 
 # ---------------------------------------------------------------------------
 # cycles
 
 
-class _Timers:
-    """Phase wall times, recorded by worker 0 only."""
+def _lap_clock(times: dict):
+    """Worker 0's clock: ``lap(phase)`` charges the wall time since the
+    previous lap, or since the clock was made, to ``times[phase]``."""
+    previous = time.perf_counter()
 
-    __slots__ = ("smoothing", "transfer", "coarse", "residual", "active")
+    def lap(phase: str) -> None:
+        nonlocal previous
+        now = time.perf_counter()
+        times[phase] += now - previous
+        previous = now
 
-    def __init__(self, active: bool):
-        self.smoothing = 0.0
-        self.transfer = 0.0
-        self.coarse = 0.0
-        self.residual = 0.0
-        self.active = active
+    return lap
 
-    def to_dict(self):
-        return {"smoothing": self.smoothing, "transfer": self.transfer,
-                "coarse": self.coarse, "residual": self.residual}
+
+def _no_lap(phase: str) -> None:
+    """The clock of the other workers and of serial sub-cycles."""
 
 
 class _Workspace:
@@ -305,79 +322,51 @@ class _Workspace:
 
 
 def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
-           omegas: Sequence[float], slab_of, barrier, wid: int,
-           timers: _Timers) -> int:
+           omegas: Sequence[float], slab_of, barrier, wid: int, lap) -> int:
     """One multigrid cycle at level ``lev``; data enters and leaves in
     ws.u[lev][returned index].  The caller guarantees the entry buffer is
-    globally complete; every exit path ends on a barrier."""
+    globally complete; every exit path ends on a barrier, except at the
+    coarsest level, which one worker solves exactly."""
     level = ws.levels[lev]
+    if lev == len(ws.levels) - 1:
+        ws.u[lev][0][:] = forward_solve(GlobalSystem(level.ops, level.n_steps), ws.f[lev].T).T
+        lap("coarse")
+        return 0
     omega = omegas[lev]
     a, b = slab_of(wid, lev)
-    t0 = time.perf_counter() if timers.active else 0.0
-
-    for _ in range(nu1):
-        _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
-        cur ^= 1
-        barrier.wait()
-    if timers.active:
-        t1 = time.perf_counter()
-        timers.smoothing += t1 - t0
-        t0 = t1
+    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev], cur, nu1, a, b, barrier)
+    lap("smoothing")
 
     # the residual goes into the free smoothing buffer on this worker's slab,
     # which only this worker's restriction reads before post-smoothing
     _residual_slab(level.ops, ws.f[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
     ca, cb = a // 2, b // 2
     _restrict_slab(level.r1, level.r2, ws.u[lev][1 - cur], ws.f[lev + 1], ca, cb)
-    last = lev + 1 == len(ws.levels) - 1
-    if not last:
-        _smoother_rhs_slab(ws.levels[lev + 1].ops, omegas[lev + 1], ws.f[lev + 1],
-                           ws.g[lev + 1], ca, cb)
-    if timers.active:
-        t1 = time.perf_counter()
-        timers.transfer += t1 - t0
-        t0 = t1
+    ws.u[lev + 1][0][:, ca:cb] = 0.0
+    lap("transfer")
+    _smoother_rhs_slab(ws.levels[lev + 1].ops, omegas[lev + 1], ws.f[lev + 1],
+                       ws.g[lev + 1], ca, cb)
+    lap("smoothing")
 
-    coarse_partitioned = slab_of(wid, lev + 1) is not None
-    if last or not coarse_partitioned:
-        barrier.wait()  # coarse rhs complete
+    barrier.wait()  # coarse rhs, g and zero guess complete
+    if slab_of(wid, lev + 1) is None:
+        # worker 0 runs the unsplit coarse levels alone
         if wid == 0:
-            if last:
-                coarse = ws.levels[lev + 1]
-                ws.u[lev + 1][0][:] = forward_solve(
-                    GlobalSystem(coarse.ops, coarse.n_steps), ws.f[lev + 1].T).T
-            else:
-                # remaining levels are too small to split: run them serially
-                ws.u[lev + 1][0][:] = 0.0
-                sub = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, ws.full_slab,
-                             NullBarrier(), 0, _Timers(False))
-                if sub != 0:
-                    ws.u[lev + 1][0][:] = ws.u[lev + 1][sub]
+            sub = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, ws.full_slab,
+                         NullBarrier(), 0, _no_lap)
+            if sub != 0:
+                ws.u[lev + 1][0][:] = ws.u[lev + 1][sub]
         barrier.wait()  # coarse solution complete
+        lap("coarse")
         ccur = 0
-        if timers.active:
-            t1 = time.perf_counter()
-            timers.coarse += t1 - t0
-            t0 = t1
     else:
-        ws.u[lev + 1][0][:, ca:cb] = 0.0
-        barrier.wait()  # coarse rhs and zero guess complete
-        ccur = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, slab_of, barrier, wid, timers)
-        t0 = time.perf_counter() if timers.active else 0.0
+        ccur = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, slab_of, barrier, wid, lap)
 
     _prolong_add_slab(level.r1, level.r2, ws.u[lev + 1][ccur], ws.u[lev][cur], ca, cb)
     barrier.wait()
-    if timers.active:
-        t1 = time.perf_counter()
-        timers.transfer += t1 - t0
-        t0 = t1
-
-    for _ in range(nu2):
-        _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
-        cur ^= 1
-        barrier.wait()
-    if timers.active:
-        timers.smoothing += time.perf_counter() - t0
+    lap("transfer")
+    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev], cur, nu2, a, b, barrier)
+    lap("smoothing")
     return cur
 
 
@@ -395,29 +384,33 @@ def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig, depth: int) -> lis
 def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
                   depth: int) -> np.ndarray:
     ws = _Workspace(hier.levels[level:], depth - level)
-    ws.u[0][0][:] = np.transpose(u)
-    ws.f[0][:] = np.transpose(f)
+    shape = (ws.levels[0].n_steps, ws.levels[0].ops.n_t)
+    ws.u[0][0][:] = _block_input("u", u, shape).T
+    ws.f[0][:] = _block_input("f", f, shape).T
     omegas = _resolve_omegas(hier, config, depth)[level:]
     _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
     cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
-                 NullBarrier(), 0, _Timers(False))
+                 NullBarrier(), 0, _no_lap)
     return ws.u[0][cur].T.copy()
 
 
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
                    config: CycleConfig = None) -> np.ndarray:
     """One two-grid cycle at ``level``: pre-smooth, restrict the residual,
-    solve the coarse grid exactly, prolongate the correction, post-smooth."""
+    solve the coarse grid exactly, prolongate the correction, post-smooth.
+    ``u`` and ``f`` must be finite and shaped (n_steps, n_t) like ``level``,
+    else ``ValueError``."""
     config = config or CycleConfig()
-    if level + 1 >= len(hier):
-        raise ValueError(f"level {level} has no coarser neighbor")
+    if not 0 <= level < len(hier) - 1:
+        raise ValueError(f"level {level} is not a level with a coarser neighbor")
     return _serial_cycle(hier, level, u, f, config, level + 2)
 
 
 def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray:
     """One V-cycle from the finest level; the coarse solve of the two-grid
     cycle is replaced by one recursive cycle except at the coarsest level,
-    which is solved directly."""
+    which is solved directly.  ``u`` and ``f`` must be finite and shaped
+    (n_steps, n_t) like the finest level, else ``ValueError``."""
     config = config or CycleConfig()
     depth = _depth(hier, config)
     if depth < 2:
@@ -437,11 +430,12 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
     every slab at least ``min_slab`` blocks (the surplus workers hold empty
     slabs and only join the barriers); slabs are even-sized so restriction
     always writes whole coarse blocks.  Levels that cannot keep two workers
-    busy, and all levels below them, are marked None and run serially between
-    two barriers.  A finest level too small to split runs on one worker.
+    busy, all levels below them and the coarsest level, which is solved
+    exactly, are marked None and run by worker 0 between two barriers.  A
+    finest level too small to split runs on one worker.
     """
     table = []
-    for lev in ws.levels:
+    for lev in ws.levels[:-1]:
         n = lev.n_steps
         active = workers
         while active > 1 and (n % active != 0 or n // active < max(min_slab, 2)
@@ -453,6 +447,7 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
         per = n // active
         table.append([(w * per, (w + 1) * per) if w < active else (n, n)
                       for w in range(workers)])
+    table.append(None)
     if table[0] is None:
         workers, table = 1, [[(0, lev.n_steps)] for lev in ws.levels]
 
@@ -487,12 +482,11 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     omegas = _resolve_omegas(hier, config, depth)
     slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
     barrier = team_barrier(workers)
-    timers = _Timers(True)
+    times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
     shared = {"norm": np.zeros(1), "cur": 0, "iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f))
 
-    def norm_at(wid, cur):
-        t0 = time.perf_counter() if wid == 0 else 0.0
+    def norm_at(wid, cur, lap):
         rows = slab_of(wid, 0)
         # the free smoothing buffer holds the residual, as in _cycle
         _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.u[0][1 - cur], *rows)
@@ -500,15 +494,17 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
         barrier.wait()
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
-            timers.residual += time.perf_counter() - t0
         barrier.wait()
+        lap("residual")
         return float(shared["norm"][0])
 
     def body(wid):
+        lap = _lap_clock(times) if wid == 0 else _no_lap
         # the finest slab is fixed, so each worker reads only the g it made
         _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *slab_of(wid, 0))
+        lap("smoothing")
         cur = 0
-        r0 = norm_at(wid, cur)
+        r0 = norm_at(wid, cur, lap)
         if wid == 0:
             shared["norms"].append(r0)
         tol = max(eps * r0, floor)
@@ -517,8 +513,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
         # all workers read the same norm and leave together; NaN fails both tests
         while tol < rk <= DIVERGENCE_RATIO * r0 and iters < max_iters:
             cur = _cycle(ws, 0, cur, config.nu1, config.nu2, omegas, slab_of,
-                         barrier, wid, timers if wid == 0 else _Timers(False))
-            rk = norm_at(wid, cur)
+                         barrier, wid, lap)
+            rk = norm_at(wid, cur, lap)
             iters += 1
             if wid == 0:
                 shared["norms"].append(rk)
@@ -533,7 +529,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
               else "converged" if last <= max(eps * norms[0], floor)
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
-                       factor=_max_ratio(norms), times=timers.to_dict(),
+                       factor=_max_ratio(norms), times=times,
                        seed=config.seed, workers=config.workers, status=status)
     return ws.u[0][shared["cur"]].T.copy(), stats
 

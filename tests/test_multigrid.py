@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import threading
 import time
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from timemg import multigrid
 from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
 from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
@@ -188,8 +190,10 @@ class TestTwoGridCycle:
 
     def test_requires_coarser_level(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 16, n_levels=2)
-        with pytest.raises(ValueError):
-            two_grid_cycle(hier, 1, np.zeros((8, 1)), np.zeros((8, 1)))
+        for level in (-1, 1):
+            n = hier.levels[level].n_steps
+            with pytest.raises(ValueError):
+                two_grid_cycle(hier, level, np.zeros((n, 1)), np.zeros((n, 1)))
 
 
 class TestVCycle:
@@ -334,25 +338,57 @@ class TestSolve:
         assert 0.0 < stats.residual_norms[0] <= 1e-14 * np.linalg.norm(rhs)
         assert abs(stats.residual_norms[0] - want) <= 1e-15 * np.linalg.norm(rhs)
 
-    @pytest.mark.parametrize("f, u_init", [
+    @pytest.mark.parametrize("entry", ["solve", "v_cycle", "two_grid_cycle",
+                                       "block_jacobi_sweep"])
+    @pytest.mark.parametrize("f, u", [
         (0.0, None),
         (np.zeros((32, 2)), np.zeros(2)),
         (np.full((32, 2), np.nan), None),
         (np.zeros((32, 2)), np.full((32, 2), np.inf)),
-    ], ids=["scalar-f", "one-block-guess", "nan-in-f", "inf-in-guess"])
-    def test_rejects_unsolvable_input(self, f, u_init):
+        (np.zeros((32, 2)), np.zeros((32, 1))),
+        (np.zeros((32, 2)), np.zeros(32)),
+        (np.zeros((32, 1)), None),
+    ], ids=["scalar-f", "one-block-guess", "nan-in-f", "inf-in-guess", "one-column-guess",
+            "flat-guess", "one-column-f"])
+    def test_rejects_unsolvable_input(self, f, u, entry):
+        # the one-column and flat shapes would broadcast against (32, 2)
         hier = TimeHierarchy.build(BasisSpec(1), 0.1, 32)
+        if u is None and entry != "solve":
+            u = np.zeros((32, 2))
+        calls = {
+            "solve": lambda: solve(hier, f, u),
+            "v_cycle": lambda: v_cycle(hier, u, f),
+            "two_grid_cycle": lambda: two_grid_cycle(hier, 0, u, f),
+            "block_jacobi_sweep": lambda: block_jacobi_sweep(hier.finest.ops, u, f, 0.7),
+        }
         with pytest.raises(ValueError):
-            solve(hier, f, u_init)
+            calls[entry]()
 
     def test_worker_result_independent_of_min_slab(self):
+        # min_slab 2 splits every level above the 8-step coarsest, whose exact
+        # solve then follows a split level, as it does in the two-grid cycle
+        # at min_slab 64; 64 and 256 leave a serial tail of sub-cycles
         hier = TimeHierarchy.build(BasisSpec(0), 1e-2, 1 << 10)
         f = np.zeros((1 << 10, 1))
         u_init = random_initial_guess(hier, 7)
-        outs = {ms: solve(hier, f, u_init,
-                          CycleConfig(eps=1e-8, workers=2, min_slab=ms))[0].tobytes()
-                for ms in (64, 256, 1 << 20)}
-        assert len(set(outs.values())) == 1
+        for levels, min_slabs in (("max", (2, 64, 256, 1 << 20)), (2, (64,))):
+            outs = {(workers, ms): solve(hier, f, u_init, CycleConfig(
+                        eps=1e-8, levels=levels, workers=workers, min_slab=ms))[0].tobytes()
+                    for workers in (1, 2, 4) for ms in min_slabs}
+            assert len(set(outs.values())) == 1, levels
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phase_times_leave_no_gaps(self, workers, monkeypatch):
+        # a clock that advances by 1 per reading: the phases sum to the
+        # readings minus one only if every interval between two readings of
+        # worker 0 is charged to one phase
+        readings = itertools.count()
+        monkeypatch.setattr(multigrid.time, "perf_counter", lambda: float(next(readings)))
+        hier = TimeHierarchy.build(BasisSpec(1), 1e-2, 1 << 10)
+        f = rhs_moments(np.cos, BasisSpec(1), 1e-2, 1 << 10, u0=1.0)
+        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, workers=workers, min_slab=64))
+        assert stats.iterations > 0
+        assert sum(stats.times.values()) == next(readings) - 1
 
 
 class TestMemoryLayout:
