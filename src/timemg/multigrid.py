@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, check_step_size,
-                 forward_solve)
+from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
+                 check_step_size, forward_solve, scan_block, scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 from .transfers import build_transfers
@@ -87,18 +87,24 @@ class CycleConfig:
     """Solver parameters.
 
     ``damping`` is "optimal" (recomputed per level from the level step size)
-    or a fixed value in (0, 2).  ``levels`` caps the cycle depth ("max" uses
-    the whole hierarchy; 2 gives the plain two-grid cycle).  Two smoothing
-    steps per side keep deep V-cycles close to the two-grid factor; a single
-    step is noticeably depth-sensitive on this problem.  ``min_slab`` is the
-    smallest per-worker slab worth the synchronization of a split level;
-    levels use fewer workers once their slabs would drop below it.
+    or a fixed value in (0, 2).  ``levels`` caps the cycle depth: the default
+    2 is the two-grid cycle, whose coarse level gets the exact blocked-scan
+    solve (:func:`timemg.dg.scan_rows`) from the whole worker team; "max"
+    descends the whole hierarchy, the paper's V-cycle.  On this scalar model
+    problem a coarse step costs O(n_t), so the exact coarse solve is cheap
+    and the two-grid cycle is the faster solver; in a space-time problem the
+    coarse solve is a full spatial solve per step and "max" is the method.
+    Two smoothing steps per side keep deep V-cycles close to the two-grid
+    factor; a single step is noticeably depth-sensitive on this problem.
+    ``min_slab`` is the smallest per-worker slab worth the synchronization of
+    a split level; levels use fewer workers once their slabs would drop
+    below it.
     """
 
     nu1: int = 2
     nu2: int = 2
     damping: object = "optimal"
-    levels: object = "max"
+    levels: object = 2
     eps: float = 1e-8
     max_iters: int = 250
     seed: int = 42
@@ -134,10 +140,11 @@ class SolveStats:
     ``times`` holds worker 0's wall time in seconds per phase: "smoothing"
     (the sweeps and every g = omega S^{-1} f), "transfer" (residual,
     restriction and prolongation inside a cycle), "coarse" (the exact
-    coarsest solve and, in a team, the serial tail of levels too small to
-    split, which worker 0 runs alone) and "residual" (the residual norms
-    that decide when to stop).  The phases leave no gaps: they add up to
-    worker 0's time from the first g to the last residual norm.
+    coarsest solve, a blocked scan split over the team, and, in a team, the
+    serial tail of V-cycle levels too small to split, which worker 0 runs
+    alone) and "residual" (the residual norms that decide when to stop).
+    The phases leave no gaps: they add up to worker 0's time from the first
+    g to the last residual norm.
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -183,19 +190,6 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # once per right-hand side (sweep).
 
 
-def _block_apply(mat, x, out, add: bool) -> None:
-    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order."""
-    n_t = mat.shape[0]
-    for i in range(n_t):
-        acc = mat[i, 0] * x[0]
-        for j in range(1, n_t):
-            acc += mat[i, j] * x[j]
-        if add:
-            out[i] += acc
-        else:
-            out[i] = acc
-
-
 def _add_coupling(start, end, u, out, a: int, b: int) -> None:
     """out[:, n - a] += start * (end . u[:, n - 1]) for the steps n >= 1 of
     the slab [a, b); ``out`` holds the slab's b - a columns."""
@@ -214,7 +208,7 @@ def _add_coupling(start, end, u, out, a: int, b: int) -> None:
 
 def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
     """out = f - S u + C u_prev on the slab [a, b)."""
-    _block_apply(ops.step_matrix, u[:, a:b], out[:, a:b], add=False)
+    block_apply(ops.step_matrix, u[:, a:b], out[:, a:b], add=False)
     np.subtract(f[:, a:b], out[:, a:b], out=out[:, a:b])
     _add_coupling(ops.eval_start, ops.eval_end, u, out[:, a:b], a, b)
 
@@ -222,7 +216,7 @@ def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
 def _smoother_rhs_slab(ops: LocalOperators, omega: float, f, g, a: int, b: int) -> None:
     """g = omega S^{-1} f on the slab [a, b): the part of the sweep that does
     not depend on the iterate."""
-    _block_apply(omega * ops.step_inv, f[:, a:b], g[:, a:b], add=False)
+    block_apply(omega * ops.step_inv, f[:, a:b], g[:, a:b], add=False)
 
 
 def _sweep_slab(ops: LocalOperators, omega: float, g, u, cur: int, nu: int,
@@ -243,13 +237,13 @@ def _sweep_slab(ops: LocalOperators, omega: float, g, u, cur: int, nu: int,
 
 
 def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
-    _block_apply(r1, fine[:, 2 * ca:2 * cb:2], coarse[:, ca:cb], add=False)
-    _block_apply(r2, fine[:, 2 * ca + 1:2 * cb:2], coarse[:, ca:cb], add=True)
+    block_apply(r1, fine[:, 2 * ca:2 * cb:2], coarse[:, ca:cb], add=False)
+    block_apply(r2, fine[:, 2 * ca + 1:2 * cb:2], coarse[:, ca:cb], add=True)
 
 
 def _prolong_add_slab(r1, r2, coarse, fine, ca: int, cb: int) -> None:
-    _block_apply(r1.T, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
-    _block_apply(r2.T, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
+    block_apply(r1.T, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
+    block_apply(r2.T, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
 
 
 def _sqnorm_slab(x, out, a: int, b: int) -> None:
@@ -302,8 +296,9 @@ def _no_lap(phase: str) -> None:
 
 class _Workspace:
     """Preallocated per-level arrays, each stored as (n_t, n_steps): two
-    smoothing buffers, the rhs f and the sweep's g = omega S^{-1} f.  A
-    residual goes into the smoothing buffer that does not hold the iterate."""
+    smoothing buffers, the rhs f and the sweep's g = omega S^{-1} f, plus the
+    coarsest level's scan buffer.  A residual goes into the smoothing buffer
+    that does not hold the iterate."""
 
     def __init__(self, levels: Sequence[Level], depth: int):
         self.levels = list(levels[:depth])
@@ -316,6 +311,7 @@ class _Workspace:
             self.f.append(np.zeros(shape))
             self.g.append(np.zeros(shape))
         self.sq = np.zeros(self.levels[0].n_steps)
+        self.scan = scan_buffer(self.levels[-1].n_steps)
 
     def full_slab(self, wid: int, lev: int):
         return (0, self.levels[lev].n_steps)
@@ -325,11 +321,13 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
            omegas: Sequence[float], slab_of, barrier, wid: int, lap) -> int:
     """One multigrid cycle at level ``lev``; data enters and leaves in
     ws.u[lev][returned index].  The caller guarantees the entry buffer is
-    globally complete; every exit path ends on a barrier, except at the
-    coarsest level, which one worker solves exactly."""
+    globally complete; every exit path ends on a barrier.  The coarsest level
+    is solved exactly, which consumes its rhs."""
     level = ws.levels[lev]
     if lev == len(ws.levels) - 1:
-        ws.u[lev][0][:] = forward_solve(GlobalSystem(level.ops, level.n_steps), ws.f[lev].T).T
+        scan_rows(level.ops, ws.f[lev], ws.u[lev][0], ws.scan, *slab_of(wid, lev),
+                  barrier, wid == 0)
+        barrier.wait()  # coarse solution complete
         lap("coarse")
         return 0
     omega = omegas[lev]
@@ -409,9 +407,11 @@ def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
 def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray:
     """One V-cycle from the finest level; the coarse solve of the two-grid
     cycle is replaced by one recursive cycle except at the coarsest level,
-    which is solved directly.  ``u`` and ``f`` must be finite and shaped
-    (n_steps, n_t) like the finest level, else ``ValueError``."""
-    config = config or CycleConfig()
+    which is solved directly.  Without a ``config`` the cycle descends the
+    whole hierarchy; a config's ``levels`` caps the depth.  ``u`` and ``f``
+    must be finite and shaped (n_steps, n_t) like the finest level, else
+    ``ValueError``."""
+    config = config or CycleConfig(levels="max")
     depth = _depth(hier, config)
     if depth < 2:
         raise ValueError("v_cycle needs a hierarchy with at least 2 levels")
@@ -430,8 +430,9 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
     every slab at least ``min_slab`` blocks (the surplus workers hold empty
     slabs and only join the barriers); slabs are even-sized so restriction
     always writes whole coarse blocks.  Levels that cannot keep two workers
-    busy, all levels below them and the coarsest level, which is solved
-    exactly, are marked None and run by worker 0 between two barriers.  A
+    busy and all levels below them are marked None and run by worker 0
+    between two barriers.  The coarsest level, solved exactly, is split into
+    whole scan blocks over all workers when the level above it is split.  A
     finest level too small to split runs on one worker.
     """
     table = []
@@ -447,7 +448,15 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
         per = n // active
         table.append([(w * per, (w + 1) * per) if w < active else (n, n)
                       for w in range(workers)])
-    table.append(None)
+    if table and table[-1] is not None:
+        n = ws.levels[-1].n_steps
+        block = scan_block(n)
+        n_blocks = -(-n // block)
+        table.append([(w * n_blocks // workers * block,
+                       min((w + 1) * n_blocks // workers * block, n))
+                      for w in range(workers)])
+    else:
+        table.append(None)
     if table[0] is None:
         workers, table = 1, [[(0, lev.n_steps)] for lev in ws.levels]
 
@@ -553,7 +562,8 @@ def _block_input(name: str, x, shape: tuple) -> np.ndarray:
 
 def solve(hier: TimeHierarchy, f, u_init=None,
           config: CycleConfig = None) -> tuple[np.ndarray, SolveStats]:
-    """Iterate V-cycles until the residual drops by ``config.eps``.
+    """Iterate cycles until the residual drops by ``config.eps``: two-grid
+    cycles by default, V-cycles with ``levels="max"`` (see CycleConfig).
 
     ``f`` and ``u_init`` must be finite and shaped (n_steps, n_t) like the
     finest level, else ``ValueError``.  ``u_init`` defaults to a random guess

@@ -50,3 +50,15 @@ def pade_exp_eval(m: int, n: int, z):
     num, den = pade_exp_coeffs(m, n)
     z = np.asarray(z)
     return np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
+
+
+def forward_substitution(system, rhs):
+    """Exact solve of the DG system one step at a time:
+    u[n] = step_inv @ (rhs[n] + eval_start * (eval_end @ u[n-1]))."""
+    ops = system.ops
+    rhs = np.asarray(rhs, dtype=float)
+    u = np.empty(rhs.shape)
+    u[0] = ops.step_inv @ rhs[0]
+    for n in range(1, system.n_steps):
+        u[n] = ops.step_inv @ (rhs[n] + ops.eval_start * (ops.eval_end @ u[n - 1]))
+    return u

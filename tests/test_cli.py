@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,17 @@ class TestSolve:
         line = [l for l in out.splitlines() if "deviation" in l][0]
         assert float(line.rsplit(" ", 1)[1]) < 1e-8
 
+    def test_compare_sequential_reports_time_ratio(self, tmp_path, capsys):
+        code = main(["solve", "--pt", "1", "--steps", "64", "--f", "sin",
+                     "--compare-sequential", "--out", str(tmp_path)])
+        assert code == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if "time ratio" in l][0]
+        match = re.fullmatch(r"exact solve (\S+) s, multigrid solve (\S+) s: "
+                             r"multigrid/exact time ratio (\S+)", line)
+        exact_s, solve_s, ratio = (float(v) for v in match.groups())
+        assert exact_s > 0.0 and solve_s > 0.0
+        assert ratio == pytest.approx(solve_s / exact_s, rel=2e-3, abs=0.05)
+
     def test_nonconvergence_exit_code_still_writes(self, tmp_path):
         code = main(["solve", "--pt", "0", "--steps", "64", "--tau", "1e-6",
                      "--eps", "1e-14", "--max-iters", "1", "--f", "const",
@@ -136,7 +148,8 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:damping 1.99:UserWarning", "ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("flags, code, status, message", [
         (["--levels", "1"], 0, "converged", ""),
-        (["--pt", "1", "--tau", "0.1", "--steps", "256", "--omega", "1.99"], 3, "diverged",
+        (["--pt", "1", "--tau", "0.1", "--steps", "256", "--omega", "1.99", "--levels", "max"],
+         3, "diverged",
          "diverged after 2 iterations: residual above 1e+06 times its initial value"),
         (["--f", "const", "--f-param", "1e300"], 3, "non_finite",
          "stopped after 0 iterations: non-finite residual"),

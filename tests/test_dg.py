@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import pade_exp_eval
+from oracles import forward_substitution, pade_exp_eval
 from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_derivatives, basis_values, forward_solve, radau_rule,
                        reference_tables, rhs_moments, stability_function)
@@ -232,6 +232,24 @@ class TestForwardSolve:
         u = forward_solve(sys, rhs)
         res = rhs - apply_global(sys, u)
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("n, tau, rule, p_t", [
+        *((n, tau, rule, p_t) for n in (1024, 1500) for tau in (1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6)
+          for rule in NODE_RULES for p_t in range(6)),
+        (1 << 17, 1e-6, "radau_lagrange", 0), (1 << 17, 1e-6, "radau_lagrange", 3),
+        (1 << 17, 1e-3, "scaled_legendre", 2), (1 << 17, 1e-6, "scaled_legendre", 5)])
+    def test_scan_matches_step_loop(self, p_t, rule, tau, n):
+        # the scan reorders the loop's arithmetic: it agrees to 1e-10 and its
+        # relative residual is within 2x of the loop's, or below 1e-15 where
+        # both are at rounding level; 1500 ends in a partial scan block
+        basis = BasisSpec(p_t, rule)
+        sys = GlobalSystem(assemble_local(basis, tau), n)
+        rhs = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
+        u, loop = forward_solve(sys, rhs), forward_substitution(sys, rhs)
+        assert np.max(np.abs(u - loop)) <= 1e-10 * np.max(np.abs(loop))
+        res, loop_res = (np.linalg.norm(rhs - apply_global(sys, x)) / np.linalg.norm(rhs)
+                         for x in (u, loop))
+        assert res <= 2.0 * loop_res or res < 1e-15
 
     def test_endpoint_order_p2(self):
         # endpoint error decays at order 2 p_t + 1 = 5 under step halving

@@ -260,10 +260,11 @@ class TestSolve:
         (1, 0.1, 256, 0.0, "diverged", 2), (0, 1e-6, 1024, 0.0, "diverged", 1),
         (0, 0.1, 64, 1e300, "non_finite", 0)])
     def test_early_stop(self, p_t, tau, n, f, status, iterations):
-        # damping 1.99 diverges; a 1e300 right-hand side overflows the first residual
+        # damping 1.99 diverges; a 1e300 right-hand side overflows the first
+        # residual; the iteration counts are those of the V-cycle
         hier = TimeHierarchy.build(BasisSpec(p_t), tau, n)
         _, stats = solve(hier, np.full((n, p_t + 1), f),
-                         config=CycleConfig(damping=1.99, max_iters=50))
+                         config=CycleConfig(damping=1.99, max_iters=50, levels="max"))
         assert (stats.status, stats.iterations, stats.converged) == (status, iterations, False)
 
     def test_residual_history_monotone(self):
@@ -321,10 +322,10 @@ class TestSolve:
         hier = TimeHierarchy.build(basis, tau, n)
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         u_init = random_initial_guess(hier, 5)
-        base, base_stats = solve(hier, rhs, u_init,
-                                 CycleConfig(eps=1e-10, workers=1, min_slab=256))
-        got, stats = solve(hier, rhs, u_init,
-                           CycleConfig(eps=1e-10, workers=workers, min_slab=256))
+        base, base_stats = solve(hier, rhs, u_init, CycleConfig(
+            eps=1e-10, workers=1, min_slab=256, levels="max"))
+        got, stats = solve(hier, rhs, u_init, CycleConfig(
+            eps=1e-10, workers=workers, min_slab=256, levels="max"))
         assert stats.converged and stats.iterations == base_stats.iterations
         assert got.tobytes() == base.tobytes()
 
@@ -420,7 +421,7 @@ class TestSolveLargeScale:
         # comfortably under the 0.5 two-grid ceiling plus multilevel slack
         hier = TimeHierarchy.build(BasisSpec(0), 1e-6, 1 << 15)
         f = np.zeros((1 << 15, 1))
-        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, seed=42))
+        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, seed=42, levels="max"))
         assert stats.converged
         assert stats.factor <= 0.55
 
