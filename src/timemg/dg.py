@@ -139,6 +139,11 @@ class LocalOperators:
     ``eval_start`` and ``eval_end`` are the basis's shared read-only
     :class:`ReferenceTables`; the other arrays belong to this step size.
 
+    The exact scan and the multigrid cycle run on the step-scaled unknowns
+    y_n = S u_n, S = ``step_matrix``: a step's end value is then
+    ``end_step_inv . y_n``, so the step coupling costs one dot product with
+    no block product.
+
     Attributes
     ----------
     stiffness : ndarray
@@ -169,8 +174,14 @@ class LocalOperators:
     @functools.cached_property
     def step_inv_start(self) -> np.ndarray:
         """step_inv @ eval_start, the coupling column of step_inv_coupling;
-        the multigrid sweep kernel scales it by the damping."""
+        eval_end @ step_inv_start is the scan's end-value factor R(-tau)."""
         return self.step_inv @ self.eval_start
+
+    @functools.cached_property
+    def end_step_inv(self) -> np.ndarray:
+        """eval_end @ step_inv: the end value eval_end . u of a step, read
+        from its step-scaled unknowns y = step_matrix u."""
+        return self.eval_end @ self.step_inv
 
     @functools.cached_property
     def step_inv_coupling(self) -> np.ndarray:
@@ -302,11 +313,17 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
 
 def scan_block(n_steps: int) -> int:
     """Steps per block of the exact solve's scan: the smallest power of two
-    not below sqrt(n_steps), which balances the in-block passes against the
-    carries across blocks.  It depends on n_steps alone, so each block's
-    arithmetic, and hence every bit of the solution, is the same however the
-    blocks are grouped over workers."""
-    return 1 << ((n_steps - 1).bit_length() + 1) // 2
+    not below sqrt(n_steps) / 4.  The in-block recurrence makes one numpy
+    call per block column, each over all of a worker's blocks, and such
+    small calls barely overlap between worker threads; the carry across the
+    blocks takes only log2(n_blocks) array passes.  So blocks shorter than
+    sqrt(n_steps) pay: with sqrt(n_steps) / 4 steps per block a scan of 2^19
+    steps over 2 workers measured about a quarter faster than with
+    sqrt(n_steps), and one of 2^16 steps no slower on 1 or 2 workers.  The
+    size depends on n_steps alone, so each block's arithmetic, and hence
+    every bit of the solution, is the same however the blocks are grouped
+    over workers."""
+    return 1 << max(0, (n_steps - 1).bit_length() - 3) // 2
 
 
 def scan_buffer(n_steps: int) -> np.ndarray:
@@ -331,20 +348,22 @@ def block_apply(mat, x, out, add: bool) -> None:
             out[i] = acc
 
 
-def scan_rows(ops: LocalOperators, rhs, u, work, a: int, b: int,
+def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
               barrier=NullBarrier(), lead: bool = True) -> None:
-    """Exact solve of one worker's steps [a, b), on block vectors stored as
-    (n_t, n_steps) rows: ``rhs`` in (overwritten with rhs + C u_prev), ``u``
-    out, ``work`` from :func:`scan_buffer` and shared by the team.
+    """Exact solve of one worker's steps [a, b) in the step-scaled unknowns
+    y_n = S u_n, on block vectors stored as (n_t, n_steps) rows: ``rhs`` in,
+    ``y`` out, ``work`` from :func:`scan_buffer` and shared by the team.
 
-    The end values w_n = eval_end . u_n follow the scalar recurrence
-    w_n = R w_{n-1} + eval_end . S^{-1} rhs_n with R = eval_end . S^{-1}
-    eval_start, and then u_n = S^{-1} (rhs_n + eval_start w_{n-1}).  The
-    steps form blocks of :func:`scan_block` steps.  Each worker reduces its
-    blocks to their end values from a zero start by pairwise combination;
-    between two barriers the ``lead`` worker carries the end values across
-    the blocks; then each worker runs the recurrence through its blocks from
-    their carries and forms u.  ``a`` lies on a block boundary and ``b`` on
+    The end values w_n = eval_end . u_n = z . y_n, z = eval_end S^{-1}
+    (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} +
+    z . rhs_n with R = eval_end . S^{-1} eval_start, and then y_n = rhs_n +
+    eval_start w_{n-1}; no block product is needed (u_n = S^{-1} y_n is left
+    to the caller).  The steps form blocks of :func:`scan_block` steps.  Each
+    worker reduces its blocks to their end values from a zero start by
+    pairwise combination; between two barriers the ``lead`` worker carries
+    the end values across the blocks by an inclusive scan over doubling
+    spans; then each worker runs the recurrence through its blocks from
+    their carries and forms y.  ``a`` lies on a block boundary and ``b`` on
     one or at n_steps (a >= b is an empty share); every worker of the team
     calls this once with its own range and the same ``barrier``.
 
@@ -355,24 +374,22 @@ def scan_rows(ops: LocalOperators, rhs, u, work, a: int, b: int,
     reached 3-12x the per-step loop's (p_t 0-5, both node rules, tau 1e-6 to
     1e6, 2^17 steps); in this form it stays within 2x.
     """
-    n_t, n = u.shape
+    n_t, n = y.shape
     block = scan_block(n)
     n_blocks = -(-n // block)
     blocks = work[:n_blocks * block].reshape(n_blocks, block)
     w, carry = blocks.reshape(-1), work[n_blocks * block:]  # carry[k] = w_{k block - 1}
-    end = ops.eval_end
-    r = end.astype(work.dtype) @ ops.step_inv_start.astype(work.dtype)
+    z = ops.end_step_inv
+    r = ops.eval_end.astype(work.dtype) @ ops.step_inv_start.astype(work.dtype)
     k0, k1 = a // block, -(-b // block)
     mine = blocks[k0:k1]
     if a < b:
-        # eval_end . S^{-1} rhs_n, through S^{-1} rhs_n in u; the partial
-        # last block is padded with zeros
-        block_apply(ops.step_inv, rhs[:, a:b], u[:, a:b], add=False)
+        # z . rhs_n; the partial last block is padded with zeros
         ends = np.zeros((k1 - k0, block))
         flat = ends.reshape(-1)[:b - a]
-        np.multiply(u[0, a:b], end[0], out=flat)
+        np.multiply(rhs[0, a:b], z[0], out=flat)
         for j in range(1, n_t):
-            flat += end[j] * u[j, a:b]
+            flat += z[j] * rhs[j, a:b]
         mine[:] = ends
         r_span = r
         while ends.shape[1] > 1:
@@ -381,9 +398,12 @@ def scan_rows(ops: LocalOperators, rhs, u, work, a: int, b: int,
         carry[k0 + 1:k1 + 1] = ends[:, 0]
     barrier.wait()  # every block's end value from a zero start
     if lead:
-        r_block = r ** block
-        for k in range(1, len(carry)):
-            carry[k] += carry[k - 1] * r_block
+        # carry[k] += r^block carry[k - 1], as an inclusive scan over
+        # doubling spans: log2(n_blocks) array passes
+        span, r_span = 1, r ** block
+        while span < len(carry):
+            carry[span:] += r_span * carry[:-span]
+            span, r_span = 2 * span, r_span * r_span
     barrier.wait()  # carries complete
     if a < b:
         prev = carry[k0:k1]
@@ -394,10 +414,12 @@ def scan_rows(ops: LocalOperators, rhs, u, work, a: int, b: int,
         # reads the same w_{n-1} whichever worker holds the previous block
         mine[:, -1] = carry[k0 + 1:k1 + 1]
         for i, s in enumerate(ops.eval_start):
-            if s != 0.0:
-                rhs[i, a] += s * carry[k0]
-                rhs[i, a + 1:b] += w[a:b - 1] if s == 1.0 else s * w[a:b - 1]
-        block_apply(ops.step_inv, rhs[:, a:b], u[:, a:b], add=False)
+            if s == 0.0:
+                y[i, a:b] = rhs[i, a:b]
+                continue
+            y[i, a] = rhs[i, a] + s * carry[k0]
+            np.add(rhs[i, a + 1:b], w[a:b - 1] if s == 1.0 else s * w[a:b - 1],
+                   out=y[i, a + 1:b])
 
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
@@ -410,9 +432,12 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape != (system.n_steps, system.ops.n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match "
                          f"({system.n_steps}, {system.ops.n_t})")
-    u = np.empty(rhs.shape[::-1])
-    scan_rows(system.ops, rhs.T.copy(), u, scan_buffer(system.n_steps), 0, system.n_steps)
-    return u.T.copy()
+    rows = rhs.T.copy()
+    y = np.empty_like(rows)
+    scan_rows(system.ops, rows, y, scan_buffer(system.n_steps), 0, system.n_steps)
+    block_apply(system.ops.step_inv, y, rows, add=False)  # u = S^{-1} y
+    del y  # freed before the copy: two (n_t, n_steps) arrays live at most
+    return rows.T.copy()
 
 
 @functools.lru_cache(maxsize=None)

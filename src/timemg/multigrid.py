@@ -1,6 +1,13 @@
 """Multigrid in time: grid hierarchy, damped block Jacobi smoothing, two-grid
 and V-cycle iterations, and measured convergence factors.
 
+The cycles iterate on the step-scaled unknowns y_n = S u_n, S = stiffness +
+mass of the level: the damped block Jacobi sweep, the residual and the exact
+coarse scan then need no block product, only the rank-one step coupling.
+This is the u-form cycle conjugated by the block-diagonal S, with the same
+residuals and convergence.  The public functions take and return u; they
+convert to y on entry and back on exit.
+
 All block kernels operate on a contiguous slab of steps [a, b) so the same
 code runs serially (one slab covering everything) and inside the worker team.
 Every kernel computes each block with a fixed operation order, which makes the
@@ -31,13 +38,18 @@ from .transfers import build_transfers
 
 @dataclasses.dataclass(frozen=True)
 class Level:
-    """One time grid plus the transfer blocks to the next coarser level."""
+    """One time grid plus the transfer blocks to the next coarser level: the
+    restriction pair (r1, r2), and the prolongation pair in step-scaled
+    unknowns, p_i = S r_i^T S_c^{-1} with S and S_c the step matrices of
+    this level and the coarser one."""
 
     n_steps: int
     tau: float
     ops: LocalOperators
     r1: Optional[np.ndarray] = None
     r2: Optional[np.ndarray] = None
+    p1: Optional[np.ndarray] = None
+    p2: Optional[np.ndarray] = None
 
 
 class TimeHierarchy:
@@ -66,19 +78,20 @@ class TimeHierarchy:
         max_levels = np.inf if n_levels == "max" else int(n_levels)
         if max_levels < 1:
             raise ValueError(f"need at least one level, got {n_levels}")
+        grids = [(n_steps, tau)]
+        n = n_steps
+        while len(grids) < max_levels and n % 2 == 0 and n // 2 >= max(2, coarsest):
+            n = n // 2
+            grids.append((n, 2.0 * grids[-1][1]))
+        ops = [assemble_local(basis, t) for _, t in grids]
         levels = []
-        n, t = n_steps, tau
-        while True:
-            ops = assemble_local(basis, t)
-            can_coarsen = (len(levels) + 1 < max_levels and n % 2 == 0
-                           and n // 2 >= max(2, coarsest))
-            if can_coarsen:
-                r1, r2 = build_transfers(basis, t)
-                levels.append(Level(n, t, ops, r1, r2))
-                n, t = n // 2, 2.0 * t
+        for (n, t), op, coarse in zip(grids, ops, ops[1:] + [None]):
+            if coarse is None:
+                levels.append(Level(n, t, op))
             else:
-                levels.append(Level(n, t, ops))
-                break
+                r1, r2 = build_transfers(basis, t)
+                p1, p2 = (op.step_matrix @ r.T @ coarse.step_inv for r in (r1, r2))
+                levels.append(Level(n, t, op, r1, r2, p1, p2))
         return cls(basis, levels)
 
 
@@ -138,13 +151,13 @@ class SolveStats:
     read-only ``converged`` is ``status == "converged"``.
 
     ``times`` holds worker 0's wall time in seconds per phase: "smoothing"
-    (the sweeps and every g = omega S^{-1} f), "transfer" (residual,
-    restriction and prolongation inside a cycle), "coarse" (the exact
-    coarsest solve, a blocked scan split over the team, and, in a team, the
-    serial tail of V-cycle levels too small to split, which worker 0 runs
-    alone) and "residual" (the residual norms that decide when to stop).
-    The phases leave no gaps: they add up to worker 0's time from the first
-    g to the last residual norm.
+    (the sweeps, every g = omega f, and the change of the iterate to y = S u
+    and back), "transfer" (residual, restriction and prolongation inside a
+    cycle), "coarse" (the exact coarsest solve, a blocked scan split over
+    the team, and, in a team, the serial tail of V-cycle levels too small to
+    split, which worker 0 runs alone) and "residual" (the residual norms that
+    decide when to stop).  The phases leave no gaps: they add up to worker
+    0's time from the change to y to the change back.
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -183,18 +196,19 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # coefficient, so each kernel streams whole rows.  Block products are spelled
 # out as fixed-order ufunc row operations: per step they are bitwise
 # independent of the slab split, and the inner loops release the GIL so the
-# worker threads overlap.  The step coupling is rank one,
-# C = outer(eval_start, eval_end): the residual adds eval_start, and the sweep
-# omega S^{-1} eval_start, times the end value of the previous block.  The
-# only block products left are S u (residual) and g = omega S^{-1} f, made
-# once per right-hand side (sweep).
+# worker threads overlap.  The kernels run on y = S u.  The step coupling is
+# rank one, C = outer(eval_start, eval_end), and C u_prev = eval_start (z .
+# y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
+# sweep (1 - omega) y + omega (f + C u_prev) are row passes plus one dot
+# product per step.  The only block products left are the transfers and the
+# change to y = S u and back, once per solve or public cycle.
 
 
-def _add_coupling(start, end, u, out, a: int, b: int) -> None:
-    """out[:, n - a] += start * (end . u[:, n - 1]) for the steps n >= 1 of
+def _add_coupling(start, end, y, out, a: int, b: int) -> None:
+    """out[:, n - a] += start * (end . y[:, n - 1]) for the steps n >= 1 of
     the slab [a, b); ``out`` holds the slab's b - a columns."""
     lo = max(a, 1)
-    prev, rows = u[:, lo - 1:b - 1], out[:, lo - a:]
+    prev, rows = y[:, lo - 1:b - 1], out[:, lo - a:]
     value = end[0] * prev[0]
     for j in range(1, len(end)):
         value += end[j] * prev[j]
@@ -206,31 +220,31 @@ def _add_coupling(start, end, u, out, a: int, b: int) -> None:
             rows[i] += s * value
 
 
-def _residual_slab(ops: LocalOperators, f, u, out, a: int, b: int) -> None:
-    """out = f - S u + C u_prev on the slab [a, b)."""
-    block_apply(ops.step_matrix, u[:, a:b], out[:, a:b], add=False)
-    np.subtract(f[:, a:b], out[:, a:b], out=out[:, a:b])
-    _add_coupling(ops.eval_start, ops.eval_end, u, out[:, a:b], a, b)
+def _residual_slab(ops: LocalOperators, f, y, out, a: int, b: int) -> None:
+    """out = f - y + eval_start (z . y_prev) = f - S u + C u_prev on the slab
+    [a, b)."""
+    np.subtract(f[:, a:b], y[:, a:b], out=out[:, a:b])
+    _add_coupling(ops.eval_start, ops.end_step_inv, y, out[:, a:b], a, b)
 
 
-def _smoother_rhs_slab(ops: LocalOperators, omega: float, f, g, a: int, b: int) -> None:
-    """g = omega S^{-1} f on the slab [a, b): the part of the sweep that does
-    not depend on the iterate."""
-    block_apply(omega * ops.step_inv, f[:, a:b], g[:, a:b], add=False)
+def _smoother_rhs_slab(omega: float, f, g, a: int, b: int) -> None:
+    """g = omega f on the slab [a, b): the part of the sweep that does not
+    depend on the iterate."""
+    np.multiply(f[:, a:b], omega, out=g[:, a:b])
 
 
-def _sweep_slab(ops: LocalOperators, omega: float, g, u, cur: int, nu: int,
+def _sweep_slab(ops: LocalOperators, omega: float, g, y, cur: int, nu: int,
                 a: int, b: int, barrier) -> int:
-    """``nu`` sweeps dst = (1 - omega) src + omega S^{-1} (f + C src_prev) on
-    the slab [a, b), given g = omega S^{-1} f, from u[cur] alternating between
-    the buffers u[0] and u[1], each followed by a barrier; returns the index of
-    the buffer that holds the result."""
-    q = omega * ops.step_inv_start
+    """``nu`` sweeps dst = (1 - omega) src + omega (f + eval_start (z .
+    src_prev)) on the slab [a, b), given g = omega f, from y[cur] alternating
+    between the buffers y[0] and y[1], each followed by a barrier; returns
+    the index of the buffer that holds the result."""
+    z = omega * ops.end_step_inv
     for _ in range(nu):
-        src, dst = u[cur], u[1 - cur][:, a:b]
+        src, dst = y[cur], y[1 - cur][:, a:b]
         np.multiply(src[:, a:b], 1.0 - omega, out=dst)
         np.add(dst, g[:, a:b], out=dst)
-        _add_coupling(q, ops.eval_end, src, dst, a, b)
+        _add_coupling(ops.eval_start, z, src, dst, a, b)
         cur ^= 1
         barrier.wait()
     return cur
@@ -241,9 +255,9 @@ def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
     block_apply(r2, fine[:, 2 * ca + 1:2 * cb:2], coarse[:, ca:cb], add=True)
 
 
-def _prolong_add_slab(r1, r2, coarse, fine, ca: int, cb: int) -> None:
-    block_apply(r1.T, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
-    block_apply(r2.T, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
+def _prolong_add_slab(p1, p2, coarse, fine, ca: int, cb: int) -> None:
+    block_apply(p1, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
+    block_apply(p2, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
 
 
 def _sqnorm_slab(x, out, a: int, b: int) -> None:
@@ -264,12 +278,14 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
         raise ValueError(f"sweep count must be >= 0, got {nu}")
     shape = np.shape(u)[:1] + (ops.n_t,)
     ut = _block_input("u", u, shape).T.copy()
-    ft = _block_input("f", f, shape).T.copy()
+    g = _block_input("f", f, shape).T.copy()
     n = ut.shape[1]
-    g = np.empty_like(ft)
-    _smoother_rhs_slab(ops, omega, ft, g, 0, n)
-    buf = [ut, np.empty_like(ut)]
-    return buf[_sweep_slab(ops, omega, g, buf, 0, nu, 0, n, NullBarrier())].T.copy()
+    _smoother_rhs_slab(omega, g, g, 0, n)
+    y = [np.empty_like(ut), ut]
+    block_apply(ops.step_matrix, ut, y[0], add=False)
+    cur = _sweep_slab(ops, omega, g, y, 0, nu, 0, n, NullBarrier())
+    block_apply(ops.step_inv, y[cur], y[1 - cur], add=False)
+    return y[1 - cur].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +312,24 @@ def _no_lap(phase: str) -> None:
 
 class _Workspace:
     """Preallocated per-level arrays, each stored as (n_t, n_steps): two
-    smoothing buffers, the rhs f and the sweep's g = omega S^{-1} f, plus the
-    coarsest level's scan buffer.  A residual goes into the smoothing buffer
-    that does not hold the iterate."""
+    smoothing buffers of y = S u, the rhs f and the sweep's g = omega f,
+    plus the coarsest level's scan buffer.  A residual goes into the
+    smoothing buffer that does not hold the iterate.  The coarsest level of
+    a cycle is solved exactly, from f alone into one y buffer."""
 
     def __init__(self, levels: Sequence[Level], depth: int):
         self.levels = list(levels[:depth])
-        self.u = []
+        self.y = []
         self.f = []
         self.g = []
-        for lev in self.levels:
+        for k, lev in enumerate(self.levels):
             shape = (lev.ops.n_t, lev.n_steps)
-            self.u.append([np.zeros(shape), np.zeros(shape)])
+            # the finest level keeps both buffers even as the only level: the
+            # residual and the change back to u go into the free one
+            smoothed = k == 0 or k < len(self.levels) - 1
+            self.y.append([np.zeros(shape) for _ in range(1 + smoothed)])
             self.f.append(np.zeros(shape))
-            self.g.append(np.zeros(shape))
+            self.g.append(np.zeros(shape) if smoothed else None)
         self.sq = np.zeros(self.levels[0].n_steps)
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
@@ -319,32 +339,35 @@ class _Workspace:
 
 def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
            omegas: Sequence[float], slab_of, barrier, wid: int, lap) -> int:
-    """One multigrid cycle at level ``lev``; data enters and leaves in
-    ws.u[lev][returned index].  The caller guarantees the entry buffer is
-    globally complete; every exit path ends on a barrier.  The coarsest level
-    is solved exactly, which consumes its rhs."""
+    """One multigrid cycle at level ``lev`` on y = S u; data enters and
+    leaves in ws.y[lev][returned index].  The caller guarantees the entry
+    buffer is globally complete; every exit path ends on a barrier.  The
+    coarsest level is solved exactly, from its rhs alone."""
     level = ws.levels[lev]
     if lev == len(ws.levels) - 1:
-        scan_rows(level.ops, ws.f[lev], ws.u[lev][0], ws.scan, *slab_of(wid, lev),
+        scan_rows(level.ops, ws.f[lev], ws.y[lev][0], ws.scan, *slab_of(wid, lev),
                   barrier, wid == 0)
         barrier.wait()  # coarse solution complete
         lap("coarse")
         return 0
     omega = omegas[lev]
     a, b = slab_of(wid, lev)
-    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev], cur, nu1, a, b, barrier)
+    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.y[lev], cur, nu1, a, b, barrier)
     lap("smoothing")
 
     # the residual goes into the free smoothing buffer on this worker's slab,
     # which only this worker's restriction reads before post-smoothing
-    _residual_slab(level.ops, ws.f[lev], ws.u[lev][cur], ws.u[lev][1 - cur], a, b)
+    _residual_slab(level.ops, ws.f[lev], ws.y[lev][cur], ws.y[lev][1 - cur], a, b)
     ca, cb = a // 2, b // 2
-    _restrict_slab(level.r1, level.r2, ws.u[lev][1 - cur], ws.f[lev + 1], ca, cb)
-    ws.u[lev + 1][0][:, ca:cb] = 0.0
+    _restrict_slab(level.r1, level.r2, ws.y[lev][1 - cur], ws.f[lev + 1], ca, cb)
+    # the exact coarsest solve reads neither a guess nor g
+    smoothed = ws.g[lev + 1] is not None
+    if smoothed:
+        ws.y[lev + 1][0][:, ca:cb] = 0.0
     lap("transfer")
-    _smoother_rhs_slab(ws.levels[lev + 1].ops, omegas[lev + 1], ws.f[lev + 1],
-                       ws.g[lev + 1], ca, cb)
-    lap("smoothing")
+    if smoothed:
+        _smoother_rhs_slab(omegas[lev + 1], ws.f[lev + 1], ws.g[lev + 1], ca, cb)
+        lap("smoothing")
 
     barrier.wait()  # coarse rhs, g and zero guess complete
     if slab_of(wid, lev + 1) is None:
@@ -353,17 +376,17 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
             sub = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, ws.full_slab,
                          NullBarrier(), 0, _no_lap)
             if sub != 0:
-                ws.u[lev + 1][0][:] = ws.u[lev + 1][sub]
+                ws.y[lev + 1][0][:] = ws.y[lev + 1][sub]
         barrier.wait()  # coarse solution complete
         lap("coarse")
         ccur = 0
     else:
         ccur = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, slab_of, barrier, wid, lap)
 
-    _prolong_add_slab(level.r1, level.r2, ws.u[lev + 1][ccur], ws.u[lev][cur], ca, cb)
+    _prolong_add_slab(level.p1, level.p2, ws.y[lev + 1][ccur], ws.y[lev][cur], ca, cb)
     barrier.wait()
     lap("transfer")
-    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.u[lev], cur, nu2, a, b, barrier)
+    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.y[lev], cur, nu2, a, b, barrier)
     lap("smoothing")
     return cur
 
@@ -382,14 +405,18 @@ def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig, depth: int) -> lis
 def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
                   depth: int) -> np.ndarray:
     ws = _Workspace(hier.levels[level:], depth - level)
-    shape = (ws.levels[0].n_steps, ws.levels[0].ops.n_t)
-    ws.u[0][0][:] = _block_input("u", u, shape).T
+    ops = ws.levels[0].ops
+    shape = (ws.levels[0].n_steps, ops.n_t)
+    y = ws.y[0]
+    y[1][:] = _block_input("u", u, shape).T
     ws.f[0][:] = _block_input("f", f, shape).T
     omegas = _resolve_omegas(hier, config, depth)[level:]
-    _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
+    _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
+    block_apply(ops.step_matrix, y[1], y[0], add=False)
     cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
                  NullBarrier(), 0, _no_lap)
-    return ws.u[0][cur].T.copy()
+    block_apply(ops.step_inv, y[cur], y[1 - cur], add=False)
+    return y[1 - cur].T.copy()
 
 
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
@@ -486,7 +513,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     to machine precision without running any cycle.
     """
     ws = _Workspace(hier.levels, depth)
-    ws.u[0][0][:] = u_init.T
+    ops, y = ws.levels[0].ops, ws.y[0]
+    y[1][:] = u_init.T  # each worker turns its slab into y = S u in y[0]
     ws.f[0][:] = f.T
     omegas = _resolve_omegas(hier, config, depth)
     slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
@@ -498,8 +526,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     def norm_at(wid, cur, lap):
         rows = slab_of(wid, 0)
         # the free smoothing buffer holds the residual, as in _cycle
-        _residual_slab(ws.levels[0].ops, ws.f[0], ws.u[0][cur], ws.u[0][1 - cur], *rows)
-        _sqnorm_slab(ws.u[0][1 - cur], ws.sq, *rows)
+        _residual_slab(ops, ws.f[0], y[cur], y[1 - cur], *rows)
+        _sqnorm_slab(y[1 - cur], ws.sq, *rows)
         barrier.wait()
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
@@ -509,8 +537,11 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
 
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
+        a, b = slab_of(wid, 0)
         # the finest slab is fixed, so each worker reads only the g it made
-        _smoother_rhs_slab(ws.levels[0].ops, omegas[0], ws.f[0], ws.g[0], *slab_of(wid, 0))
+        _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], a, b)
+        block_apply(ops.step_matrix, y[1][:, a:b], y[0][:, a:b], add=False)
+        barrier.wait()  # y complete: the residual reads the previous slab's last step
         lap("smoothing")
         cur = 0
         r0 = norm_at(wid, cur, lap)
@@ -527,8 +558,11 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
             iters += 1
             if wid == 0:
                 shared["norms"].append(rk)
+        # back to u = S^{-1} y, into the free buffer: the residual is spent
+        block_apply(ops.step_inv, y[cur][:, a:b], y[1 - cur][:, a:b], add=False)
+        lap("smoothing")
         if wid == 0:
-            shared["cur"] = cur
+            shared["cur"] = 1 - cur
             shared["iters"] = iters
 
     run_team(workers, body, barrier)
@@ -540,7 +574,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
                        seed=config.seed, workers=config.workers, status=status)
-    return ws.u[0][shared["cur"]].T.copy(), stats
+    return y[shared["cur"]].T.copy(), stats
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:

@@ -86,6 +86,20 @@ class TestHierarchy:
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=2)
         assert len(hier) == 2
 
+    @pytest.mark.parametrize("rule", NODE_RULES)
+    @pytest.mark.parametrize("p_t", range(4))
+    def test_prolongation_in_step_scaled_unknowns(self, p_t, rule):
+        # the cycle prolongates y = S u: blockdiag(S_f) P blockdiag(S_c^{-1})
+        n = 8
+        hier = TimeHierarchy.build(BasisSpec(p_t, rule), 0.3, n, n_levels=2, coarsest=2)
+        fine, coarse = hier.levels
+        want = (np.kron(np.eye(n), fine.ops.step_matrix)
+                @ dense_prolongation(fine.r1, fine.r2, n)
+                @ np.kron(np.eye(n // 2), np.linalg.inv(coarse.ops.step_matrix)))
+        got = dense_prolongation(fine.p1.T, fine.p2.T, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert coarse.p1 is None and coarse.p2 is None
+
     def test_coarsest_at_least_two(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, coarsest=2)
         assert hier.levels[-1].n_steps >= 2
@@ -328,6 +342,22 @@ class TestSolve:
             eps=1e-10, workers=workers, min_slab=256, levels="max"))
         assert stats.converged and stats.iterations == base_stats.iterations
         assert got.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("levels", [2, "max"])
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_reported_residual_is_that_of_returned_u(self, p_t, levels, workers):
+        # the cycle measures the residual of y = S u; the returned u = S^{-1} y
+        # must have that residual, up to the rounding of the change back
+        basis = BasisSpec(p_t)
+        tau, n = 1e-2, 1 << 10
+        hier = TimeHierarchy.build(basis, tau, n)
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        u, stats = solve(hier, rhs, config=CycleConfig(
+            eps=1e-8, levels=levels, workers=workers, min_slab=64))
+        want = np.linalg.norm(rhs - apply_global(GlobalSystem(hier.finest.ops, n), u))
+        assert stats.converged and stats.iterations > 0
+        assert abs(stats.residual_norms[-1] - want) <= 1e-12 * stats.residual_norms[0]
 
     def test_single_level_reports_measured_residual(self):
         basis = BasisSpec(1)

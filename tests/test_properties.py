@@ -12,7 +12,7 @@ from oracles import forward_substitution
 from timemg import multigrid
 from timemg.dense import dense_system
 from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       forward_solve, rhs_moments)
+                       block_apply, forward_solve, rhs_moments)
 from timemg.multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
 from timemg.parallel import NullBarrier
 
@@ -88,18 +88,20 @@ def test_solve_bitwise_invariant_over_workers(p_t, rule, tau, n, workers, min_sl
        st.sampled_from((16, 64)))
 def test_in_cycle_coarse_solve_is_forward_solve(p_t, rule, tau, n, workers, min_slab):
     # record each coarsest-level solve of a two-grid solve, split over the
-    # team when the finest level is, and replay it through forward_solve
+    # team when the finest level is, and replay it through forward_solve;
+    # the cycle's scan returns y = S u, which forward_solve turns into u
+    # with one S^{-1} block product
     basis, _, rhs = _problem(p_t, rule, tau, n)
     hier = TimeHierarchy.build(basis, tau, n)
     coarse = hier.levels[1]
     scan_rows, solves = multigrid.scan_rows, []
 
-    def recording(ops, f, u, work, a, b, barrier=NullBarrier(), lead=True):
+    def recording(ops, f, y, work, a, b, barrier=NullBarrier(), lead=True):
         f_in = f.copy() if lead else None  # complete: the cycle waits before the solve
-        scan_rows(ops, f, u, work, a, b, barrier, lead)
+        scan_rows(ops, f, y, work, a, b, barrier, lead)
         barrier.wait()
         if lead:
-            solves.append((f_in, u.copy()))
+            solves.append((f_in, y.copy()))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigrid, "scan_rows", recording)
@@ -107,5 +109,7 @@ def test_in_cycle_coarse_solve_is_forward_solve(p_t, rule, tau, n, workers, min_
               CycleConfig(eps=1e-8, workers=workers, min_slab=min_slab, max_iters=3))
     assert solves
     system = GlobalSystem(coarse.ops, coarse.n_steps)
-    for f_in, u in solves:
+    for f_in, y in solves:
+        u = np.empty_like(y)
+        block_apply(coarse.ops.step_inv, y, u, add=False)
         assert forward_solve(system, f_in.T).tobytes() == u.T.copy().tobytes()
