@@ -313,13 +313,10 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
 
 def scan_block(n_steps: int) -> int:
     """Steps per block of the exact solve's scan: the smallest power of two
-    not below sqrt(n_steps) / 4.  The in-block recurrence makes one numpy
-    call per block column, each over all of a worker's blocks, and such
-    small calls barely overlap between worker threads; the carry across the
-    blocks takes only log2(n_blocks) array passes.  So blocks shorter than
-    sqrt(n_steps) pay: with sqrt(n_steps) / 4 steps per block a scan of 2^19
-    steps over 2 workers measured about a quarter faster than with
-    sqrt(n_steps), and one of 2^16 steps no slower on 1 or 2 workers.  The
+    not below sqrt(n_steps) / 4.  The in-block sweeps take log2(block)
+    passes and the lead worker's carry log2(n_blocks) passes; for blocks
+    from sqrt(n_steps) / 4 to sqrt(n_steps) steps the scan measured the same
+    within the host's noise (2^16 and 2^19 steps, 1 and 2 workers).  The
     size depends on n_steps alone, so each block's arithmetic, and hence
     every bit of the solution, is the same however the blocks are grouped
     over workers."""
@@ -355,24 +352,29 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     ``y`` out, ``work`` from :func:`scan_buffer` and shared by the team.
 
     The end values w_n = eval_end . u_n = z . y_n, z = eval_end S^{-1}
-    (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} +
-    z . rhs_n with R = eval_end . S^{-1} eval_start, and then y_n = rhs_n +
-    eval_start w_{n-1}; no block product is needed (u_n = S^{-1} y_n is left
-    to the caller).  The steps form blocks of :func:`scan_block` steps.  Each
-    worker reduces its blocks to their end values from a zero start by
-    pairwise combination; between two barriers the ``lead`` worker carries
-    the end values across the blocks by an inclusive scan over doubling
-    spans; then each worker runs the recurrence through its blocks from
-    their carries and forms y.  ``a`` lies on a block boundary and ``b`` on
-    one or at n_steps (a >= b is an empty share); every worker of the team
-    calls this once with its own range and the same ``barrier``.
+    (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} + b_n
+    with b_n = z . rhs_n and R = eval_end . S^{-1} eval_start, and then
+    y_n = rhs_n + eval_start w_{n-1}; no block product is needed (u_n =
+    S^{-1} y_n is left to the caller).  The steps form blocks of
+    :func:`scan_block` steps.  Each worker sums the recurrence over its
+    blocks from a zero start, in place by pairwise combination over
+    doubling spans; between two barriers the ``lead`` worker carries the
+    block ends across the blocks by an inclusive scan over doubling spans;
+    then each worker completes its in-block sums by the reverse sweep over
+    the spans, adds each block's carry c as c R^(j+1) at its step j, and
+    forms y.  Every pass is one numpy call over all of a worker's blocks,
+    about 4 log2(block) in all, so the worker threads overlap.  ``a`` lies
+    on a block boundary and ``b`` on one or at n_steps (a >= b is an empty
+    share); every worker of the team calls this once with its own range and
+    the same ``barrier``.
 
-    The carries and the in-block recurrence run in ``np.longdouble``, and
-    the powers of R used in double precision are rounded from it.  In double
-    precision throughout, a block's run drifts from its carried end value by
-    rounding that grows with the block length, and the relative residual
-    reached 3-12x the per-step loop's (p_t 0-5, both node rules, tau 1e-6 to
-    1e6, 2^17 steps); in this form it stays within 2x.
+    The in-block sums run in double, by a tree of log2(block) levels, and
+    the carries, the powers of R and the sum of the two in ``np.longdouble``,
+    so y is rounded once.  A per-step run in double through each block
+    drifts from its carried end value by rounding that grows with the block
+    length: the relative residual reached 3-12x the per-step loop's (p_t
+    0-5, both node rules, tau 1e-6 to 1e6, 2^17 steps); in this form it
+    stays within 1.7x.
     """
     n_t, n = y.shape
     block = scan_block(n)
@@ -383,33 +385,37 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     r = ops.eval_end.astype(work.dtype) @ ops.step_inv_start.astype(work.dtype)
     k0, k1 = a // block, -(-b // block)
     mine = blocks[k0:k1]
+    spans, span, r_span = [], 1, r  # (span, R^span) for span = 1, 2, 4, ...
+    while span < block:
+        spans.append((span, float(r_span)))
+        span, r_span = 2 * span, r_span * r_span
     if a < b:
-        # z . rhs_n; the partial last block is padded with zeros
-        ends = np.zeros((k1 - k0, block))
-        flat = ends.reshape(-1)[:b - a]
+        # b_n; the partial last block is padded with zeros
+        sums = np.zeros((k1 - k0, block))
+        flat = sums.reshape(-1)[:b - a]
         np.multiply(rhs[0, a:b], z[0], out=flat)
         for j in range(1, n_t):
             flat += z[j] * rhs[j, a:b]
-        mine[:] = ends
-        r_span = r
-        while ends.shape[1] > 1:
-            ends = float(r_span) * ends[:, 0::2] + ends[:, 1::2]
-            r_span *= r_span
-        carry[k0 + 1:k1 + 1] = ends[:, 0]
+        # the step ending each pair of spans gets the pair's sum
+        for span, r_s in spans:
+            sums[:, 2 * span - 1::2 * span] += r_s * sums[:, span - 1::2 * span]
+        carry[k0 + 1:k1 + 1] = sums[:, -1]
     barrier.wait()  # every block's end value from a zero start
     if lead:
-        # carry[k] += r^block carry[k - 1], as an inclusive scan over
-        # doubling spans: log2(n_blocks) array passes
-        span, r_span = 1, r ** block
+        # carry[k] += R^block carry[k - 1], by doubling spans (r_span is
+        # R^block here)
+        span = 1
         while span < len(carry):
             carry[span:] += r_span * carry[:-span]
             span, r_span = 2 * span, r_span * r_span
     barrier.wait()  # carries complete
     if a < b:
-        prev = carry[k0:k1]
-        for j in range(block - 1):
-            mine[:, j] += r * prev
-            prev = mine[:, j]
+        # the step ending the left span of each pair but the block's first
+        # gets R^span times the completed sum up to the pair's start
+        for span, r_s in reversed(spans):
+            sums[:, 3 * span - 1::2 * span] += r_s * sums[:, 2 * span - 1:block - span:2 * span]
+        np.multiply(carry[k0:k1, None], np.cumprod(np.full(block, r)), out=mine)
+        mine += sums
         # a block's last end value is the next block's carry, so every step
         # reads the same w_{n-1} whichever worker holds the previous block
         mine[:, -1] = carry[k0 + 1:k1 + 1]
