@@ -24,7 +24,7 @@ def step_shift_matrix(n_steps: int, periodic: bool) -> np.ndarray:
 
 def dense_system(ops: LocalOperators, n_steps: int, periodic: bool = False) -> np.ndarray:
     return np.kron(np.eye(n_steps), ops.step_matrix) \
-        + np.kron(step_shift_matrix(n_steps, periodic), ops.coupling)
+        + np.kron(step_shift_matrix(n_steps, periodic), np.outer(ops.eval_start, ops.eval_end))
 
 
 def dense_smoother(ops: LocalOperators, n_steps: int, omega: float,
@@ -47,14 +47,9 @@ def dense_restriction(r1: np.ndarray, r2: np.ndarray, n_fine: int) -> np.ndarray
 
 
 def dense_prolongation(r1: np.ndarray, r2: np.ndarray, n_fine: int) -> np.ndarray:
-    """Block prolongation: coarse block m feeds fine blocks 2m and 2m+1."""
-    n_t = r1.shape[0]
-    n_coarse = n_fine // 2
-    out = np.zeros((n_fine * n_t, n_coarse * n_t))
-    for m in range(n_coarse):
-        out[2 * m * n_t:(2 * m + 1) * n_t, m * n_t:(m + 1) * n_t] = r1.T
-        out[(2 * m + 1) * n_t:(2 * m + 2) * n_t, m * n_t:(m + 1) * n_t] = r2.T
-    return out
+    """Block prolongation, the transpose of the restriction: coarse block m
+    feeds fine blocks 2m and 2m+1."""
+    return dense_restriction(r1, r2, n_fine).T
 
 
 def dense_twogrid(ops_fine: LocalOperators, ops_coarse: LocalOperators,

@@ -3,8 +3,10 @@ u'(t) + u(t) = f(t).
 
 The solution is a piecewise polynomial of degree ``p_t`` in time, discontinuous
 at the step boundaries, with continuity enforced weakly through the upwind
-value of the previous step.  Each step couples to its predecessor through the
-rank-one matrix ``outer(eval_start, eval_end)``, so the global system is block
+value of the previous step.  The basis is the Lagrange basis at the left
+Radau points, whose start values are ``eval_start = e_0``, so each step couples
+to its predecessor through the rank-one matrix ``outer(e_0, eval_end)``: the
+previous step's end value enters the first row.  The global system is block
 lower bidiagonal and its exact solve reduces to a scalar affine recurrence for
 the end values, which :func:`forward_solve` evaluates as a blocked scan.
 """
@@ -20,8 +22,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .parallel import NullBarrier
-
-NODE_RULES = ("radau_lagrange", "scaled_legendre")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,21 +60,16 @@ def radau_rule(s: int) -> RadauRule:
 
 @dataclasses.dataclass(frozen=True)
 class BasisSpec:
-    """Polynomial basis of degree p_t on the reference step [0, 1].
-
-    ``radau_lagrange`` is the Lagrange basis at the p_t + 1 left Radau points
-    (makes the step coupling and endpoint evaluation sparse); the alternative
-    ``scaled_legendre`` uses Legendre polynomials mapped to [0, 1].
-    """
+    """Lagrange basis of degree p_t at the p_t + 1 left Radau points of the
+    reference step [0, 1].  The first point is 0, so the basis values at the
+    start of a step are ``eval_start = e_0`` and the step coupling is
+    ``outer(e_0, eval_end)``."""
 
     p_t: int
-    node_rule: str = "radau_lagrange"
 
     def __post_init__(self):
         if self.p_t < 0:
             raise ValueError(f"polynomial degree must be >= 0, got {self.p_t}")
-        if self.node_rule not in NODE_RULES:
-            raise ValueError(f"unknown node_rule {self.node_rule!r}, expected one of {NODE_RULES}")
 
     @property
     def n_t(self) -> int:
@@ -82,62 +77,42 @@ class BasisSpec:
         return self.p_t + 1
 
 
-def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values of the Lagrange basis on ``nodes`` at points ``x``, shape (s, nx)."""
-    s = len(nodes)
-    out = np.ones((s, len(x)))
-    for k in range(s):
-        for j in range(s):
-            if j != k:
-                out[k] *= (x - nodes[j]) / (nodes[k] - nodes[j])
-    return out
-
-
-def _lagrange_deriv(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Derivatives of the Lagrange basis on ``nodes`` at ``x``, shape (s, nx)."""
-    s = len(nodes)
-    out = np.zeros((s, len(x)))
-    for k in range(s):
-        for i in range(s):
-            if i == k:
-                continue
-            term = np.full(len(x), 1.0 / (nodes[k] - nodes[i]))
-            for j in range(s):
-                if j != k and j != i:
-                    term *= (x - nodes[j]) / (nodes[k] - nodes[j])
-            out[k] += term
-    return out
-
-
 def basis_values(basis: BasisSpec, x) -> np.ndarray:
     """Evaluate all basis functions at reference points x in [0, 1]; shape (n_t, nx)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if basis.node_rule == "radau_lagrange":
-        return _lagrange_eval(radau_rule(basis.n_t).c, x)
-    # shifted Legendre P_k(2x - 1)
-    out = np.empty((basis.n_t, len(x)))
+    nodes = radau_rule(basis.n_t).c
+    out = np.ones((basis.n_t, len(x)))
     for k in range(basis.n_t):
-        out[k] = np.polynomial.legendre.Legendre.basis(k)(2.0 * x - 1.0)
+        for j in range(basis.n_t):
+            if j != k:
+                out[k] *= (x - nodes[j]) / (nodes[k] - nodes[j])
     return out
 
 
 def basis_derivatives(basis: BasisSpec, x) -> np.ndarray:
     """Evaluate all basis derivatives at reference points x in [0, 1]; shape (n_t, nx)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if basis.node_rule == "radau_lagrange":
-        return _lagrange_deriv(radau_rule(basis.n_t).c, x)
-    out = np.empty((basis.n_t, len(x)))
+    nodes = radau_rule(basis.n_t).c
+    out = np.zeros((basis.n_t, len(x)))
     for k in range(basis.n_t):
-        out[k] = np.polynomial.legendre.Legendre.basis(k).deriv()(2.0 * x - 1.0) * 2.0
+        for i in range(basis.n_t):
+            if i == k:
+                continue
+            term = np.full(len(x), 1.0 / (nodes[k] - nodes[i]))
+            for j in range(basis.n_t):
+                if j != k and j != i:
+                    term *= (x - nodes[j]) / (nodes[k] - nodes[j])
+            out[k] += term
     return out
 
 
 class LocalOperators:
     """Per-step matrices of the DG scheme for one (basis, tau) pair.
 
-    As built by :func:`assemble_local`, ``stiffness``, ``coupling``,
-    ``eval_start`` and ``eval_end`` are the basis's shared read-only
-    :class:`ReferenceTables`; the other arrays belong to this step size.
+    As built by :func:`assemble_local`, ``stiffness``, ``eval_start`` and
+    ``eval_end`` are the basis's shared read-only :class:`ReferenceTables`;
+    the other arrays belong to this step size.  The rank-one step coupling
+    ``outer(eval_start, eval_end)`` is not stored.
 
     The exact scan and the multigrid cycle run on the step-scaled unknowns
     y_n = S u_n, S = ``step_matrix``: a step's end value is then
@@ -150,9 +125,6 @@ class LocalOperators:
         Weak time derivative plus outflow term; independent of tau.
     mass : ndarray
         L2 mass matrix on the step, scales linearly with tau.
-    coupling : ndarray
-        Rank-one coupling to the previous step (outer product of the start
-        values with the end values of the basis).
     step_matrix : ndarray
         stiffness + mass, the block solved once per step.
     eval_start, eval_end : ndarray
@@ -161,11 +133,10 @@ class LocalOperators:
         Inverse of ``step_matrix``, computed once at assembly.
     """
 
-    def __init__(self, basis: BasisSpec, stiffness, mass, coupling, eval_start, eval_end):
+    def __init__(self, basis: BasisSpec, stiffness, mass, eval_start, eval_end):
         self.n_t = basis.n_t
         self.stiffness = stiffness
         self.mass = mass
-        self.coupling = coupling
         self.eval_start = eval_start
         self.eval_end = eval_end
         self.step_matrix = stiffness + mass
@@ -173,7 +144,7 @@ class LocalOperators:
 
     @functools.cached_property
     def step_inv_start(self) -> np.ndarray:
-        """step_inv @ eval_start, the coupling column of step_inv_coupling;
+        """step_inv @ eval_start, the coupling column of the smoother symbol;
         eval_end @ step_inv_start is the scan's end-value factor R(-tau)."""
         return self.step_inv @ self.eval_start
 
@@ -182,12 +153,6 @@ class LocalOperators:
         """eval_end @ step_inv: the end value eval_end . u of a step, read
         from its step-scaled unknowns y = step_matrix u."""
         return self.eval_end @ self.step_inv
-
-    @functools.cached_property
-    def step_inv_coupling(self) -> np.ndarray:
-        """step_inv @ coupling as the outer product step_inv_start x
-        eval_end, the local smoother building block."""
-        return np.outer(self.step_inv_start, self.eval_end)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,9 +173,9 @@ class ReferenceTables:
         ``phi`` times the Gauss weights on [0, 1]: ``tau * phi_w @ phi.T`` is
         the mass matrix of a step of size tau.
     eval_start, eval_end : ndarray
-        Basis values at the left/right endpoint of the step.
-    stiffness, coupling : ndarray
-        The tau-independent blocks of :class:`LocalOperators`.
+        Basis values at the left/right endpoint of the step; eval_start = e_0.
+    stiffness : ndarray
+        The tau-independent block of :class:`LocalOperators`.
     """
 
     xg: np.ndarray
@@ -219,7 +184,6 @@ class ReferenceTables:
     eval_start: np.ndarray
     eval_end: np.ndarray
     stiffness: np.ndarray
-    coupling: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,8 +198,7 @@ def reference_tables(basis: BasisSpec) -> ReferenceTables:
     eval_end = basis_values(basis, np.array([1.0]))[:, 0]
     tables = ReferenceTables(
         xg=xg, phi=phi, phi_w=phi * wg, eval_start=eval_start, eval_end=eval_end,
-        stiffness=-(dphi * wg) @ phi.T + np.outer(eval_end, eval_end),
-        coupling=np.outer(eval_start, eval_end))
+        stiffness=-(dphi * wg) @ phi.T + np.outer(eval_end, eval_end))
     for field in dataclasses.fields(tables):
         getattr(tables, field.name).flags.writeable = False
     return tables
@@ -257,8 +220,7 @@ def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
     check_step_size(tau)
     ref = reference_tables(basis)
     mass = tau * ref.phi_w @ ref.phi.T
-    return LocalOperators(basis, ref.stiffness, mass, ref.coupling,
-                          ref.eval_start, ref.eval_end)
+    return LocalOperators(basis, ref.stiffness, mass, ref.eval_start, ref.eval_end)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,23 +244,25 @@ def apply_global(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"block vector shape {u.shape} does not match "
                          f"({system.n_steps}, {system.ops.n_t})")
     out = np.einsum("ij,nj->ni", system.ops.step_matrix, u)
-    out[1:] -= np.einsum("ij,nj->ni", system.ops.coupling, u[:-1])
+    # the coupling outer(e_0, eval_end) feeds the previous end value to row 0
+    out[1:, 0] -= np.einsum("j,nj->n", system.ops.eval_end, u[:-1])
     return out
 
 
 def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
-                u0: float = 0.0, t0: float = 0.0) -> np.ndarray:
-    """Moments of the right-hand side f against the basis, one row per step.
+                u0: float = 0.0) -> np.ndarray:
+    """Moments of the right-hand side f against the basis, one row per step,
+    on steps starting at t = 0.
 
     The integrals are approximated with the left Radau rule of order 2 p_t + 1,
     which makes the scheme coincide with the (p_t+1)-stage RADAU IA method.
-    The initial value enters the first block as coupling @ (start value), i.e.
-    ``u0 * eval_start`` is added to row 0.
+    The initial value enters the first block through the step coupling, as
+    ``u0 * eval_start = u0 e_0``: ``u0`` is added to entry (0, 0).
     """
     rule = radau_rule(basis.n_t)
     phi_nodes = basis_values(basis, rule.c)          # (n_t, s)
     weights = tau * phi_nodes * rule.b               # (n_t, s)
-    times = t0 + (np.arange(n_steps)[:, None] + rule.c[None, :]) * tau
+    times = (np.arange(n_steps)[:, None] + rule.c[None, :]) * tau
     try:
         fvals = np.asarray(f(times), dtype=float)
         if fvals.shape != times.shape:
@@ -306,9 +270,20 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
     except TypeError:
         fvals = np.vectorize(f)(times)
     rhs = fvals @ weights.T
-    if u0 != 0.0:
-        rhs[0] += u0 * basis_values(basis, np.array([0.0]))[:, 0]
+    if u0 != 0.0:  # adding 0.0 would turn a -0.0 entry into +0.0
+        rhs[0, 0] += u0
     return rhs
+
+
+def block_input(name: str, x, shape: tuple) -> np.ndarray:
+    """``x`` as a C-ordered float block vector of exactly ``shape`` with finite
+    entries, else ``ValueError``."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has non-finite entries")
+    return x
 
 
 def scan_block(n_steps: int) -> int:
@@ -354,8 +329,9 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     The end values w_n = eval_end . u_n = z . y_n, z = eval_end S^{-1}
     (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} + b_n
     with b_n = z . rhs_n and R = eval_end . S^{-1} eval_start, and then
-    y_n = rhs_n + eval_start w_{n-1}; no block product is needed (u_n =
-    S^{-1} y_n is left to the caller).  The steps form blocks of
+    y_n = rhs_n + eval_start w_{n-1}: with eval_start = e_0, rows 1.. of y
+    are those of rhs and w_{n-1} is added to row 0.  No block product is
+    needed (u_n = S^{-1} y_n is left to the caller).  The steps form blocks of
     :func:`scan_block` steps.  Each worker sums the recurrence over its
     blocks from a zero start, in place by pairwise combination over
     doubling spans; between two barriers the ``lead`` worker carries the
@@ -373,8 +349,7 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     so y is rounded once.  A per-step run in double through each block
     drifts from its carried end value by rounding that grows with the block
     length: the relative residual reached 3-12x the per-step loop's (p_t
-    0-5, both node rules, tau 1e-6 to 1e6, 2^17 steps); in this form it
-    stays within 1.7x.
+    0-5, tau 1e-6 to 1e6, 2^17 steps); in this form it stays within 1.7x.
     """
     n_t, n = y.shape
     block = scan_block(n)
@@ -419,25 +394,19 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
         # a block's last end value is the next block's carry, so every step
         # reads the same w_{n-1} whichever worker holds the previous block
         mine[:, -1] = carry[k0 + 1:k1 + 1]
-        for i, s in enumerate(ops.eval_start):
-            if s == 0.0:
-                y[i, a:b] = rhs[i, a:b]
-                continue
-            y[i, a] = rhs[i, a] + s * carry[k0]
-            np.add(rhs[i, a + 1:b], w[a:b - 1] if s == 1.0 else s * w[a:b - 1],
-                   out=y[i, a + 1:b])
+        y[1:, a:b] = rhs[1:, a:b]
+        y[0, a] = rhs[0, a] + carry[k0]
+        np.add(rhs[0, a + 1:b], w[a:b - 1], out=y[0, a + 1:b])
 
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the system exactly with the blocked scan of :func:`scan_rows`:
     O(n_steps) work in O(sqrt(n_steps)) array passes.
 
-    ``rhs`` is read as a C-ordered float array and the result is C-ordered,
-    so the rounding does not depend on the input's memory layout."""
-    rhs = np.ascontiguousarray(rhs, dtype=float)
-    if rhs.shape != (system.n_steps, system.ops.n_t):
-        raise ValueError(f"rhs shape {rhs.shape} does not match "
-                         f"({system.n_steps}, {system.ops.n_t})")
+    ``rhs`` must be finite and shaped (n_steps, n_t), else ``ValueError``.
+    It is read as a C-ordered float array and the result is C-ordered, so
+    the rounding does not depend on the input's memory layout."""
+    rhs = block_input("rhs", rhs, (system.n_steps, system.ops.n_t))
     rows = rhs.T.copy()
     y = np.empty_like(rows)
     scan_rows(system.ops, rows, y, scan_buffer(system.n_steps), 0, system.n_steps)
@@ -446,22 +415,18 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     return rows.T.copy()
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_ops(basis: BasisSpec) -> LocalOperators:
-    return assemble_local(basis, 1.0)
-
-
 def stability_function(basis: BasisSpec, z: complex) -> complex:
     """One-step amplification factor R(z) of the scheme on u' = z u.
 
-    Evaluated from the assembled matrices with the step normalized to 1:
-    R(z) = eval_end @ (stiffness - z mass)^{-1} @ eval_start, the single
-    nonzero eigenvalue of (stiffness - z mass)^{-1} coupling.  R equals the
-    (p_t, p_t+1) subdiagonal Pade approximant of exp(z); raises
+    Evaluated from the basis's reference tables with the step normalized to
+    1, mass = phi_w @ phi.T: R(z) = eval_end @ (stiffness - z mass)^{-1} @
+    eval_start, the single nonzero eigenvalue of (stiffness - z mass)^{-1}
+    outer(eval_start, eval_end).  R equals the (p_t, p_t+1) subdiagonal Pade
+    approximant of exp(z); raises
     ``numpy.linalg.LinAlgError`` when z hits one of its poles.
     """
-    ops = _unit_ops(basis)
-    a = ops.stiffness - z * ops.mass
-    x = np.linalg.solve(a, ops.eval_start.astype(complex))
-    return complex(ops.eval_end @ x)
+    ref = reference_tables(basis)
+    a = ref.stiffness - z * (ref.phi_w @ ref.phi.T)
+    x = np.linalg.solve(a, ref.eval_start.astype(complex))
+    return complex(ref.eval_end @ x)
 

@@ -100,16 +100,19 @@ def _phase(theta, sign: int) -> np.ndarray:
 
 
 def symbol_system(ops: LocalOperators, theta) -> np.ndarray:
-    """Symbol of the periodic block operator: step_matrix - e^{-i theta} coupling.
+    """Symbol of the periodic block operator: step_matrix - e^{-i theta} C with
+    the step coupling C = outer(eval_start, eval_end).
 
     ``theta`` is a frequency or an array of them; the result stacks one
     n_t x n_t block per frequency, shape ``theta.shape + (n_t, n_t)``.
     """
-    return ops.step_matrix - _phase(theta, -1) * ops.coupling
+    coupling = np.outer(ops.eval_start, ops.eval_end)
+    return ops.step_matrix - _phase(theta, -1) * coupling
 
 
 def symbol_smoother(ops: LocalOperators, theta, omega: float, nu: int = 1) -> np.ndarray:
-    """nu-th power of the local damped Jacobi iteration matrix at frequency theta.
+    """nu-th power of the local damped Jacobi iteration matrix at frequency
+    theta, (1 - omega) I + e^{-i theta} omega step_inv C.
 
     ``theta`` may be an array; the result then stacks one n_t x n_t block per
     frequency, shape ``theta.shape + (n_t, n_t)``.
@@ -117,7 +120,7 @@ def symbol_smoother(ops: LocalOperators, theta, omega: float, nu: int = 1) -> np
     if nu < 0:
         raise ValueError(f"smoothing count must be >= 0, got {nu}")
     s = (1.0 - omega) * np.eye(ops.n_t, dtype=complex) \
-        + _phase(theta, -1) * omega * ops.step_inv_coupling
+        + _phase(theta, -1) * omega * np.outer(ops.step_inv_start, ops.eval_end)
     return np.linalg.matrix_power(s, nu)
 
 

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
-                 check_step_size, forward_solve, scan_block, scan_buffer, scan_rows)
+                 block_input, check_step_size, forward_solve, scan_block, scan_buffer,
+                 scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 from .transfers import build_transfers
@@ -157,7 +158,9 @@ class SolveStats:
     the team, and, in a team, the serial tail of V-cycle levels too small to
     split, which worker 0 runs alone) and "residual" (the residual norms that
     decide when to stop).  The phases leave no gaps: they add up to worker
-    0's time from the change to y to the change back.
+    0's time from the change to y to the change back.  ``workers`` is the
+    size of the team that ran: ``config.workers``, or 1 when the finest
+    level is too small to split (see ``CycleConfig.min_slab``).
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -197,34 +200,29 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # out as fixed-order ufunc row operations: per step they are bitwise
 # independent of the slab split, and the inner loops release the GIL so the
 # worker threads overlap.  The kernels run on y = S u.  The step coupling is
-# rank one, C = outer(eval_start, eval_end), and C u_prev = eval_start (z .
-# y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
-# sweep (1 - omega) y + omega (f + C u_prev) are row passes plus one dot
-# product per step.  The only block products left are the transfers and the
+# rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z . y_prev) with
+# z = eval_end S^{-1}: the residual f - y + C u_prev and the sweep
+# (1 - omega) y + omega (f + C u_prev) are row passes plus one dot product
+# per step, added to row 0.  The only block products left are the transfers and the
 # change to y = S u and back, once per solve or public cycle.
 
 
-def _add_coupling(start, end, y, out, a: int, b: int) -> None:
-    """out[:, n - a] += start * (end . y[:, n - 1]) for the steps n >= 1 of
-    the slab [a, b); ``out`` holds the slab's b - a columns."""
+def _add_coupling(end, y, out, a: int, b: int) -> None:
+    """out[0, n - a] += end . y[:, n - 1] for the steps n >= 1 of the slab
+    [a, b), the coupling e_0 (end . y_prev); ``out`` holds the slab's b - a
+    columns."""
     lo = max(a, 1)
-    prev, rows = y[:, lo - 1:b - 1], out[:, lo - a:]
+    prev = y[:, lo - 1:b - 1]
     value = end[0] * prev[0]
     for j in range(1, len(end)):
         value += end[j] * prev[j]
-    # the default basis has eval_start = e_0: skip zeros, add ones unscaled
-    for i, s in enumerate(start):
-        if s == 1.0:
-            rows[i] += value
-        elif s != 0.0:
-            rows[i] += s * value
+    out[0, lo - a:] += value
 
 
 def _residual_slab(ops: LocalOperators, f, y, out, a: int, b: int) -> None:
-    """out = f - y + eval_start (z . y_prev) = f - S u + C u_prev on the slab
-    [a, b)."""
+    """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on the slab [a, b)."""
     np.subtract(f[:, a:b], y[:, a:b], out=out[:, a:b])
-    _add_coupling(ops.eval_start, ops.end_step_inv, y, out[:, a:b], a, b)
+    _add_coupling(ops.end_step_inv, y, out[:, a:b], a, b)
 
 
 def _smoother_rhs_slab(omega: float, f, g, a: int, b: int) -> None:
@@ -235,8 +233,8 @@ def _smoother_rhs_slab(omega: float, f, g, a: int, b: int) -> None:
 
 def _sweep_slab(ops: LocalOperators, omega: float, g, y, cur: int, nu: int,
                 a: int, b: int, barrier) -> int:
-    """``nu`` sweeps dst = (1 - omega) src + omega (f + eval_start (z .
-    src_prev)) on the slab [a, b), given g = omega f, from y[cur] alternating
+    """``nu`` sweeps dst = (1 - omega) src + omega (f + e_0 (z . src_prev))
+    on the slab [a, b), given g = omega f, from y[cur] alternating
     between the buffers y[0] and y[1], each followed by a barrier; returns
     the index of the buffer that holds the result."""
     z = omega * ops.end_step_inv
@@ -244,7 +242,7 @@ def _sweep_slab(ops: LocalOperators, omega: float, g, y, cur: int, nu: int,
         src, dst = y[cur], y[1 - cur][:, a:b]
         np.multiply(src[:, a:b], 1.0 - omega, out=dst)
         np.add(dst, g[:, a:b], out=dst)
-        _add_coupling(ops.eval_start, z, src, dst, a, b)
+        _add_coupling(z, src, dst, a, b)
         cur ^= 1
         barrier.wait()
     return cur
@@ -277,8 +275,8 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     if nu < 0:
         raise ValueError(f"sweep count must be >= 0, got {nu}")
     shape = np.shape(u)[:1] + (ops.n_t,)
-    ut = _block_input("u", u, shape).T.copy()
-    g = _block_input("f", f, shape).T.copy()
+    ut = block_input("u", u, shape).T.copy()
+    g = block_input("f", f, shape).T.copy()
     n = ut.shape[1]
     _smoother_rhs_slab(omega, g, g, 0, n)
     y = [np.empty_like(ut), ut]
@@ -408,8 +406,8 @@ def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
     ops = ws.levels[0].ops
     shape = (ws.levels[0].n_steps, ops.n_t)
     y = ws.y[0]
-    y[1][:] = _block_input("u", u, shape).T
-    ws.f[0][:] = _block_input("f", f, shape).T
+    y[1][:] = block_input("u", u, shape).T
+    ws.f[0][:] = block_input("f", f, shape).T
     omegas = _resolve_omegas(hier, config, depth)[level:]
     _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
     block_apply(ops.step_matrix, y[1], y[0], add=False)
@@ -441,7 +439,9 @@ def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray
     config = config or CycleConfig(levels="max")
     depth = _depth(hier, config)
     if depth < 2:
-        raise ValueError("v_cycle needs a hierarchy with at least 2 levels")
+        cause = (f"the hierarchy has {len(hier)}" if len(hier) < 2
+                 else f"levels={config.levels!r} caps the depth at {depth}")
+        raise ValueError(f"v_cycle needs at least 2 levels, but {cause}")
     return _serial_cycle(hier, 0, u, f, config, depth)
 
 
@@ -573,7 +573,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
-                       seed=config.seed, workers=config.workers, status=status)
+                       seed=config.seed, workers=workers, status=status)
     return y[shared["cur"]].T.copy(), stats
 
 
@@ -581,17 +581,6 @@ def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
     """Uniform [0, 1) coefficients from a seeded generator."""
     rng = np.random.default_rng(seed)
     return rng.random((hier.finest.n_steps, hier.finest.ops.n_t))
-
-
-def _block_input(name: str, x, shape: tuple) -> np.ndarray:
-    """``x`` as a C-ordered float block vector of exactly ``shape`` with finite
-    entries."""
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape != shape:
-        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} has non-finite entries")
-    return x
 
 
 def solve(hier: TimeHierarchy, f, u_init=None,
@@ -609,10 +598,10 @@ def solve(hier: TimeHierarchy, f, u_init=None,
     depth = _depth(hier, config)
     finest = hier.finest
     shape = (finest.n_steps, finest.ops.n_t)
-    f = _block_input("f", f, shape)
+    f = block_input("f", f, shape)
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
-    u_init = _block_input("u_init", u_init, shape)
+    u_init = block_input("u_init", u_init, shape)
     if depth < 2:
         # single-level configuration: solve directly, then measure the residual
         u_init = forward_solve(GlobalSystem(finest.ops, finest.n_steps), f)

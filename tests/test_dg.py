@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import forward_substitution, pade_exp_eval
-from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
+from timemg.dense import dense_system
+from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_derivatives, basis_values, forward_solve, radau_rule,
                        reference_tables, rhs_moments, stability_function)
 from timemg.transfers import _half_step_values, build_transfers
@@ -37,23 +38,40 @@ class TestRadauRule:
             radau_rule(0)
 
 
+def _coupling(ops):
+    """The step coupling outer(eval_start, eval_end)."""
+    return np.outer(ops.eval_start, ops.eval_end)
+
+
 class TestAssembleLocal:
     def test_degree_zero(self):
         ops = assemble_local(BasisSpec(0), 0.7)
         assert_allclose(ops.stiffness, [[1.0]], atol=1e-15)
         assert_allclose(ops.mass, [[0.7]], atol=1e-15)
-        assert_allclose(ops.coupling, [[1.0]], atol=1e-15)
+        assert_allclose(_coupling(ops), [[1.0]], atol=1e-15)
 
     def test_degree_zero_eigenvalue(self):
         ops = assemble_local(BasisSpec(0), 1.0)
-        lam = np.linalg.eigvals(np.linalg.solve(ops.step_matrix, ops.coupling))
+        lam = np.linalg.eigvals(np.linalg.solve(ops.step_matrix, _coupling(ops)))
         assert abs(lam[0] - 0.5) < 1e-14
 
+    @pytest.mark.parametrize("p_t", range(9))
+    def test_eval_start_is_first_unit_vector(self, p_t):
+        # the first left Radau point is 0, so only the first basis function
+        # is 1 there; the kernels add the coupling to row 0 only
+        basis = BasisSpec(p_t)
+        e_0 = np.eye(basis.n_t)[0]
+        assert np.array_equal(reference_tables(basis).eval_start, e_0)
+        assert np.array_equal(assemble_local(basis, 0.3).eval_start, e_0)
+        assert np.array_equal(basis_values(basis, 0.0)[:, 0], e_0)
+
     @pytest.mark.parametrize("p_t", range(6))
-    @pytest.mark.parametrize("rule", ["radau_lagrange", "scaled_legendre"])
-    def test_coupling_rank_one(self, p_t, rule):
-        ops = assemble_local(BasisSpec(p_t, rule), 0.3)
-        assert np.linalg.matrix_rank(ops.coupling, tol=1e-12) == 1
+    def test_coupling_rank_one(self, p_t):
+        # the sub-diagonal block of the global operator is -outer(e_0, eval_end)
+        ops = assemble_local(BasisSpec(p_t), 0.3)
+        block = -dense_system(ops, 2)[ops.n_t:, :ops.n_t]
+        assert np.linalg.matrix_rank(block, tol=1e-12) == 1
+        assert np.array_equal(block[0], ops.eval_end) and not block[1:].any()
 
     @pytest.mark.parametrize("p_t", range(6))
     def test_mass_spd_and_tau_scaling(self, p_t):
@@ -63,14 +81,14 @@ class TestAssembleLocal:
         assert np.all(np.linalg.eigvalsh(a.mass) > 0)
         assert_allclose(2.0 * a.mass, b.mass, rtol=1e-13)
         assert_allclose(a.stiffness, b.stiffness, rtol=1e-13)
-        assert_allclose(a.coupling, b.coupling, rtol=1e-13)
+        assert_allclose(_coupling(a), _coupling(b), rtol=1e-13)
 
     @pytest.mark.parametrize("p_t", range(6))
     def test_step_matrix_eigenvalues(self, p_t):
         # spectrum of (stiffness+mass)^{-1} coupling is {0 x p_t, R(-tau)}
         tau = 2.5
         ops = assemble_local(BasisSpec(p_t), tau)
-        lam = np.linalg.eigvals(np.linalg.solve(ops.step_matrix, ops.coupling))
+        lam = np.linalg.eigvals(np.linalg.solve(ops.step_matrix, _coupling(ops)))
         lam = lam[np.argsort(-np.abs(lam))]
         r = stability_function(BasisSpec(p_t), -tau)
         assert abs(lam[0] - r) < 1e-10
@@ -98,14 +116,13 @@ def _gauss_tables(basis):
 
 
 @pytest.mark.parametrize("p_t", range(6))
-@pytest.mark.parametrize("node_rule", NODE_RULES)
 @pytest.mark.parametrize("tau", [1e-6, 0.37, 1e6])
 class TestReferenceCache:
     """Operators built from the cached per-basis tables equal, bitwise, the
     formulas evaluated from scratch; the shared tables are read-only."""
 
-    def test_assemble_local_matches_direct_formulas(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
+    def test_assemble_local_matches_direct_formulas(self, p_t, tau):
+        basis = BasisSpec(p_t)
         xg, wg, phi = _gauss_tables(basis)
         dphi = basis_derivatives(basis, xg)
         start = basis_values(basis, np.array([0.0]))[:, 0]
@@ -114,14 +131,13 @@ class TestReferenceCache:
         stiffness = -(dphi * wg) @ phi.T + np.outer(end, end)
         ops = assemble_local(basis, tau)
         for got, want in ((ops.mass, mass), (ops.stiffness, stiffness),
-                          (ops.coupling, np.outer(start, end)),
                           (ops.eval_start, start), (ops.eval_end, end),
                           (ops.step_matrix, stiffness + mass),
                           (ops.step_inv, np.linalg.inv(stiffness + mass))):
             assert np.array_equal(got, want)
 
-    def test_build_transfers_matches_direct_formulas(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
+    def test_build_transfers_matches_direct_formulas(self, p_t, tau):
+        basis = BasisSpec(p_t)
         xg, wg, phi = _gauss_tables(basis)
         mass = tau * (phi * wg) @ phi.T
         proj1 = tau * (phi * wg) @ basis_values(basis, xg / 2.0).T
@@ -130,24 +146,24 @@ class TestReferenceCache:
         assert np.array_equal(r1, np.linalg.solve(mass, proj1).T)
         assert np.array_equal(r2, np.linalg.solve(mass, proj2).T)
 
-    def test_cached_tables_are_read_only(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
+    def test_cached_tables_are_read_only(self, p_t, tau):
+        basis = BasisSpec(p_t)
         ref = reference_tables(basis)
         ops = assemble_local(basis, tau)
         tables = [getattr(ref, field.name) for field in dataclasses.fields(ref)]
-        tables += [*_half_step_values(basis), ops.stiffness, ops.coupling,
-                   ops.eval_start, ops.eval_end]
+        tables += [*_half_step_values(basis), ops.stiffness, ops.eval_start, ops.eval_end]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = table
 
-    def test_operators_own_their_step_dependent_blocks(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
+    def test_operators_own_their_step_dependent_blocks(self, p_t, tau):
+        basis = BasisSpec(p_t)
         a, b = assemble_local(basis, tau), assemble_local(basis, 2.0 * tau)
         for name in ("mass", "step_matrix", "step_inv"):
             assert not np.shares_memory(getattr(a, name), getattr(b, name))
             assert getattr(a, name).flags.writeable
-        assert a.stiffness is b.stiffness and a.coupling is b.coupling
+        assert a.stiffness is b.stiffness
+        assert a.eval_start is b.eval_start and a.eval_end is b.eval_end
 
 
 class TestApplyGlobal:
@@ -225,6 +241,20 @@ class TestForwardSolve:
         u = forward_solve(sys, apply_global(sys, w))
         assert np.max(np.abs(u - w)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        # a non-finite entry would spread through the scan to most of u
+        sys = GlobalSystem(assemble_local(BasisSpec(1), 0.1), 64)
+        rhs = np.ones((64, 2))
+        rhs[20, 1] = bad
+        with pytest.raises(ValueError, match="rhs has non-finite entries"):
+            forward_solve(sys, rhs)
+
+    def test_rejects_wrong_shape(self):
+        sys = GlobalSystem(assemble_local(BasisSpec(1), 0.1), 64)
+        with pytest.raises(ValueError, match=r"rhs has shape \(64, 1\), expected \(64, 2\)"):
+            forward_solve(sys, np.ones((64, 1)))
+
     @pytest.mark.parametrize("p_t", [0, 2, 4])
     def test_residual_bound(self, p_t):
         sys = GlobalSystem(assemble_local(BasisSpec(p_t), 0.05), 40)
@@ -233,16 +263,15 @@ class TestForwardSolve:
         res = rhs - apply_global(sys, u)
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
-    @pytest.mark.parametrize("n, tau, rule, p_t", [
-        *((n, tau, rule, p_t) for n in (1024, 1500) for tau in (1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6)
-          for rule in NODE_RULES for p_t in range(6)),
-        (1 << 17, 1e-6, "radau_lagrange", 0), (1 << 17, 1e-6, "radau_lagrange", 3),
-        (1 << 17, 1e-3, "scaled_legendre", 2), (1 << 17, 1e-6, "scaled_legendre", 5)])
-    def test_scan_matches_step_loop(self, p_t, rule, tau, n):
+    @pytest.mark.parametrize("n, tau, p_t", [
+        *((n, tau, p_t) for n in (1024, 1500) for tau in (1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6)
+          for p_t in range(6)),
+        (1 << 17, 1e-6, 0), (1 << 17, 1e-6, 3), (1 << 17, 1e-3, 2), (1 << 17, 1e-6, 5)])
+    def test_scan_matches_step_loop(self, p_t, tau, n):
         # the scan reorders the loop's arithmetic: it agrees to 1e-10 and its
         # relative residual is within 2x of the loop's, or below 1e-15 where
         # both are at rounding level; 1500 ends in a partial scan block
-        basis = BasisSpec(p_t, rule)
+        basis = BasisSpec(p_t)
         sys = GlobalSystem(assemble_local(basis, tau), n)
         rhs = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
         u, loop = forward_solve(sys, rhs), forward_substitution(sys, rhs)
@@ -267,11 +296,10 @@ class TestForwardSolve:
 
 
 class TestMemoryLayout:
-    @pytest.mark.parametrize("rule", ["radau_lagrange", "scaled_legendre"])
     @pytest.mark.parametrize("p_t", range(6))
-    def test_result_independent_of_input_layout(self, p_t, rule):
+    def test_result_independent_of_input_layout(self, p_t):
         # a Fortran-ordered or transposed-view input must round like a C-ordered one
-        basis = BasisSpec(p_t, rule)
+        basis = BasisSpec(p_t)
         sys = GlobalSystem(assemble_local(basis, 1e-6), 64)
         x = np.random.default_rng(p_t).random((64, basis.n_t))
         layouts = [x, np.asfortranarray(x), np.ascontiguousarray(x.T).T]
@@ -295,13 +323,12 @@ class TestStabilityFunction:
         assert abs(pade_exp_eval(1, 2, -3.0)) < 1e-15
 
     @pytest.mark.parametrize("p_t", range(6))
-    @pytest.mark.parametrize("rule", ["radau_lagrange", "scaled_legendre"])
-    def test_matches_independent_pade(self, p_t, rule):
+    def test_matches_independent_pade(self, p_t):
         # 200 seeded samples on |z| <= 10, skipping the approximant's pole
         # neighborhoods (|R| > 50) where a 1e-11 absolute comparison is not
         # representable in float64; near the poles the identity is still
         # checked relative to the value.
-        basis = BasisSpec(p_t, rule)
+        basis = BasisSpec(p_t)
         rng = np.random.default_rng(2024)
         z = rng.uniform(-10, 10, 1200) + 1j * rng.uniform(-10, 10, 1200)
         z = z[np.abs(z) <= 10.0]

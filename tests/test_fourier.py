@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from timemg.checks import symbol_equivalence
 from timemg.dense import dense_prolongation, dense_restriction
-from timemg.dg import NODE_RULES, BasisSpec, LocalOperators, assemble_local
+from timemg.dg import BasisSpec, LocalOperators, assemble_local, radau_rule
 from timemg.fourier import (frequencies, gamma, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
@@ -76,7 +76,7 @@ class TestLocalSymbols:
         # dependence and reduces to the diagonal block
         base = assemble_local(BasisSpec(1), 0.5)
         ops = LocalOperators(BasisSpec(1), base.stiffness, base.mass,
-                             np.zeros_like(base.coupling), base.eval_start, base.eval_end)
+                             np.zeros_like(base.eval_start), base.eval_end)
         for theta in (0.0, 1.3, np.pi):
             assert_allclose(symbol_system(ops, theta), base.step_matrix, atol=1e-15)
 
@@ -214,7 +214,6 @@ class TestTwoGridSymbol:
 
 
 @pytest.mark.parametrize("p_t", [0, 1, 2, 3])
-@pytest.mark.parametrize("node_rule", NODE_RULES)
 @pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
 class TestArrayFrequencies:
     """An array of frequencies gives, bitwise, the stack of the scalar calls."""
@@ -222,14 +221,14 @@ class TestArrayFrequencies:
     LOW = frequencies(32).low
     NU_PAIRS = ((0, 0), (1, 1), (2, 1), (1, 3))
 
-    def _setup(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
+    def _setup(self, p_t, tau):
+        basis = BasisSpec(p_t)
         transfers = build_transfers(basis, tau)
         return (assemble_local(basis, tau), assemble_local(basis, 2 * tau), transfers,
                 optimal_omega(alpha(basis, tau)))
 
-    def test_symbols_stack_scalar_calls(self, p_t, node_rule, tau):
-        ops_f, ops_c, (r1, r2), omega = self._setup(p_t, node_rule, tau)
+    def test_symbols_stack_scalar_calls(self, p_t, tau):
+        ops_f, ops_c, (r1, r2), omega = self._setup(p_t, tau)
         symbols = [lambda th: symbol_system(ops_f, th),
                    lambda th: transfer_symbols(r1, r2, th)[0],
                    lambda th: transfer_symbols(r1, r2, th)[1]]
@@ -243,9 +242,9 @@ class TestArrayFrequencies:
             assert stacked.shape == (len(self.LOW),) + scalar[0].shape
             assert np.array_equal(stacked, np.stack(scalar))
 
-    def test_twogrid_is_smoothed_coarse_correction(self, p_t, node_rule, tau):
+    def test_twogrid_is_smoothed_coarse_correction(self, p_t, tau):
         # S^{nu2} M(0, 0) S^{nu1} with the block-diagonal smoother pair built here
-        ops_f, ops_c, transfers, omega = self._setup(p_t, node_rule, tau)
+        ops_f, ops_c, transfers, omega = self._setup(p_t, tau)
         n_t = ops_f.n_t
         correction = twogrid_symbol(ops_f, ops_c, transfers, self.LOW, 0, 0, omega)
 
@@ -260,9 +259,9 @@ class TestArrayFrequencies:
             got = twogrid_symbol(ops_f, ops_c, transfers, self.LOW, nu1, nu2, omega)
             assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
-    def test_rho_profile_matches_per_frequency_loop(self, p_t, node_rule, tau):
-        basis = BasisSpec(p_t, node_rule)
-        ops_f, ops_c, transfers, omega = self._setup(p_t, node_rule, tau)
+    def test_rho_profile_matches_per_frequency_loop(self, p_t, tau):
+        basis = BasisSpec(p_t)
+        ops_f, ops_c, transfers, omega = self._setup(p_t, tau)
         for nu1, nu2 in self.NU_PAIRS:
             low, radii = rho_profile(basis, tau, 32, nu1, nu2, "optimal")
             want = [np.max(np.abs(np.linalg.eigvals(
@@ -274,31 +273,30 @@ class TestArrayFrequencies:
 
 @pytest.mark.parametrize("n", [4, 8, 1024])
 @pytest.mark.parametrize("p_t", [0, 1, 2, 3])
-@pytest.mark.parametrize("node_rule", NODE_RULES)
 @pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("nu1, nu2", [(1, 1), (2, 1)])
 class TestConjugateMirror:
     """rho_profile diagonalizes the frequencies in [0, pi/2] only and mirrors
     their radii onto (-pi/2, 0)."""
 
-    def _setup(self, n, p_t, node_rule, tau, nu1, nu2):
-        basis = BasisSpec(p_t, node_rule)
+    def _setup(self, n, p_t, tau, nu1, nu2):
+        basis = BasisSpec(p_t)
         ops_f, ops_c = assemble_local(basis, tau), assemble_local(basis, 2 * tau)
         transfers = build_transfers(basis, tau)
         omega = optimal_omega(alpha(basis, tau))
         return basis, lambda theta: twogrid_symbol(ops_f, ops_c, transfers, theta,
                                                    nu1, nu2, omega)
 
-    def test_radii_equal_full_diagonalization(self, n, p_t, node_rule, tau, nu1, nu2):
-        basis, symbol = self._setup(n, p_t, node_rule, tau, nu1, nu2)
+    def test_radii_equal_full_diagonalization(self, n, p_t, tau, nu1, nu2):
+        basis, symbol = self._setup(n, p_t, tau, nu1, nu2)
         low = frequencies(n).low
         want = np.abs(np.linalg.eigvals(symbol(low))).max(axis=-1)
         got_low, radii = rho_profile(basis, tau, n, nu1, nu2)
         assert np.array_equal(got_low, low)
         assert np.array_equal(radii, want)
 
-    def test_symbol_at_minus_theta_is_conjugate(self, n, p_t, node_rule, tau, nu1, nu2):
-        _, symbol = self._setup(n, p_t, node_rule, tau, nu1, nu2)
+    def test_symbol_at_minus_theta_is_conjugate(self, n, p_t, tau, nu1, nu2):
+        _, symbol = self._setup(n, p_t, tau, nu1, nu2)
         low = frequencies(n).low
         mirrored = low[(low > 0.0) & (low < np.pi / 2)]
         assert len(mirrored) == n // 4 - 1
@@ -330,7 +328,25 @@ class TestPredictedRho:
         with pytest.raises(ValueError):
             predicted_rho(BasisSpec(0), 1.0, 100)
 
-    def test_basis_independence(self):
-        a = predicted_rho(BasisSpec(1), 0.7, 64, 1, 1)
-        b = predicted_rho(BasisSpec(1, "scaled_legendre"), 0.7, 64, 1, 1)
-        assert abs(a - b) < 1e-11
+    @pytest.mark.parametrize("p_t", [1, 2, 3])
+    def test_basis_independence(self, p_t):
+        # the radii depend on the DG space, not on its coefficient basis: in
+        # Legendre coefficients c, with Lagrange coefficients V c, the forms
+        # become V^T A V, the endpoint values V^T e and the restriction
+        # blocks V^T r V^{-T}
+        basis, tau, omega = BasisSpec(p_t), 0.7, 0.9
+        v = np.polynomial.legendre.legvander(2.0 * radau_rule(basis.n_t).c - 1.0, p_t)
+        v_inv_t = np.linalg.inv(v).T
+
+        def legendre(ops):
+            return LocalOperators(basis, v.T @ ops.stiffness @ v, v.T @ ops.mass @ v,
+                                  v.T @ ops.eval_start, v.T @ ops.eval_end)
+
+        ops_f, ops_c = assemble_local(basis, tau), assemble_local(basis, 2 * tau)
+        r1, r2 = build_transfers(basis, tau)
+        low = frequencies(64).low
+        radii = [np.abs(np.linalg.eigvals(twogrid_symbol(f, c, r, low, 1, 1, omega))).max(axis=-1)
+                 for f, c, r in ((ops_f, ops_c, (r1, r2)),
+                                 (legendre(ops_f), legendre(ops_c),
+                                  (v.T @ r1 @ v_inv_t, v.T @ r2 @ v_inv_t)))]
+        assert np.max(np.abs(radii[0] - radii[1])) < 1e-11

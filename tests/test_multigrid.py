@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from timemg import multigrid
 from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
-from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
+from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_values, forward_solve, rhs_moments)
 from timemg.fourier import predicted_rho
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
@@ -86,12 +86,11 @@ class TestHierarchy:
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=2)
         assert len(hier) == 2
 
-    @pytest.mark.parametrize("rule", NODE_RULES)
     @pytest.mark.parametrize("p_t", range(4))
-    def test_prolongation_in_step_scaled_unknowns(self, p_t, rule):
+    def test_prolongation_in_step_scaled_unknowns(self, p_t):
         # the cycle prolongates y = S u: blockdiag(S_f) P blockdiag(S_c^{-1})
         n = 8
-        hier = TimeHierarchy.build(BasisSpec(p_t, rule), 0.3, n, n_levels=2, coarsest=2)
+        hier = TimeHierarchy.build(BasisSpec(p_t), 0.3, n, n_levels=2, coarsest=2)
         fine, coarse = hier.levels
         want = (np.kron(np.eye(n), fine.ops.step_matrix)
                 @ dense_prolongation(fine.r1, fine.r2, n)
@@ -157,12 +156,11 @@ class TestJacobiSweep:
             block_jacobi_sweep(ops, np.ones((2, 1)), np.zeros((2, 1)), omega=2.5)
 
     @pytest.mark.parametrize("tau", [1e-6, 0.3, 1e6])
-    @pytest.mark.parametrize("node_rule", NODE_RULES)
     @pytest.mark.parametrize("p_t", range(5))
-    def test_matches_dense_construction(self, p_t, node_rule, tau):
+    def test_matches_dense_construction(self, p_t, tau):
         # one sweep is S_dense u + omega blockdiag(step_matrix^{-1}) f; the
-        # default rule has eval_start = e_0, scaled_legendre a dense one
-        ops = assemble_local(BasisSpec(p_t, node_rule), tau)
+        # kernel adds the coupling to row 0 only, the dense one to every row
+        ops = assemble_local(BasisSpec(p_t), tau)
         n, omega = 8, 0.7
         rng = np.random.default_rng(p_t)
         u = rng.standard_normal((n, ops.n_t))
@@ -226,6 +224,15 @@ class TestVCycle:
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 32, coarsest=4)
         out = v_cycle(hier, np.zeros((32, 1)), np.zeros((32, 1)))
         assert np.max(np.abs(out)) == 0.0
+
+    def test_depth_cap_below_two_levels_is_named(self):
+        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=4)
+        u = np.zeros((64, 1))
+        with pytest.raises(ValueError, match=r"levels=1 caps the depth at 1"):
+            v_cycle(hier, u, u, CycleConfig(levels=1))
+        single = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=1)
+        with pytest.raises(ValueError, match=r"the hierarchy has 1"):
+            v_cycle(single, u, u)
 
     def test_four_level_reduction(self):
         # regression ceiling for the multilevel factor at small steps
@@ -298,6 +305,24 @@ class TestSolve:
         assert d["status"] == "converged" and d["converged"] is True
         assert set(d["times"]) == {"smoothing", "transfer", "coarse", "residual"}
 
+    @pytest.mark.parametrize("n, workers, min_slab, levels, team", [
+        (64, 4, 32768, 2, 1), (64, 4, 32768, "max", 1), (1 << 12, 4, 256, 1, 1),
+        (1 << 12, 2, 256, 2, 2), (1 << 12, 4, 256, "max", 4), (1 << 12, 3, 256, 2, 1)])
+    def test_workers_is_the_team_that_ran(self, n, workers, min_slab, levels, team,
+                                          monkeypatch):
+        # a finest level too small to split collapses the team to one worker
+        started, original = [], multigrid.run_team
+
+        def recording(k, body, barrier):
+            started.append(k)
+            original(k, body, barrier)
+
+        monkeypatch.setattr(multigrid, "run_team", recording)
+        hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n)
+        _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
+            eps=1e-6, workers=workers, min_slab=min_slab, levels=levels))
+        assert started == [team] and stats.workers == team
+
     def test_converged_follows_status(self):
         hier = TimeHierarchy.build(BasisSpec(0), 0.5, 32)
         _, stats = solve(hier, np.zeros((32, 1)), config=CycleConfig(eps=1e-6, seed=0))
@@ -324,14 +349,12 @@ class TestSolve:
             assert got.tobytes() == base.tobytes(), p_t
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("basis", [BasisSpec(3), BasisSpec(2, "scaled_legendre")],
-                             ids=["radau-p3", "legendre-p2"])
+    @pytest.mark.parametrize("basis", [BasisSpec(3), BasisSpec(2)], ids=["p3", "p2"])
     def test_worker_count_invariance_nonzero_rhs(self, basis, workers):
-        # a non-zero f makes the finest g = omega S^{-1} f non-zero, and
-        # scaled_legendre's dense eval_start makes every coupling row a scaled
-        # update; with min_slab 256 and 4 workers the levels split over 4,
-        # then 2 workers, then run as a serial tail, so coarse g is made on
-        # slabs of one split and read on another
+        # a non-zero f makes the finest g = omega f non-zero; with min_slab
+        # 256 and 4 workers the levels split over 4, then 2 workers, then run
+        # as a serial tail, so coarse g is made on slabs of one split and
+        # read on another
         tau, n = 1e-3, 1 << 12
         hier = TimeHierarchy.build(basis, tau, n)
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)

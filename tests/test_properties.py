@@ -1,5 +1,5 @@
 """Property tests of the exact solver and the multigrid solve over drawn
-(p_t, tau, n, node rule, workers, min_slab): the blocked scan against dense
+(p_t, tau, n, workers, min_slab): the blocked scan against dense
 LU and the per-step loop, a converged solve against the scan, and bitwise
 invariance over the worker team."""
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from oracles import forward_substitution
 from timemg import multigrid
 from timemg.dense import dense_system
-from timemg.dg import (NODE_RULES, BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       block_apply, forward_solve, rhs_moments)
+from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local, block_apply,
+                       forward_solve, rhs_moments)
 from timemg.multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
 from timemg.parallel import NullBarrier
 
@@ -21,13 +21,12 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 p_ts = st.integers(0, 4)
 taus = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
-rules = st.sampled_from(NODE_RULES)
 # powers of two, and lengths that end in a partial scan block
 step_counts = st.one_of(st.integers(1, 12).map(lambda k: 1 << k), st.integers(2, 4096))
 
 
-def _problem(p_t, rule, tau, n, seed=0):
-    basis = BasisSpec(p_t, rule)
+def _problem(p_t, tau, n, seed=0):
+    basis = BasisSpec(p_t)
     rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
     rhs += np.random.default_rng(seed).standard_normal(rhs.shape)
     return basis, GlobalSystem(assemble_local(basis, tau), n), rhs
@@ -38,27 +37,27 @@ def _max_rel(got, want):
 
 
 @PROPERTY
-@given(p_ts, rules, taus, st.integers(1, 64))
-def test_scan_matches_dense_lu(p_t, rule, tau, n):
-    _, system, rhs = _problem(p_t, rule, tau, n)
+@given(p_ts, taus, st.integers(1, 64))
+def test_scan_matches_dense_lu(p_t, tau, n):
+    _, system, rhs = _problem(p_t, tau, n)
     want = np.linalg.solve(dense_system(system.ops, n), rhs.ravel()).reshape(rhs.shape)
     assert _max_rel(forward_solve(system, rhs), want) <= 1e-10
 
 
 @PROPERTY
-@given(p_ts, rules, taus, step_counts)
-def test_scan_matches_step_loop(p_t, rule, tau, n):
-    _, system, rhs = _problem(p_t, rule, tau, n)
+@given(p_ts, taus, step_counts)
+def test_scan_matches_step_loop(p_t, tau, n):
+    _, system, rhs = _problem(p_t, tau, n)
     assert _max_rel(forward_solve(system, rhs), forward_substitution(system, rhs)) <= 1e-10
 
 
 @PROPERTY
-@given(p_ts, rules, taus, step_counts.filter(lambda n: n >= 16), st.sampled_from((2, "max")))
-def test_converged_solve_is_near_exact(p_t, rule, tau, n, levels):
+@given(p_ts, taus, step_counts.filter(lambda n: n >= 16), st.sampled_from((2, "max")))
+def test_converged_solve_is_near_exact(p_t, tau, n, levels):
     # the solve stops once the residual is eps times the initial one; the
     # error it leaves stays within 10 eps of the initial error (measured:
     # at most 0.49 eps over 40 draws)
-    basis, system, rhs = _problem(p_t, rule, tau, n)
+    basis, system, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n)
     eps = 1e-8
     guess = random_initial_guess(hier, 3)
@@ -70,10 +69,10 @@ def test_converged_solve_is_near_exact(p_t, rule, tau, n, levels):
 
 
 @PROPERTY
-@given(p_ts, rules, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(2, 4),
+@given(p_ts, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(2, 4),
        st.sampled_from((16, 64)), st.sampled_from((2, "max")))
-def test_solve_bitwise_invariant_over_workers(p_t, rule, tau, n, workers, min_slab, levels):
-    basis, _, rhs = _problem(p_t, rule, tau, n)
+def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels):
+    basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n)
     guess = random_initial_guess(hier, 5)
     runs = [solve(hier, rhs, guess, CycleConfig(eps=1e-8, levels=levels, workers=w,
@@ -84,14 +83,14 @@ def test_solve_bitwise_invariant_over_workers(p_t, rule, tau, n, workers, min_sl
 
 
 @PROPERTY
-@given(p_ts, rules, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(1, 4),
+@given(p_ts, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(1, 4),
        st.sampled_from((16, 64)))
-def test_in_cycle_coarse_solve_is_forward_solve(p_t, rule, tau, n, workers, min_slab):
+def test_in_cycle_coarse_solve_is_forward_solve(p_t, tau, n, workers, min_slab):
     # record each coarsest-level solve of a two-grid solve, split over the
     # team when the finest level is, and replay it through forward_solve;
     # the cycle's scan returns y = S u, which forward_solve turns into u
     # with one S^{-1} block product
-    basis, _, rhs = _problem(p_t, rule, tau, n)
+    basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n)
     coarse = hier.levels[1]
     scan_rows, solves = multigrid.scan_rows, []
