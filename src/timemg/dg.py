@@ -331,8 +331,8 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     with b_n = z . rhs_n and R = eval_end . S^{-1} eval_start, and then
     y_n = rhs_n + eval_start w_{n-1}: with eval_start = e_0, rows 1.. of y
     are those of rhs and w_{n-1} is added to row 0.  No block product is
-    needed (u_n = S^{-1} y_n is left to the caller).  The steps form blocks of
-    :func:`scan_block` steps.  Each worker sums the recurrence over its
+    needed (u_n = S^{-1} y_n is left to the caller).  The steps form blocks
+    of :func:`scan_block` steps.  Each worker sums the recurrence over its
     blocks from a zero start, in place by pairwise combination over
     doubling spans; between two barriers the ``lead`` worker carries the
     block ends across the blocks by an inclusive scan over doubling spans;
@@ -422,8 +422,8 @@ def stability_function(basis: BasisSpec, z: complex) -> complex:
     1, mass = phi_w @ phi.T: R(z) = eval_end @ (stiffness - z mass)^{-1} @
     eval_start, the single nonzero eigenvalue of (stiffness - z mass)^{-1}
     outer(eval_start, eval_end).  R equals the (p_t, p_t+1) subdiagonal Pade
-    approximant of exp(z); raises
-    ``numpy.linalg.LinAlgError`` when z hits one of its poles.
+    approximant of exp(z); raises ``numpy.linalg.LinAlgError`` when z hits
+    one of its poles.
     """
     ref = reference_tables(basis)
     a = ref.stiffness - z * (ref.phi_w @ ref.phi.T)

@@ -203,8 +203,8 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z . y_prev) with
 # z = eval_end S^{-1}: the residual f - y + C u_prev and the sweep
 # (1 - omega) y + omega (f + C u_prev) are row passes plus one dot product
-# per step, added to row 0.  The only block products left are the transfers and the
-# change to y = S u and back, once per solve or public cycle.
+# per step, added to row 0.  The only block products left are the transfers
+# and the change to y = S u and back, once per solve or public cycle.
 
 
 def _add_coupling(end, y, out, a: int, b: int) -> None:
