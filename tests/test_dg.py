@@ -65,7 +65,7 @@ class TestAssembleLocal:
         assert np.array_equal(assemble_local(basis, 0.3).eval_start, e_0)
         assert np.array_equal(basis_values(basis, 0.0)[:, 0], e_0)
 
-    @pytest.mark.parametrize("p_t", range(6))
+    @pytest.mark.parametrize("p_t", range(12))
     def test_coupling_rank_one(self, p_t):
         # the sub-diagonal block of the global operator is -outer(e_0, eval_end)
         ops = assemble_local(BasisSpec(p_t), 0.3)
@@ -116,7 +116,7 @@ def _gauss_tables(basis):
 
 
 @pytest.mark.parametrize("p_t", range(6))
-@pytest.mark.parametrize("tau", [1e-6, 0.37, 1e6])
+@pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.37, 3.0, 1e3, 1e6])
 class TestReferenceCache:
     """Operators built from the cached per-basis tables equal, bitwise, the
     formulas evaluated from scratch; the shared tables are read-only."""
@@ -264,13 +264,14 @@ class TestForwardSolve:
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("n, tau, p_t", [
-        *((n, tau, p_t) for n in (1024, 1500) for tau in (1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6)
-          for p_t in range(6)),
+        *((n, tau, p_t) for n in (333, 1024, 1500, 2049)
+          for tau in (1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6) for p_t in range(6)),
         (1 << 17, 1e-6, 0), (1 << 17, 1e-6, 3), (1 << 17, 1e-3, 2), (1 << 17, 1e-6, 5)])
     def test_scan_matches_step_loop(self, p_t, tau, n):
         # the scan reorders the loop's arithmetic: it agrees to 1e-10 and its
         # relative residual is within 2x of the loop's, or below 1e-15 where
-        # both are at rounding level; 1500 ends in a partial scan block
+        # both are at rounding level; 333 and 1500 end in a partial scan
+        # block, 2049 in a block of one step
         basis = BasisSpec(p_t)
         sys = GlobalSystem(assemble_local(basis, tau), n)
         rhs = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
@@ -296,7 +297,7 @@ class TestForwardSolve:
 
 
 class TestMemoryLayout:
-    @pytest.mark.parametrize("p_t", range(6))
+    @pytest.mark.parametrize("p_t", range(12))
     def test_result_independent_of_input_layout(self, p_t):
         # a Fortran-ordered or transposed-view input must round like a C-ordered one
         basis = BasisSpec(p_t)
@@ -322,7 +323,7 @@ class TestStabilityFunction:
         assert abs(stability_function(BasisSpec(1), -3.0)) < 1e-13
         assert abs(pade_exp_eval(1, 2, -3.0)) < 1e-15
 
-    @pytest.mark.parametrize("p_t", range(6))
+    @pytest.mark.parametrize("p_t", range(12))
     def test_matches_independent_pade(self, p_t):
         # 200 seeded samples on |z| <= 10, skipping the approximant's pole
         # neighborhoods (|R| > 50) where a 1e-11 absolute comparison is not

@@ -214,7 +214,7 @@ class TestTwoGridSymbol:
 
 
 @pytest.mark.parametrize("p_t", [0, 1, 2, 3])
-@pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("tau", [1e-6, 1e-3, 1.0, 3.0, 1e3, 1e6])
 class TestArrayFrequencies:
     """An array of frequencies gives, bitwise, the stack of the scalar calls."""
 
@@ -271,7 +271,7 @@ class TestArrayFrequencies:
             assert np.array_equal(radii, want)
 
 
-@pytest.mark.parametrize("n", [4, 8, 1024])
+@pytest.mark.parametrize("n", [4, 8, 16, 64, 256, 1024])
 @pytest.mark.parametrize("p_t", [0, 1, 2, 3])
 @pytest.mark.parametrize("tau", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("nu1, nu2", [(1, 1), (2, 1)])

@@ -86,7 +86,7 @@ class TestHierarchy:
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=2)
         assert len(hier) == 2
 
-    @pytest.mark.parametrize("p_t", range(4))
+    @pytest.mark.parametrize("p_t", range(8))
     def test_prolongation_in_step_scaled_unknowns(self, p_t):
         # the cycle prolongates y = S u: blockdiag(S_f) P blockdiag(S_c^{-1})
         n = 8
@@ -156,7 +156,7 @@ class TestJacobiSweep:
             block_jacobi_sweep(ops, np.ones((2, 1)), np.zeros((2, 1)), omega=2.5)
 
     @pytest.mark.parametrize("tau", [1e-6, 0.3, 1e6])
-    @pytest.mark.parametrize("p_t", range(5))
+    @pytest.mark.parametrize("p_t", range(10))
     def test_matches_dense_construction(self, p_t, tau):
         # one sweep is S_dense u + omega blockdiag(step_matrix^{-1}) f; the
         # kernel adds the coupling to row 0 only, the dense one to every row
