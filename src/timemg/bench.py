@@ -47,6 +47,8 @@ class ScalingPlan:
         if self.mode not in ("strong", "weak"):
             raise ValueError(f"mode must be 'strong' or 'weak', got {self.mode!r}")
         self.workers = _check_worker_counts(self.workers)
+        if not self.p_t_list:
+            raise ValueError("need at least one polynomial degree, got none")
         if self.repetitions < 3:
             raise ValueError(f"need >= 3 repetitions for a median, got {self.repetitions}")
         if self.mode == "strong" and self.total_steps % max(self.workers) != 0:

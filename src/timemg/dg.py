@@ -9,6 +9,10 @@ to its predecessor through the rank-one matrix ``outer(e_0, eval_end)``: the
 previous step's end value enters the first row.  The global system is block
 lower bidiagonal and its exact solve reduces to a scalar affine recurrence for
 the end values, which :func:`forward_solve` evaluates as a blocked scan.
+
+Every integral uses the basis's own left Radau rule, exact to degree 2 p_t
+(the mass and stiffness integrands); the basis is the identity at its nodes,
+so the mass of a step of size tau is exactly ``tau * diag(b)``.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ class LocalOperators:
     stiffness : ndarray
         Weak time derivative plus outflow term; independent of tau.
     mass : ndarray
-        L2 mass matrix on the step, scales linearly with tau.
+        L2 mass matrix on the step, ``tau * diag(b)``.
     step_matrix : ndarray
         stiffness + mass, the block solved once per step.
     eval_start, eval_end : ndarray
@@ -133,8 +137,8 @@ class LocalOperators:
         Inverse of ``step_matrix``, computed once at assembly.
     """
 
-    def __init__(self, basis: BasisSpec, stiffness, mass, eval_start, eval_end):
-        self.n_t = basis.n_t
+    def __init__(self, stiffness, mass, eval_start, eval_end):
+        self.n_t = stiffness.shape[0]
         self.stiffness = stiffness
         self.mass = mass
         self.eval_start = eval_start
@@ -165,22 +169,16 @@ class ReferenceTables:
 
     Attributes
     ----------
-    xg : ndarray
-        The p_t + 1 Gauss-Legendre points mapped to [0, 1].
-    phi : ndarray
-        Basis values at ``xg``, shape (n_t, n_t).
-    phi_w : ndarray
-        ``phi`` times the Gauss weights on [0, 1]: ``tau * phi_w @ phi.T`` is
-        the mass matrix of a step of size tau.
+    weights : ndarray
+        The left Radau weights b on [0, 1]: ``tau * diag(weights)`` is the
+        mass matrix of a step of size tau.
     eval_start, eval_end : ndarray
         Basis values at the left/right endpoint of the step; eval_start = e_0.
     stiffness : ndarray
         The tau-independent block of :class:`LocalOperators`.
     """
 
-    xg: np.ndarray
-    phi: np.ndarray
-    phi_w: np.ndarray
+    weights: np.ndarray
     eval_start: np.ndarray
     eval_end: np.ndarray
     stiffness: np.ndarray
@@ -188,17 +186,13 @@ class ReferenceTables:
 
 @functools.lru_cache(maxsize=None)
 def reference_tables(basis: BasisSpec) -> ReferenceTables:
-    """Quadrature tables and tau-independent blocks of ``basis``, cached."""
-    xg, wg = np.polynomial.legendre.leggauss(basis.n_t)
-    xg = (xg + 1.0) / 2.0
-    wg = wg / 2.0
-    phi = basis_values(basis, xg)
-    dphi = basis_derivatives(basis, xg)
+    """Radau weights and tau-independent blocks of ``basis``, cached."""
+    rule = radau_rule(basis.n_t)
     eval_start = basis_values(basis, np.array([0.0]))[:, 0]
     eval_end = basis_values(basis, np.array([1.0]))[:, 0]
     tables = ReferenceTables(
-        xg=xg, phi=phi, phi_w=phi * wg, eval_start=eval_start, eval_end=eval_end,
-        stiffness=-(dphi * wg) @ phi.T + np.outer(eval_end, eval_end))
+        weights=rule.b, eval_start=eval_start, eval_end=eval_end,
+        stiffness=-basis_derivatives(basis, rule.c) * rule.b + np.outer(eval_end, eval_end))
     for field in dataclasses.fields(tables):
         getattr(tables, field.name).flags.writeable = False
     return tables
@@ -213,14 +207,13 @@ def check_step_size(tau: float) -> None:
 def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
     """Assemble the per-step DG matrices for step size ``tau``.
 
-    Integrals use Gauss-Legendre quadrature with p_t + 1 points, exact for
-    polynomial degree 2 p_t + 1.  Only ``mass`` and what is derived from it
-    depend on tau; the other blocks are the basis's shared read-only tables.
+    The mass is ``tau * diag(b)``, exact (see the module docstring).  Only
+    ``mass`` and what is derived from it depend on tau; the other blocks are
+    the basis's shared read-only tables.
     """
     check_step_size(tau)
     ref = reference_tables(basis)
-    mass = tau * ref.phi_w @ ref.phi.T
-    return LocalOperators(basis, ref.stiffness, mass, ref.eval_start, ref.eval_end)
+    return LocalOperators(ref.stiffness, np.diag(tau * ref.weights), ref.eval_start, ref.eval_end)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,14 +247,16 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
     """Moments of the right-hand side f against the basis, one row per step,
     on steps starting at t = 0.
 
-    The integrals are approximated with the left Radau rule of order 2 p_t + 1,
-    which makes the scheme coincide with the (p_t+1)-stage RADAU IA method.
-    The initial value enters the first block through the step coupling, as
-    ``u0 * eval_start = u0 e_0``: ``u0`` is added to entry (0, 0).
+    The left Radau rule, at whose nodes the basis is the identity, gives the
+    moment ``tau b_k f(t_k)`` of basis function k and makes the scheme the
+    (p_t+1)-stage RADAU IA method.  ``u0`` enters the first block through the
+    coupling ``u0 * eval_start = u0 e_0``, at entry (0, 0).  A non-finite or
+    non-positive ``tau`` or fewer than 1 step raises ``ValueError``.
     """
+    check_step_size(tau)
+    if n_steps < 1:
+        raise ValueError(f"need at least 1 step, got {n_steps}")
     rule = radau_rule(basis.n_t)
-    phi_nodes = basis_values(basis, rule.c)          # (n_t, s)
-    weights = tau * phi_nodes * rule.b               # (n_t, s)
     times = (np.arange(n_steps)[:, None] + rule.c[None, :]) * tau
     try:
         fvals = np.asarray(f(times), dtype=float)
@@ -269,7 +264,7 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
             raise TypeError
     except TypeError:
         fvals = np.vectorize(f)(times)
-    rhs = fvals @ weights.T
+    rhs = fvals * (tau * rule.b)
     if u0 != 0.0:  # adding 0.0 would turn a -0.0 entry into +0.0
         rhs[0, 0] += u0
     return rhs
@@ -419,14 +414,14 @@ def stability_function(basis: BasisSpec, z: complex) -> complex:
     """One-step amplification factor R(z) of the scheme on u' = z u.
 
     Evaluated from the basis's reference tables with the step normalized to
-    1, mass = phi_w @ phi.T: R(z) = eval_end @ (stiffness - z mass)^{-1} @
+    1, mass = diag(b): R(z) = eval_end @ (stiffness - z mass)^{-1} @
     eval_start, the single nonzero eigenvalue of (stiffness - z mass)^{-1}
     outer(eval_start, eval_end).  R equals the (p_t, p_t+1) subdiagonal Pade
     approximant of exp(z); raises ``numpy.linalg.LinAlgError`` when z hits
     one of its poles.
     """
     ref = reference_tables(basis)
-    a = ref.stiffness - z * (ref.phi_w @ ref.phi.T)
+    a = ref.stiffness - z * np.diag(ref.weights)
     x = np.linalg.solve(a, ref.eval_start.astype(complex))
     return complex(ref.eval_end @ x)
 

@@ -85,12 +85,12 @@ class TimeHierarchy:
             n = n // 2
             grids.append((n, 2.0 * grids[-1][1]))
         ops = [assemble_local(basis, t) for _, t in grids]
+        r1, r2 = build_transfers(basis, tau)  # the same pair at every level
         levels = []
         for (n, t), op, coarse in zip(grids, ops, ops[1:] + [None]):
             if coarse is None:
                 levels.append(Level(n, t, op))
             else:
-                r1, r2 = build_transfers(basis, t)
                 p1, p2 = (op.step_matrix @ r.T @ coarse.step_inv for r in (r1, r2))
                 levels.append(Level(n, t, op, r1, r2, p1, p2))
         return cls(basis, levels)

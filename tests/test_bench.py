@@ -33,6 +33,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan("strong", total_steps=510, workers=[1, 4])
 
+    def test_rejects_empty_degree_list(self):
+        with pytest.raises(ValueError, match="at least one polynomial degree"):
+            tiny_plan("strong", p_t_list=())
+
 
 class TestStrongScaling:
     def test_rows_and_invariants(self):

@@ -216,6 +216,13 @@ class TestBench:
                      "--total-steps", "256", "--reps", "2",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("pt", ["", ","])
+    def test_empty_degree_list_usage_error(self, tmp_path, capsys, pt):
+        assert main(["bench", "--mode", "strong", "--workers", "1,2",
+                     "--total-steps", "256", "--pt", pt, "--out", str(tmp_path)]) == 2
+        assert "at least one polynomial degree" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_strong_schema(self, tmp_path):
         code = main(["bench", "--mode", "strong", "--workers", "1,2",
                      "--total-steps", "256", "--tau", "0.01", "--eps", "1e-5",

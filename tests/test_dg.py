@@ -9,7 +9,7 @@ from timemg.dense import dense_system
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_derivatives, basis_values, forward_solve, radau_rule,
                        reference_tables, rhs_moments, stability_function)
-from timemg.transfers import _half_step_values, build_transfers
+from timemg.transfers import build_transfers
 
 
 class TestRadauRule:
@@ -115,43 +115,63 @@ def _gauss_tables(basis):
     return xg, wg / 2.0, basis_values(basis, xg)
 
 
-@pytest.mark.parametrize("p_t", range(6))
+@pytest.mark.parametrize("p_t", range(9))
 @pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.37, 3.0, 1e3, 1e6])
 class TestReferenceCache:
     """Operators built from the cached per-basis tables equal, bitwise, the
-    formulas evaluated from scratch; the shared tables are read-only."""
+    left Radau formulas evaluated from scratch, and agree with a
+    Gauss-Legendre construction; the shared tables are read-only."""
 
     def test_assemble_local_matches_direct_formulas(self, p_t, tau):
         basis = BasisSpec(p_t)
-        xg, wg, phi = _gauss_tables(basis)
-        dphi = basis_derivatives(basis, xg)
+        rule = radau_rule(basis.n_t)
         start = basis_values(basis, np.array([0.0]))[:, 0]
         end = basis_values(basis, np.array([1.0]))[:, 0]
-        mass = tau * (phi * wg) @ phi.T
-        stiffness = -(dphi * wg) @ phi.T + np.outer(end, end)
+        mass = np.diag(tau * rule.b)
+        stiffness = -basis_derivatives(basis, rule.c) * rule.b + np.outer(end, end)
         ops = assemble_local(basis, tau)
         for got, want in ((ops.mass, mass), (ops.stiffness, stiffness),
                           (ops.eval_start, start), (ops.eval_end, end),
                           (ops.step_matrix, stiffness + mass),
                           (ops.step_inv, np.linalg.inv(stiffness + mass))):
             assert np.array_equal(got, want)
+        assert np.array_equal(ops.mass, np.diag(np.diag(ops.mass)))
 
     def test_build_transfers_matches_direct_formulas(self, p_t, tau):
         basis = BasisSpec(p_t)
+        c = radau_rule(basis.n_t).c
+        r1, r2 = build_transfers(basis, tau)
+        assert np.array_equal(r1, basis_values(basis, c / 2.0))
+        assert np.array_equal(r2, basis_values(basis, (c + 1.0) / 2.0))
+        # tau cancels: every valid step size gets the same read-only pair
+        for other in (1e-6, 2.0 * tau, 1e6):
+            pair = build_transfers(basis, other)
+            assert pair[0] is r1 and pair[1] is r2
+
+    def test_blocks_match_gauss_legendre_construction(self, p_t, tau):
+        # oracle: the same integrals on the p_t + 1 Gauss-Legendre points,
+        # exact to degree 2 p_t + 1, and the restriction pair as the L2
+        # projection solved through the Gauss mass
+        basis = BasisSpec(p_t)
         xg, wg, phi = _gauss_tables(basis)
+        end = basis_values(basis, np.array([1.0]))[:, 0]
         mass = tau * (phi * wg) @ phi.T
+        stiffness = -(basis_derivatives(basis, xg) * wg) @ phi.T + np.outer(end, end)
         proj1 = tau * (phi * wg) @ basis_values(basis, xg / 2.0).T
         proj2 = tau * (phi * wg) @ basis_values(basis, (xg + 1.0) / 2.0).T
+        ops = assemble_local(basis, tau)
         r1, r2 = build_transfers(basis, tau)
-        assert np.array_equal(r1, np.linalg.solve(mass, proj1).T)
-        assert np.array_equal(r2, np.linalg.solve(mass, proj2).T)
+        assert np.max(np.abs(ops.mass - mass)) <= 1e-13 * tau
+        assert np.max(np.abs(ops.stiffness - stiffness)) <= 1e-13
+        assert np.max(np.abs(r1 - np.linalg.solve(mass, proj1).T)) <= 1e-13
+        assert np.max(np.abs(r2 - np.linalg.solve(mass, proj2).T)) <= 1e-13
 
     def test_cached_tables_are_read_only(self, p_t, tau):
         basis = BasisSpec(p_t)
         ref = reference_tables(basis)
         ops = assemble_local(basis, tau)
         tables = [getattr(ref, field.name) for field in dataclasses.fields(ref)]
-        tables += [*_half_step_values(basis), ops.stiffness, ops.eval_start, ops.eval_end]
+        tables += [*build_transfers(basis, tau), ops.stiffness, ops.eval_start, ops.eval_end]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = table
@@ -212,6 +232,28 @@ class TestRhsMoments:
         start = basis_values(basis, np.array([0.0]))[:, 0]
         assert_allclose(with_u0[0] - base[0], 2.0 * start, atol=1e-14)
         assert_allclose(with_u0[1:], base[1:], atol=0.0)
+
+    @pytest.mark.parametrize("p_t", range(9))
+    @pytest.mark.parametrize("tau", [1e-6, 0.37, 1e6])
+    def test_matches_quadrature_against_basis_values(self, p_t, tau):
+        # the basis is the identity at the Radau nodes, so the weighted node
+        # values are, bitwise, the quadrature of f against every basis function
+        basis, n = BasisSpec(p_t), 257
+        rule = radau_rule(basis.n_t)
+        f = lambda t: np.sin(3.0 * t) + t
+        fvals = f((np.arange(n)[:, None] + rule.c) * tau)
+        want = fvals @ (tau * basis_values(basis, rule.c) * rule.b).T
+        assert np.array_equal(rhs_moments(f, basis, tau, n), want)
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_step_size(self, tau):
+        with pytest.raises(ValueError, match=f"must be finite and positive, got {tau}"):
+            rhs_moments(np.cos, BasisSpec(1), tau, 4, u0=1.0)
+
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    def test_rejects_fewer_than_one_step(self, n_steps):
+        with pytest.raises(ValueError, match=f"need at least 1 step, got {n_steps}"):
+            rhs_moments(np.cos, BasisSpec(1), 0.5, n_steps, u0=1.0)
 
 
 class TestForwardSolve:

@@ -65,7 +65,7 @@ def test_import_leaves_caches_empty():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert {"timemg.dg.reference_tables", "timemg.transfers._half_step_values"} <= set(sizes)
+    assert {"timemg.dg.reference_tables", "timemg.transfers._restriction_pair"} <= set(sizes)
     assert all(size == 0 for size in sizes.values()), sizes
 
 
