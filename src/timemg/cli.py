@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -18,8 +19,8 @@ import time
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import checks
+from .bench import ScalingPlan, run_scaling
 from .dg import BasisSpec, GlobalSystem, forward_solve, rhs_moments
 from .fourier import rho_profile, smoothing_factor
 from .multigrid import DIVERGENCE_RATIO, CycleConfig, TimeHierarchy, solve
@@ -44,18 +45,39 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, f"{name}.{args.format}")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  defaults: dict) -> argparse.Namespace:
-    """Layer defaults < config file < explicit flags; reject unknown file keys."""
-    merged = dict(defaults)
+def _file_value(key: str, action: argparse.Action, value, default):
+    """Check a config file value as its flag checks its text (a JSON string, or
+    the JSON spelling of any other value); a number flag needs a JSON number,
+    a switch true or false, and null stands for a default of None."""
+    if (action.nargs == 0 and isinstance(value, bool)) or (value is None and default is None):
+        return value
+    try:
+        got = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+    except (ValueError, argparse.ArgumentTypeError):
+        got = None
+    if (action.nargs == 0 or got is None or (isinstance(value, str) and not isinstance(got, str))
+            or (action.choices is not None and got not in action.choices)):
+        expect = f" (choose from {', '.join(action.choices)})" if action.choices else ""
+        raise ValueError(f"config key {key!r}: invalid value {json.dumps(value)}{expect}")
+    return got
+
+
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Layer defaults < config file < explicit flags; reject unknown file keys
+    and values that the subcommand's flags would reject."""
+    merged = dict(args.defaults)
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - set(defaults)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        unknown = set(file_values) - set(args.defaults)
         if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        actions = {a.dest: a for a in args.parser._actions}
+        merged.update({key: _file_value(key, actions[key], value, args.defaults[key])
+                       for key, value in file_values.items()})
     merged.update(vars(args))
     return argparse.Namespace(**merged)
 
@@ -69,10 +91,8 @@ def _parse_omega(value: str):
         raise argparse.ArgumentTypeError(f"omega must be 'optimal' or a number, got {value!r}")
 
 
-def _parse_int_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v]
+def _parse_int_list(value: str) -> list:
+    return [int(v) for v in value.split(",") if v]
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -143,10 +163,12 @@ def cmd_verify(args) -> int:
 # solve
 
 
+_N_LEVELS = inspect.signature(TimeHierarchy.build).parameters["n_levels"].default
 _SOLVE_DEFAULTS = dict(pt=0, steps=64, T=1.0, tau=None, u0=1.0, f="zero", f_param=1.0,
-                       nu1=2, nu2=2, omega="optimal", levels=CycleConfig.levels, eps=1e-8,
-                       seed=42, workers=1, max_iters=250, compare_sequential=False,
-                       out=".", format="csv")
+                       nu1=CycleConfig.nu1, nu2=CycleConfig.nu2, omega=CycleConfig.damping,
+                       levels=_N_LEVELS, eps=CycleConfig.eps, seed=CycleConfig.seed,
+                       workers=CycleConfig.workers, max_iters=CycleConfig.max_iters,
+                       compare_sequential=False, out=".", format="csv")
 
 
 def _preset_f(name: str, param: float):
@@ -166,11 +188,9 @@ def cmd_solve(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     tau = args.tau if args.tau is not None else args.T / args.steps
-    levels = args.levels if args.levels == "max" else int(args.levels)
-    hier = TimeHierarchy.build(basis, tau, args.steps, n_levels=levels)
-    config = CycleConfig(nu1=args.nu1, nu2=args.nu2, damping=args.omega,
-                         levels=levels, eps=args.eps, max_iters=args.max_iters,
-                         seed=args.seed, workers=args.workers)
+    hier = TimeHierarchy.build(basis, tau, args.steps, n_levels=args.levels)
+    config = CycleConfig(nu1=args.nu1, nu2=args.nu2, damping=args.omega, eps=args.eps,
+                         max_iters=args.max_iters, seed=args.seed, workers=args.workers)
     f = _preset_f(args.f, args.f_param)
     rhs = rhs_moments(f, basis, tau, args.steps, u0=args.u0)
     t0 = time.perf_counter()
@@ -222,20 +242,19 @@ def cmd_solve(args) -> int:
 # bench
 
 
-_BENCH_DEFAULTS = dict(mode="strong", workers="1,2,4", steps_per_worker=1 << 15,
-                       total_steps=1 << 17, pt="0", tau=1e-6, eps=1e-8, reps=3,
-                       seed=42, out=".", format="csv")
+_BENCH_DEFAULTS = dict(mode="strong", workers="1,2,4",
+                       steps_per_worker=ScalingPlan.steps_per_worker,
+                       total_steps=ScalingPlan.total_steps, pt="0", tau=ScalingPlan.tau,
+                       eps=ScalingPlan.eps, reps=ScalingPlan.repetitions,
+                       seed=ScalingPlan.seed, out=".", format="csv")
 
 
 def cmd_bench(args) -> int:
-    plan = bench_mod.ScalingPlan(mode=args.mode,
-                                 workers=_parse_int_list(args.workers),
-                                 steps_per_worker=args.steps_per_worker,
-                                 total_steps=args.total_steps,
-                                 p_t_list=tuple(_parse_int_list(args.pt)),
-                                 tau=args.tau, eps=args.eps,
-                                 repetitions=args.reps, seed=args.seed)
-    rows = bench_mod.run_scaling(plan)
+    plan = ScalingPlan(mode=args.mode, workers=_parse_int_list(args.workers),
+                       steps_per_worker=args.steps_per_worker, total_steps=args.total_steps,
+                       p_t_list=tuple(_parse_int_list(args.pt)), tau=args.tau, eps=args.eps,
+                       repetitions=args.reps, seed=args.seed)
+    rows = run_scaling(plan)
     if args.mode == "strong":
         for prev, cur in zip(rows, rows[1:]):
             if cur.p_t == prev.p_t and cur.median_time > prev.median_time:
@@ -283,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float)
     p.add_argument("--tau-points", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_analyze, defaults=_ANALYZE_DEFAULTS)
+    p.set_defaults(func=cmd_analyze, defaults=_ANALYZE_DEFAULTS, parser=p)
 
     p = subs.add_parser("verify", help="run theory-vs-practice cross checks")
     p.add_argument("suite", choices=tuple(_VERIFY_SUITES))
@@ -308,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int)
     p.add_argument("--compare-sequential", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_solve, defaults=_SOLVE_DEFAULTS)
+    p.set_defaults(func=cmd_solve, defaults=_SOLVE_DEFAULTS, parser=p)
 
     p = subs.add_parser("bench", help="strong/weak scaling study",
                         argument_default=argparse.SUPPRESS)
@@ -322,22 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_bench, defaults=_BENCH_DEFAULTS)
+    p.set_defaults(func=cmd_bench, defaults=_BENCH_DEFAULTS, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.defaults is not None:
-            args = _merge_config(args, parser, args.defaults)
+            args = _merge_config(args)
         return args.func(args)
-    except SystemExit as exc:  # parser.error inside merge
-        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,9 +70,13 @@ class TimeHierarchy:
 
     @classmethod
     def build(cls, basis: BasisSpec, tau: float, n_steps: int,
-              n_levels="max", coarsest: int = 8) -> "TimeHierarchy":
-        """Coarsen by step doubling until ``n_levels`` grids exist or the next
-        grid would drop below ``coarsest`` steps (never below 2)."""
+              n_levels=2, coarsest: int = 8) -> "TimeHierarchy":
+        """Coarsen by step doubling until ``n_levels`` grids exist ("max": no
+        cap) or the next grid would drop below ``coarsest`` steps (never
+        below 2).  Every cycle descends all levels, so the default 2 gives
+        the two-grid cycle with an exact, team-split coarse solve, the
+        faster solver here, where a coarse step costs O(n_t); "max" gives the
+        paper's V-cycle, the method for space-time problems."""
         if n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {n_steps}")
         check_step_size(tau)
@@ -101,14 +105,8 @@ class CycleConfig:
     """Solver parameters.
 
     ``damping`` is "optimal" (recomputed per level from the level step size)
-    or a fixed value in (0, 2).  ``levels`` caps the cycle depth: the default
-    2 is the two-grid cycle, whose coarse level gets the exact blocked-scan
-    solve (:func:`timemg.dg.scan_rows`) from the whole worker team; "max"
-    descends the whole hierarchy, the paper's V-cycle.  On this scalar model
-    problem a coarse step costs O(n_t), so the exact coarse solve is cheap
-    and the two-grid cycle is the faster solver; in a space-time problem the
-    coarse solve is a full spatial solve per step and "max" is the method.
-    Two smoothing steps per side keep deep V-cycles close to the two-grid
+    or a fixed value in (0, 2).  The hierarchy sets the cycle depth.  Two
+    smoothing steps per side keep deep V-cycles close to the two-grid
     factor; a single step is noticeably depth-sensitive on this problem.
     ``min_slab`` is the smallest per-worker slab worth the synchronization of
     a split level; levels use fewer workers once their slabs would drop
@@ -118,7 +116,6 @@ class CycleConfig:
     nu1: int = 2
     nu2: int = 2
     damping: object = "optimal"
-    levels: object = 2
     eps: float = 1e-8
     max_iters: int = 250
     seed: int = 42
@@ -134,8 +131,6 @@ class CycleConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.levels != "max" and int(self.levels) < 1:
-            raise ValueError(f"levels must be 'max' or >= 1, got {self.levels}")
 
 
 # residual growth over the initial residual that stops a solve as diverged; no
@@ -315,8 +310,8 @@ class _Workspace:
     smoothing buffer that does not hold the iterate.  The coarsest level of
     a cycle is solved exactly, from f alone into one y buffer."""
 
-    def __init__(self, levels: Sequence[Level], depth: int):
-        self.levels = list(levels[:depth])
+    def __init__(self, levels: Sequence[Level]):
+        self.levels = list(levels)
         self.y = []
         self.f = []
         self.g = []
@@ -389,26 +384,20 @@ def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
     return cur
 
 
-def _depth(hier: TimeHierarchy, config: CycleConfig) -> int:
-    if config.levels == "max":
-        return len(hier)
-    return min(len(hier), int(config.levels))
-
-
-def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig, depth: int) -> list:
+def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig) -> list:
     return [resolve_damping(config.damping, alpha(hier.basis, lev.tau))
-            for lev in hier.levels[:depth]]
+            for lev in hier.levels]
 
 
-def _serial_cycle(hier: TimeHierarchy, level: int, u, f, config: CycleConfig,
-                  depth: int) -> np.ndarray:
-    ws = _Workspace(hier.levels[level:], depth - level)
+def _serial_cycle(hier: TimeHierarchy, u, f, config: CycleConfig) -> np.ndarray:
+    config = config or CycleConfig()
+    ws = _Workspace(hier.levels)
     ops = ws.levels[0].ops
     shape = (ws.levels[0].n_steps, ops.n_t)
     y = ws.y[0]
     y[1][:] = block_input("u", u, shape).T
     ws.f[0][:] = block_input("f", f, shape).T
-    omegas = _resolve_omegas(hier, config, depth)[level:]
+    omegas = _resolve_omegas(hier, config)
     _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
     block_apply(ops.step_matrix, y[1], y[0], add=False)
     cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
@@ -423,26 +412,22 @@ def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
     solve the coarse grid exactly, prolongate the correction, post-smooth.
     ``u`` and ``f`` must be finite and shaped (n_steps, n_t) like ``level``,
     else ``ValueError``."""
-    config = config or CycleConfig()
     if not 0 <= level < len(hier) - 1:
         raise ValueError(f"level {level} is not a level with a coarser neighbor")
-    return _serial_cycle(hier, level, u, f, config, level + 2)
+    return _serial_cycle(TimeHierarchy(hier.basis, hier.levels[level:level + 2]),
+                         u, f, config)
 
 
 def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray:
     """One V-cycle from the finest level; the coarse solve of the two-grid
     cycle is replaced by one recursive cycle except at the coarsest level,
-    which is solved directly.  Without a ``config`` the cycle descends the
-    whole hierarchy; a config's ``levels`` caps the depth.  ``u`` and ``f``
+    which is solved directly.  The cycle descends every level of ``hier``,
+    so on a 2-level hierarchy it is the two-grid cycle.  ``u`` and ``f``
     must be finite and shaped (n_steps, n_t) like the finest level, else
     ``ValueError``."""
-    config = config or CycleConfig(levels="max")
-    depth = _depth(hier, config)
-    if depth < 2:
-        cause = (f"the hierarchy has {len(hier)}" if len(hier) < 2
-                 else f"levels={config.levels!r} caps the depth at {depth}")
-        raise ValueError(f"v_cycle needs at least 2 levels, but {cause}")
-    return _serial_cycle(hier, 0, u, f, config, depth)
+    if len(hier) < 2:
+        raise ValueError(f"v_cycle needs at least 2 levels, but the hierarchy has {len(hier)}")
+    return _serial_cycle(hier, u, f, config)
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +488,20 @@ def _max_ratio(norms: Sequence[float]) -> float:
     return float(max(ratios[1:])) if len(ratios) > 1 else float(ratios[0])
 
 
-def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
-             eps: float, max_iters: int):
-    """Run cycles until the residual drops by ``eps`` relative to the start.
+def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int):
+    """Run cycles until the residual drops by ``config.eps`` relative to the
+    start.
 
     Worker 0 reduces the per-block squared norms in fixed order, so stopping
     decisions (and hence the iterates) are identical for any worker count.
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
     to machine precision without running any cycle.
     """
-    ws = _Workspace(hier.levels, depth)
+    ws = _Workspace(hier.levels)
     ops, y = ws.levels[0].ops, ws.y[0]
     y[1][:] = u_init.T  # each worker turns its slab into y = S u in y[0]
     ws.f[0][:] = f.T
-    omegas = _resolve_omegas(hier, config, depth)
+    omegas = _resolve_omegas(hier, config)
     slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
     barrier = team_barrier(workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
@@ -547,7 +532,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
         r0 = norm_at(wid, cur, lap)
         if wid == 0:
             shared["norms"].append(r0)
-        tol = max(eps * r0, floor)
+        tol = max(config.eps * r0, floor)
         rk = r0
         iters = 0
         # all workers read the same norm and leave together; NaN fails both tests
@@ -569,7 +554,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, depth: int,
     norms = shared["norms"]
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)
-              else "converged" if last <= max(eps * norms[0], floor)
+              else "converged" if last <= max(config.eps * norms[0], floor)
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
@@ -585,8 +570,8 @@ def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
 
 def solve(hier: TimeHierarchy, f, u_init=None,
           config: CycleConfig = None) -> tuple[np.ndarray, SolveStats]:
-    """Iterate cycles until the residual drops by ``config.eps``: two-grid
-    cycles by default, V-cycles with ``levels="max"`` (see CycleConfig).
+    """Iterate cycles over all levels of ``hier`` until the residual drops by
+    ``config.eps``; on a single level, solve exactly.
 
     ``f`` and ``u_init`` must be finite and shaped (n_steps, n_t) like the
     finest level, else ``ValueError``.  ``u_init`` defaults to a random guess
@@ -595,28 +580,29 @@ def solve(hier: TimeHierarchy, f, u_init=None,
     exception.
     """
     config = config or CycleConfig()
-    depth = _depth(hier, config)
     finest = hier.finest
     shape = (finest.n_steps, finest.ops.n_t)
     f = block_input("f", f, shape)
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
     u_init = block_input("u_init", u_init, shape)
-    if depth < 2:
-        # single-level configuration: solve directly, then measure the residual
-        u_init = forward_solve(GlobalSystem(finest.ops, finest.n_steps), f)
-        return _iterate(hier, f, u_init, config, 1, config.eps, 0)
-    return _iterate(hier, f, u_init, config, depth, config.eps, config.max_iters)
+    if len(hier) > 1:
+        return _iterate(hier, f, u_init, config, config.max_iters)
+    # single level: solve directly, then measure the residual
+    u_init = forward_solve(GlobalSystem(finest.ops, finest.n_steps), f)
+    return _iterate(hier, f, u_init, config, 0)
 
 
 def measure_convergence_factor(hier: TimeHierarchy, config: CycleConfig = None) -> float:
-    """Measured asymptotic factor of the two-grid cycle on a zero right-hand
-    side: max ratio of consecutive residual norms, from a seeded random start,
-    capped at 250 iterations or the configured reduction ``eps``."""
+    """Measured asymptotic factor of the two-grid cycle on the two finest
+    levels of ``hier``, on a zero right-hand side: max ratio of consecutive
+    residual norms, from a seeded random start, capped at 250 iterations or
+    the configured reduction ``eps``."""
     config = config or CycleConfig(eps=1e-100)
     if len(hier) < 2:
         raise ValueError("measuring the two-grid factor needs 2 levels")
-    f = np.zeros((hier.finest.n_steps, hier.finest.ops.n_t))
-    _, stats = _iterate(hier, f, random_initial_guess(hier, config.seed),
-                        config, 2, config.eps, min(config.max_iters, 250))
+    two = TimeHierarchy(hier.basis, hier.levels[:2])
+    f = np.zeros((two.finest.n_steps, two.finest.ops.n_t))
+    _, stats = _iterate(two, f, random_initial_guess(two, config.seed), config,
+                        min(config.max_iters, 250))
     return stats.factor

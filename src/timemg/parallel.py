@@ -17,9 +17,6 @@ class NullBarrier:
     def wait(self):
         pass
 
-    def abort(self):
-        pass
-
 
 def team_barrier(n_workers: int):
     return NullBarrier() if n_workers == 1 else threading.Barrier(n_workers)

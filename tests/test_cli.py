@@ -2,11 +2,14 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from timemg import cli
 from timemg.checks import Result
 from timemg.cli import main
+from timemg.dg import BasisSpec, rhs_moments
+from timemg.multigrid import TimeHierarchy, solve
 
 
 def read_csv(path):
@@ -161,6 +164,21 @@ class TestSolve:
         text = (tmp_path / "solve_stats.json").read_text()
         assert json.loads(text, parse_constant=pytest.fail)["status"] == status
 
+    @pytest.mark.parametrize("flags, n_levels", [([], 2), (["--levels", "max"], "max")])
+    def test_levels_flag_sets_hierarchy_depth(self, tmp_path, flags, n_levels):
+        # the written solution is bitwise the library solve on the hierarchy
+        # built with the flag's depth, and the two depths give different bits
+        basis, n, tau = BasisSpec(1), 256, 1.0 / 256
+        assert main(["solve", "--pt", "1", "--steps", str(n), "--f", "sin", *flags,
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "solve_solution.csv")
+        got = np.array([[float(r["c0"]), float(r["c1"])] for r in rows])
+        rhs = rhs_moments(np.sin, basis, tau, n, u0=1.0)
+        want = {depth: solve(TimeHierarchy.build(basis, tau, n, n_levels=depth), rhs)[0]
+                for depth in (2, "max")}
+        assert got.tobytes() == want[n_levels].tobytes()
+        assert want[2].tobytes() != want["max"].tobytes()
+
     def test_bad_flag_usage_error(self):
         assert main(["solve", "--pt", "zero"]) == 2
 
@@ -208,6 +226,45 @@ class TestConfigFile:
 
     def test_missing_file_is_error(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("analyze", "5", "config file {cfg} must hold a JSON object"),
+        ("solve", "[]", "config file {cfg} must hold a JSON object"),
+        ("analyze", '{"steps": "x"}', "config key 'steps': invalid value \"x\""),
+        ("analyze", '{"tau_points": "7"}', "config key 'tau_points': invalid value \"7\""),
+        ("solve", '{"workers": 2.5}', "config key 'workers': invalid value 2.5"),
+        ("solve", '{"nu1": true}', "config key 'nu1': invalid value true"),
+        ("solve", '{"omega": "0.7"}', "config key 'omega': invalid value \"0.7\""),
+        ("solve", '{"compare_sequential": "no"}',
+         "config key 'compare_sequential': invalid value \"no\""),
+        ("solve", '{"format": "xml"}',
+         "config key 'format': invalid value \"xml\" (choose from csv, json)"),
+        ("bench", '{"mode": "fast"}',
+         "config key 'mode': invalid value \"fast\" (choose from strong, weak)"),
+    ], ids=["not-an-object", "list", "text-for-int", "quoted-int", "fractional-int",
+            "bool-for-int", "quoted-float", "text-for-switch", "format-choice", "mode-choice"])
+    def test_malformed_value_usage_error(self, tmp_path, capsys, command, text, message):
+        # checked like the flag's own text, before any file is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(cfg=cfg) + "\n"
+        assert not out.exists()
+
+    def test_file_values_as_their_flags(self, tmp_path):
+        # numbers, text, a switch and a null default read like the flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pt": 1, "steps": 64, "tau": None, "T": 2, "omega": 0.7,
+                                   "levels": "max", "workers": 2,
+                                   "compare_sequential": True, "format": "json"}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main(["solve", "--pt", "1", "--steps", "64", "--T", "2", "--omega", "0.7",
+                     "--levels", "max", "--workers", "2", "--compare-sequential",
+                     "--format", "json", "--out", str(tmp_path / "flags")]) == 0
+        name = "solve_solution.json"
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 class TestBench:

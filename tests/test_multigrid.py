@@ -75,7 +75,7 @@ class TestTransfers:
 
 class TestHierarchy:
     def test_nesting(self):
-        hier = TimeHierarchy.build(BasisSpec(1), 0.25, 64, coarsest=4)
+        hier = TimeHierarchy.build(BasisSpec(1), 0.25, 64, n_levels="max", coarsest=4)
         assert [lev.n_steps for lev in hier.levels] == [64, 32, 16, 8, 4]
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
             assert coarse.tau == 2.0 * fine.tau  # exact doubling
@@ -85,6 +85,8 @@ class TestHierarchy:
     def test_level_cap(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=2)
         assert len(hier) == 2
+        # the default hierarchy is the two-grid one
+        assert len(TimeHierarchy.build(BasisSpec(0), 1.0, 64)) == 2
 
     @pytest.mark.parametrize("p_t", range(8))
     def test_prolongation_in_step_scaled_unknowns(self, p_t):
@@ -100,7 +102,7 @@ class TestHierarchy:
         assert coarse.p1 is None and coarse.p2 is None
 
     def test_coarsest_at_least_two(self):
-        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, coarsest=2)
+        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, n_levels="max", coarsest=2)
         assert hier.levels[-1].n_steps >= 2
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
@@ -221,15 +223,12 @@ class TestVCycle:
         assert a.tobytes() == b.tobytes()
 
     def test_zero_map(self):
-        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 32, coarsest=4)
+        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 32, n_levels="max", coarsest=4)
         out = v_cycle(hier, np.zeros((32, 1)), np.zeros((32, 1)))
         assert np.max(np.abs(out)) == 0.0
 
     def test_depth_cap_below_two_levels_is_named(self):
-        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=4)
         u = np.zeros((64, 1))
-        with pytest.raises(ValueError, match=r"levels=1 caps the depth at 1"):
-            v_cycle(hier, u, u, CycleConfig(levels=1))
         single = TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=1)
         with pytest.raises(ValueError, match=r"the hierarchy has 1"):
             v_cycle(single, u, u)
@@ -283,9 +282,9 @@ class TestSolve:
     def test_early_stop(self, p_t, tau, n, f, status, iterations):
         # damping 1.99 diverges; a 1e300 right-hand side overflows the first
         # residual; the iteration counts are those of the V-cycle
-        hier = TimeHierarchy.build(BasisSpec(p_t), tau, n)
+        hier = TimeHierarchy.build(BasisSpec(p_t), tau, n, n_levels="max")
         _, stats = solve(hier, np.full((n, p_t + 1), f),
-                         config=CycleConfig(damping=1.99, max_iters=50, levels="max"))
+                         config=CycleConfig(damping=1.99, max_iters=50))
         assert (stats.status, stats.iterations, stats.converged) == (status, iterations, False)
 
     def test_residual_history_monotone(self):
@@ -318,9 +317,9 @@ class TestSolve:
             original(k, body, barrier)
 
         monkeypatch.setattr(multigrid, "run_team", recording)
-        hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n)
+        hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n, n_levels=levels)
         _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
-            eps=1e-6, workers=workers, min_slab=min_slab, levels=levels))
+            eps=1e-6, workers=workers, min_slab=min_slab))
         assert started == [team] and stats.workers == team
 
     def test_converged_follows_status(self):
@@ -356,13 +355,13 @@ class TestSolve:
         # as a serial tail, so coarse g is made on slabs of one split and
         # read on another
         tau, n = 1e-3, 1 << 12
-        hier = TimeHierarchy.build(basis, tau, n)
+        hier = TimeHierarchy.build(basis, tau, n, n_levels="max")
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         u_init = random_initial_guess(hier, 5)
         base, base_stats = solve(hier, rhs, u_init, CycleConfig(
-            eps=1e-10, workers=1, min_slab=256, levels="max"))
+            eps=1e-10, workers=1, min_slab=256))
         got, stats = solve(hier, rhs, u_init, CycleConfig(
-            eps=1e-10, workers=workers, min_slab=256, levels="max"))
+            eps=1e-10, workers=workers, min_slab=256))
         assert stats.converged and stats.iterations == base_stats.iterations
         assert got.tobytes() == base.tobytes()
 
@@ -374,19 +373,19 @@ class TestSolve:
         # must have that residual, up to the rounding of the change back
         basis = BasisSpec(p_t)
         tau, n = 1e-2, 1 << 10
-        hier = TimeHierarchy.build(basis, tau, n)
+        hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         u, stats = solve(hier, rhs, config=CycleConfig(
-            eps=1e-8, levels=levels, workers=workers, min_slab=64))
+            eps=1e-8, workers=workers, min_slab=64))
         want = np.linalg.norm(rhs - apply_global(GlobalSystem(hier.finest.ops, n), u))
         assert stats.converged and stats.iterations > 0
         assert abs(stats.residual_norms[-1] - want) <= 1e-12 * stats.residual_norms[0]
 
     def test_single_level_reports_measured_residual(self):
         basis = BasisSpec(1)
-        hier = TimeHierarchy.build(basis, 0.1, 64)
+        hier = TimeHierarchy.build(basis, 0.1, 64, n_levels=1)
         rhs = rhs_moments(np.cos, basis, 0.1, 64, u0=1.0)
-        u, stats = solve(hier, rhs, config=CycleConfig(levels=1))
+        u, stats = solve(hier, rhs)
         want = np.linalg.norm(rhs - apply_global(GlobalSystem(hier.finest.ops, 64), u))
         assert stats.converged and stats.iterations == 0 and len(stats.residual_norms) == 1
         assert 0.0 < stats.residual_norms[0] <= 1e-14 * np.linalg.norm(rhs)
@@ -422,12 +421,12 @@ class TestSolve:
         # min_slab 2 splits every level above the 8-step coarsest, whose exact
         # solve then follows a split level, as it does in the two-grid cycle
         # at min_slab 64; 64 and 256 leave a serial tail of sub-cycles
-        hier = TimeHierarchy.build(BasisSpec(0), 1e-2, 1 << 10)
         f = np.zeros((1 << 10, 1))
-        u_init = random_initial_guess(hier, 7)
         for levels, min_slabs in (("max", (2, 64, 256, 1 << 20)), (2, (64,))):
+            hier = TimeHierarchy.build(BasisSpec(0), 1e-2, 1 << 10, n_levels=levels)
+            u_init = random_initial_guess(hier, 7)
             outs = {(workers, ms): solve(hier, f, u_init, CycleConfig(
-                        eps=1e-8, levels=levels, workers=workers, min_slab=ms))[0].tobytes()
+                        eps=1e-8, workers=workers, min_slab=ms))[0].tobytes()
                     for workers in (1, 2, 4) for ms in min_slabs}
             assert len(set(outs.values())) == 1, levels
 
@@ -451,14 +450,15 @@ class TestMemoryLayout:
         # (n_steps, n_t) C-ordered results whose bytes do not depend on
         # whether the inputs are C- or Fortran-ordered
         basis = BasisSpec(p_t)
-        hier = TimeHierarchy.build(basis, 0.01, 256)
+        hier, deep, single = (TimeHierarchy.build(basis, 0.01, 256, n_levels=k)
+                              for k in (2, "max", 1))
         f = rhs_moments(np.cos, basis, 0.01, 256, u0=1.0)
         u = random_initial_guess(hier, 5)
         calls = {
             "solve": lambda u, f: solve(hier, f, u, CycleConfig(eps=1e-10))[0],
-            "solve levels=1": lambda u, f: solve(hier, f, u, CycleConfig(levels=1))[0],
+            "solve n_levels=1": lambda u, f: solve(single, f, u)[0],
             "two_grid_cycle": lambda u, f: two_grid_cycle(hier, 0, u, f),
-            "v_cycle": lambda u, f: v_cycle(hier, u, f),
+            "v_cycle": lambda u, f: v_cycle(deep, u, f),
             "block_jacobi_sweep": lambda u, f: block_jacobi_sweep(hier.finest.ops, u, f, 0.7, 2),
         }
         for name, call in calls.items():
@@ -472,9 +472,9 @@ class TestSolveLargeScale:
     def test_tiny_step_vcycle_convergence(self):
         # many steps, tiny step size: converges with a per-cycle reduction
         # comfortably under the 0.5 two-grid ceiling plus multilevel slack
-        hier = TimeHierarchy.build(BasisSpec(0), 1e-6, 1 << 15)
+        hier = TimeHierarchy.build(BasisSpec(0), 1e-6, 1 << 15, n_levels="max")
         f = np.zeros((1 << 15, 1))
-        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, seed=42, levels="max"))
+        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, seed=42))
         assert stats.converged
         assert stats.factor <= 0.55
 

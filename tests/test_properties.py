@@ -58,10 +58,10 @@ def test_converged_solve_is_near_exact(p_t, tau, n, levels):
     # error it leaves stays within 10 eps of the initial error (measured:
     # at most 0.49 eps over 40 draws)
     basis, system, rhs = _problem(p_t, tau, n)
-    hier = TimeHierarchy.build(basis, tau, n)
+    hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
     eps = 1e-8
     guess = random_initial_guess(hier, 3)
-    u, stats = solve(hier, rhs, guess, CycleConfig(eps=eps, levels=levels))
+    u, stats = solve(hier, rhs, guess, CycleConfig(eps=eps))
     exact = forward_solve(system, rhs)
     assert stats.converged
     bound = 10 * eps * np.max(np.abs(forward_solve(system, rhs - apply_global(system, guess))))
@@ -73,10 +73,10 @@ def test_converged_solve_is_near_exact(p_t, tau, n, levels):
        st.sampled_from((16, 64)), st.sampled_from((2, "max")))
 def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels):
     basis, _, rhs = _problem(p_t, tau, n)
-    hier = TimeHierarchy.build(basis, tau, n)
+    hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
     guess = random_initial_guess(hier, 5)
-    runs = [solve(hier, rhs, guess, CycleConfig(eps=1e-8, levels=levels, workers=w,
-                                                min_slab=min_slab, max_iters=30))
+    runs = [solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=w, min_slab=min_slab,
+                                                max_iters=30))
             for w in (1, workers)]
     (u1, s1), (uw, sw) = runs
     assert uw.tobytes() == u1.tobytes() and sw.iterations == s1.iterations
