@@ -4,7 +4,7 @@ factors the solver achieves."""
 
 from .bench import ScalingPlan, ScalingRow, run_scaling
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, RadauRule,
-                 apply_global, assemble_local, forward_solve,
+                 apply_global, assemble_local, build_transfers, forward_solve,
                  radau_rule, rhs_moments, stability_function)
 from .fourier import (FrequencySet, SmoothingReport, frequencies, gamma, mode_vector,
                       predicted_rho, rho_profile, smoothing_factor, symbol_smoother,
@@ -14,6 +14,5 @@ from .multigrid import (CycleConfig, Level, SolveStats, TimeHierarchy,
                         random_initial_guess, solve, two_grid_cycle, v_cycle)
 from .smoothing import (ALPHA_MIN, alpha, optimal_omega, resolve_damping,
                         smoothing_symbol_modulus)
-from .transfers import build_transfers
 
 __version__ = "0.1.0"

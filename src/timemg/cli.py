@@ -91,6 +91,12 @@ def _parse_omega(value: str):
         raise argparse.ArgumentTypeError(f"omega must be 'optimal' or a number, got {value!r}")
 
 
+def _parse_levels(value: str):
+    if value == "max" or (value.isdecimal() and int(value) >= 1):
+        return value if value == "max" else int(value)
+    raise argparse.ArgumentTypeError(f"levels must be 'max' or an integer >= 1, got {value!r}")
+
+
 def _parse_int_list(value: str) -> list:
     return [int(v) for v in value.split(",") if v]
 
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu1", type=int)
     p.add_argument("--nu2", type=int)
     p.add_argument("--omega", type=_parse_omega)
-    p.add_argument("--levels")
+    p.add_argument("--levels", type=_parse_levels)
     p.add_argument("--eps", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)

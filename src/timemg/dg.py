@@ -176,23 +176,29 @@ class ReferenceTables:
         Basis values at the left/right endpoint of the step; eval_start = e_0.
     stiffness : ndarray
         The tau-independent block of :class:`LocalOperators`.
+    r1, r2 : ndarray
+        The restriction pair of :func:`build_transfers`: basis values at the
+        nodes c / 2 and (c + 1) / 2 of the first and second half step.
     """
 
     weights: np.ndarray
     eval_start: np.ndarray
     eval_end: np.ndarray
     stiffness: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def reference_tables(basis: BasisSpec) -> ReferenceTables:
-    """Radau weights and tau-independent blocks of ``basis``, cached."""
+    """Radau weights, tau-independent blocks and restriction pair of ``basis``, cached."""
     rule = radau_rule(basis.n_t)
     eval_start = basis_values(basis, np.array([0.0]))[:, 0]
     eval_end = basis_values(basis, np.array([1.0]))[:, 0]
     tables = ReferenceTables(
         weights=rule.b, eval_start=eval_start, eval_end=eval_end,
-        stiffness=-basis_derivatives(basis, rule.c) * rule.b + np.outer(eval_end, eval_end))
+        stiffness=-basis_derivatives(basis, rule.c) * rule.b + np.outer(eval_end, eval_end),
+        r1=basis_values(basis, rule.c / 2.0), r2=basis_values(basis, (rule.c + 1.0) / 2.0))
     for field in dataclasses.fields(tables):
         getattr(tables, field.name).flags.writeable = False
     return tables
@@ -214,6 +220,22 @@ def assemble_local(basis: BasisSpec, tau: float) -> LocalOperators:
     check_step_size(tau)
     ref = reference_tables(basis)
     return LocalOperators(ref.stiffness, np.diag(tau * ref.weights), ref.eval_start, ref.eval_end)
+
+
+def build_transfers(basis: BasisSpec, tau_fine: float) -> tuple[np.ndarray, np.ndarray]:
+    """Return the local restriction blocks (r1, r2) for one coarsening step.
+
+    r1.T = mass^{-1} @ proj1 and r2.T = mass^{-1} @ proj2, where proj1/proj2
+    are the cross mass matrices between the coarse basis on (0, 2 tau) and the
+    fine basis on the first/second half.  On the fine Radau nodes c, exact for
+    these degree 2 p_t integrands, mass = tau diag(b) and proj1[k, l] =
+    tau b_k phi~_l(c_k / 2): tau cancels, and every valid ``tau_fine`` gets
+    the basis's cached read-only pair r1[l, k] = phi~_l(c_k / 2), r2[l, k] =
+    phi~_l((c_k + 1) / 2) of :func:`reference_tables`.
+    """
+    check_step_size(tau_fine)
+    ref = reference_tables(basis)
+    return ref.r1, ref.r2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -344,7 +366,10 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     so y is rounded once.  A per-step run in double through each block
     drifts from its carried end value by rounding that grows with the block
     length: the relative residual reached 3-12x the per-step loop's (p_t
-    0-5, tau 1e-6 to 1e6, 2^17 steps); in this form it stays within 1.7x.
+    0-5, tau 1e-6 to 1e6, 2^17 steps).  In this form it measured 0.87-1.38x
+    the loop's on the grid of ``test_scan_matches_step_loop``, but 2.14x at
+    p_t = 0, tau = 1e-2, 2^15 steps (3.38e-15 against 1.58e-15) and 2.63x at
+    2^17 steps (4.86e-15 against 1.85e-15): see ROADMAP item 4.
     """
     n_t, n = y.shape
     block = scan_block(n)

@@ -11,9 +11,8 @@ import dataclasses
 
 import numpy as np
 
-from .dg import BasisSpec, LocalOperators, assemble_local
+from .dg import BasisSpec, LocalOperators, assemble_local, build_transfers
 from .smoothing import alpha, resolve_damping, smoothing_symbol_modulus
-from .transfers import build_transfers
 
 _BOUNDARY_TOL = 1e-12
 

@@ -26,11 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
-                 block_input, check_step_size, forward_solve, scan_block, scan_buffer,
-                 scan_rows)
+                 block_input, build_transfers, check_step_size, forward_solve, scan_block,
+                 scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
-from .transfers import build_transfers
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +39,9 @@ from .transfers import build_transfers
 @dataclasses.dataclass(frozen=True)
 class Level:
     """One time grid plus the transfer blocks to the next coarser level: the
-    restriction pair (r1, r2), and the prolongation pair in step-scaled
-    unknowns, p_i = S r_i^T S_c^{-1} with S and S_c the step matrices of
-    this level and the coarser one."""
+    basis's restriction pair (r1, r2), the same at every level, and the
+    prolongation pair in step-scaled unknowns, p_i = S r_i^T S_c^{-1} with S
+    and S_c the step matrices of this level and the coarser one."""
 
     n_steps: int
     tau: float
@@ -76,20 +75,22 @@ class TimeHierarchy:
         below 2).  Every cycle descends all levels, so the default 2 gives
         the two-grid cycle with an exact, team-split coarse solve, the
         faster solver here, where a coarse step costs O(n_t); "max" gives the
-        paper's V-cycle, the method for space-time problems."""
+        paper's V-cycle, the method for space-time problems.  Any other
+        ``n_levels`` than "max" or an integer >= 1 raises ``ValueError``."""
         if n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {n_steps}")
         check_step_size(tau)
-        max_levels = np.inf if n_levels == "max" else int(n_levels)
-        if max_levels < 1:
-            raise ValueError(f"need at least one level, got {n_levels}")
+        if n_levels != "max" and (not isinstance(n_levels, (int, np.integer))
+                                  or isinstance(n_levels, bool) or n_levels < 1):
+            raise ValueError(f"n_levels must be 'max' or an integer >= 1, got {n_levels!r}")
+        max_levels = np.inf if n_levels == "max" else n_levels
         grids = [(n_steps, tau)]
         n = n_steps
         while len(grids) < max_levels and n % 2 == 0 and n // 2 >= max(2, coarsest):
             n = n // 2
             grids.append((n, 2.0 * grids[-1][1]))
         ops = [assemble_local(basis, t) for _, t in grids]
-        r1, r2 = build_transfers(basis, tau)  # the same pair at every level
+        r1, r2 = build_transfers(basis, tau)  # the basis's one pair, for every level
         levels = []
         for (n, t), op, coarse in zip(grids, ops, ops[1:] + [None]):
             if coarse is None:

@@ -182,6 +182,14 @@ class TestSolve:
     def test_bad_flag_usage_error(self):
         assert main(["solve", "--pt", "zero"]) == 2
 
+    @pytest.mark.parametrize("value", ["2.5", "true", "0"])
+    def test_bad_levels_usage_error(self, tmp_path, capsys, value):
+        # argparse names the flag; the count is never truncated to an int
+        assert main(["solve", "--levels", value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --levels: levels must be 'max' or an integer >= 1, got '{value}'\n")
+        assert not (tmp_path / "solve_stats.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tau_usage_error(self, tmp_path, capsys, recwarn, value):
         assert main(["solve", "--tau", value, "--out", str(tmp_path)]) == 2
@@ -235,6 +243,9 @@ class TestConfigFile:
         ("solve", '{"workers": 2.5}', "config key 'workers': invalid value 2.5"),
         ("solve", '{"nu1": true}', "config key 'nu1': invalid value true"),
         ("solve", '{"omega": "0.7"}', "config key 'omega': invalid value \"0.7\""),
+        ("solve", '{"levels": 2.5}', "config key 'levels': invalid value 2.5"),
+        ("solve", '{"levels": true}', "config key 'levels': invalid value true"),
+        ("solve", '{"levels": 0}', "config key 'levels': invalid value 0"),
         ("solve", '{"compare_sequential": "no"}',
          "config key 'compare_sequential': invalid value \"no\""),
         ("solve", '{"format": "xml"}',
@@ -242,7 +253,8 @@ class TestConfigFile:
         ("bench", '{"mode": "fast"}',
          "config key 'mode': invalid value \"fast\" (choose from strong, weak)"),
     ], ids=["not-an-object", "list", "text-for-int", "quoted-int", "fractional-int",
-            "bool-for-int", "quoted-float", "text-for-switch", "format-choice", "mode-choice"])
+            "bool-for-int", "quoted-float", "fractional-levels", "bool-for-levels", "zero-levels",
+            "text-for-switch", "format-choice", "mode-choice"])
     def test_malformed_value_usage_error(self, tmp_path, capsys, command, text, message):
         # checked like the flag's own text, before any file is written
         cfg = tmp_path / "cfg.json"

@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 from oracles import forward_substitution, pade_exp_eval
 from timemg.dense import dense_system
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       basis_derivatives, basis_values, forward_solve, radau_rule,
-                       reference_tables, rhs_moments, stability_function)
-from timemg.transfers import build_transfers
+                       basis_derivatives, basis_values, build_transfers, forward_solve,
+                       radau_rule, reference_tables, rhs_moments, stability_function)
 
 
 class TestRadauRule:
@@ -143,6 +142,9 @@ class TestReferenceCache:
         r1, r2 = build_transfers(basis, tau)
         assert np.array_equal(r1, basis_values(basis, c / 2.0))
         assert np.array_equal(r2, basis_values(basis, (c + 1.0) / 2.0))
+        # the pair is the basis's reference tables' own: one cache serves both
+        ref = reference_tables(basis)
+        assert r1 is ref.r1 and r2 is ref.r2
         # tau cancels: every valid step size gets the same read-only pair
         for other in (1e-6, 2.0 * tau, 1e6):
             pair = build_transfers(basis, other)

@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 
 from timemg.checks import symbol_equivalence
 from timemg.dense import dense_prolongation, dense_restriction
-from timemg.dg import BasisSpec, LocalOperators, assemble_local, radau_rule
+from timemg.dg import (BasisSpec, LocalOperators, assemble_local, build_transfers,
+                       radau_rule)
 from timemg.fourier import (frequencies, gamma, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
 from timemg.smoothing import alpha, optimal_omega
-from timemg.transfers import build_transfers
 
 
 class TestFrequencies:

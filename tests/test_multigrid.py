@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import threading
 import time
 
@@ -11,14 +12,13 @@ from timemg import multigrid
 from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
-                       basis_values, forward_solve, rhs_moments)
+                       basis_values, build_transfers, forward_solve, rhs_moments)
 from timemg.fourier import predicted_rho
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
                               measure_convergence_factor, random_initial_guess,
                               solve, two_grid_cycle, v_cycle)
 from timemg.parallel import run_team, team_barrier
 from timemg.smoothing import alpha, optimal_omega
-from timemg.transfers import build_transfers
 
 
 class TestTransfers:
@@ -87,6 +87,14 @@ class TestHierarchy:
         assert len(hier) == 2
         # the default hierarchy is the two-grid one
         assert len(TimeHierarchy.build(BasisSpec(0), 1.0, 64)) == 2
+        assert len(TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=np.int64(3))) == 3
+
+    @pytest.mark.parametrize("n_levels", [2.5, 3.0, True, False, 0, -1, "2", "MAX", None])
+    def test_level_count_must_be_max_or_positive_integer(self, n_levels):
+        # a float or a bool is refused, not truncated to a level count
+        with pytest.raises(ValueError, match="n_levels must be 'max' or an integer >= 1, got "
+                                             + re.escape(repr(n_levels))):
+            TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=n_levels)
 
     @pytest.mark.parametrize("p_t", range(8))
     def test_prolongation_in_step_scaled_unknowns(self, p_t):
