@@ -105,9 +105,10 @@ def order_of_accuracy(cases) -> list:
 
 
 def symbol_equivalence(p_ts, taus, damping, seed, n=16) -> list:
-    """Dense periodic operators on ``n`` steps against their Fourier symbols.
-    Per ``(p_t, tau)``: system and smoother symbols on random single modes
-    (gap <= 1e-12), then the two-grid spectrum against the union of the
+    """Dense periodic operators on ``n`` steps (an even ``n >= 16``, so the
+    hierarchy's floor of 8 steps leaves a coarse level) against their Fourier
+    symbols.  Per ``(p_t, tau)``: system and smoother symbols on random single
+    modes (gap <= 1e-12), then the two-grid spectrum against the union of the
     harmonic-pair spectra (gap <= 1e-9).  One generator, in (p_t, tau) order."""
     freqs = frequencies(n)
     rng = np.random.default_rng(seed)
@@ -115,7 +116,7 @@ def symbol_equivalence(p_ts, taus, damping, seed, n=16) -> list:
     for p_t in p_ts:
         basis = BasisSpec(p_t)
         for tau in taus:
-            fine, coarse = TimeHierarchy.build(basis, tau, n, n_levels=2, coarsest=2).levels
+            fine, coarse = TimeHierarchy.build(basis, tau, n, n_levels=2).levels
             ops, transfers = fine.ops, (fine.r1, fine.r2)
             omega = resolve_damping(damping, alpha(basis, tau))
             l_dense = dense_system(ops, n, periodic=True)

@@ -23,7 +23,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .parallel import NullBarrier
 
@@ -55,8 +54,15 @@ def radau_rule(s: int) -> RadauRule:
         return RadauRule(c=np.zeros(1), b=np.ones(1))
     # Interior nodes on [-1, 1] are the roots of the Jacobi polynomial
     # P_{s-1}^{(0,1)}; the Gauss-Jacobi weights for the weight (1+x) give the
-    # Radau weights after dividing the weight function back out.
-    x, wj = roots_jacobi(s - 1, 0.0, 1.0)
+    # Radau weights after dividing the weight function back out.  Golub-Welsch:
+    # the roots are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    # of P^{(0,1)}, and the weights are 2 v_0^2 (2 = integral of 1+x) from the
+    # first components v_0 of its normalized eigenvectors.
+    k = np.arange(s - 1.0)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2.0 * k[1:] + 1.0)
+    x, vecs = np.linalg.eigh(np.diag(1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+                             + np.diag(off, 1) + np.diag(off, -1))
+    wj = 2.0 * vecs[0] ** 2
     c = np.concatenate(([0.0], (x + 1.0) / 2.0))
     b = np.concatenate(([2.0 / s**2], wj / (1.0 + x))) / 2.0
     return RadauRule(c=c, b=b)

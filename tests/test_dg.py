@@ -24,6 +24,15 @@ class TestRadauRule:
         # exactness identity: b . c^2 == 1/3
         assert abs(rule.b @ rule.c**2 - 1.0 / 3.0) < 1e-15
 
+    def test_three_point(self):
+        # the closed form of the order-5 rule, to within 1 ulp of each value
+        rule = radau_rule(3)
+        r6 = np.sqrt(6.0)
+        assert_allclose(rule.c, [0.0, (6.0 - r6) / 10.0, (6.0 + r6) / 10.0],
+                        rtol=0, atol=2.3e-16)
+        assert_allclose(rule.b, [1.0 / 9.0, (16.0 + r6) / 36.0, (16.0 - r6) / 36.0],
+                        rtol=0, atol=2.3e-16)
+
     @pytest.mark.parametrize("s", range(1, 12))
     def test_exactness_order(self, s):
         rule = radau_rule(s)

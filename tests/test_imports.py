@@ -1,8 +1,10 @@
 """Import structure of the timemg package: every import sits at module level,
 and each submodule imports cleanly when it is the first one loaded, so an
 import cycle cannot hide behind an import deferred into a function.  The
-import itself builds no quadrature tables: every cache starts empty.  The
-README's module table lists exactly the package's modules."""
+import itself builds no quadrature tables: every cache starts empty.  Neither
+the import nor building a basis's tables loads scipy: numpy is the only
+runtime dependency.  The README's module table lists exactly the package's
+modules."""
 
 import ast
 import json
@@ -38,12 +40,17 @@ print(json.dumps({f"{name}.{attr}": fn.cache_info().currsize
                   if hasattr(fn, "cache_info") and fn.__module__ == name}))
 """
 
-# prints whether importing the package loaded scipy.signal
-_SCIPY_SIGNAL_AFTER_IMPORT = """
-import sys
+# imports the package, builds a basis's tables and one right-hand side, then
+# prints every scipy module that any of it loaded
+_SCIPY_AFTER_USE = """
+import json, sys
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 import timemg
-print("scipy.signal" in sys.modules)
+from timemg.dg import BasisSpec, reference_tables, rhs_moments
+reference_tables(BasisSpec(3))
+rhs_moments(np.sin, BasisSpec(3), 0.1, 4)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
@@ -72,13 +79,13 @@ def test_import_leaves_caches_empty():
     assert all(size == 0 for size in sizes.values()), sizes
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second to import cold, which would land in
-    # every command's start-up, and imports cannot be deferred into functions
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_AFTER_IMPORT,
-                           str(PACKAGE.parent)], capture_output=True, text=True, timeout=120)
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; the calls catch an import made
+    # inside a third-party function, which the module-level rule cannot see
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_USE, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == []
 
 
 def test_readme_module_table_names_every_module():
