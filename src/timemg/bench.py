@@ -1,8 +1,10 @@
 """Desk-scale strong/weak scaling study of the parallel-in-time solver.
 
-Shared-memory workers stand in for distributed ranks (the per-sweep exchange
-pattern, two neighbor blocks, is the same), so the deliverable is the trend,
-not absolute times.  Timing covers the solve only; assembly is excluded.
+Shared-memory workers stand in for distributed ranks (the exchange pattern is
+the same: once per pass of a cycle, each slab's last max(nu1, nu2) + 1 steps
+go to its right neighbour, which repeats their sweeps instead of waiting at a
+barrier per sweep), so the deliverable is the trend, not absolute times.
+Timing covers the solve only; assembly is excluded.
 """
 
 from __future__ import annotations
@@ -89,8 +91,16 @@ def _run_point(basis: BasisSpec, n_steps: int, plan: ScalingPlan, workers: int):
     return statistics.median(samples), iterations, samples
 
 
+def hardware_threads() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (``os.cpu_count()`` also counts CPUs the process may not use)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _warn_if_oversubscribed(workers: int) -> None:
-    cpus = os.cpu_count() or 1
+    cpus = hardware_threads()
     if workers > cpus:
         warnings.warn(f"{workers} workers on {cpus} hardware threads: "
                       "timings will not scale", stacklevel=3)

@@ -8,17 +8,22 @@ This is the u-form cycle conjugated by the block-diagonal S, with the same
 residuals and convergence.  The public functions take and return u; they
 convert to y on entry and back on exit.
 
-All block kernels operate on a contiguous slab of steps [a, b) so the same
-code runs serially (one slab covering everything) and inside the worker team.
+Each worker owns a contiguous slab of steps [a, b) of a level, so the same
+code runs serially (one slab covering everything) and inside the worker team,
+and works through it in chunks of ``CHUNK`` steps that stay in the L2 cache:
+a cycle makes two fused passes per level, one before and one after the
+coarse correction, with no barrier inside a pass (see "cycles" below).
 Every kernel computes each block with a fixed operation order, which makes the
-solver output bitwise independent of the worker count.  The workspace stores
-block vectors as (n_t, n_steps), one contiguous row per basis coefficient;
-the public functions take and return C-ordered (n_steps, n_t) arrays.
+solver output bitwise independent of the worker count and the chunk size.  The
+workspace stores block vectors as (n_t, n_steps), one contiguous row per basis
+coefficient; the public functions take and return C-ordered (n_steps, n_t)
+arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from typing import Optional, Sequence
@@ -111,7 +116,7 @@ class CycleConfig:
     factor; a single step is noticeably depth-sensitive on this problem.
     ``min_slab`` is the smallest per-worker slab worth the synchronization of
     a split level; levels use fewer workers once their slabs would drop
-    below it.
+    below it, or below max(nu1, nu2) + 1 steps.
     """
 
     nu1: int = 2
@@ -147,16 +152,21 @@ class SolveStats:
     "max_iters", "diverged" (see ``DIVERGENCE_RATIO``) or "non_finite"; the
     read-only ``converged`` is ``status == "converged"``.
 
-    ``times`` holds worker 0's wall time in seconds per phase: "smoothing"
-    (the sweeps, every g = omega f, and the change of the iterate to y = S u
-    and back), "transfer" (residual, restriction and prolongation inside a
-    cycle), "coarse" (the exact coarsest solve, a blocked scan split over
-    the team, and, in a team, the serial tail of V-cycle levels too small to
-    split, which worker 0 runs alone) and "residual" (the residual norms that
-    decide when to stop).  The phases leave no gaps: they add up to worker
-    0's time from the change to y to the change back.  ``workers`` is the
-    size of the team that ran: ``config.workers``, or 1 when the finest
-    level is too small to split (see ``CycleConfig.min_slab``).
+    ``times`` holds worker 0's wall time in seconds per phase.  A cycle
+    works through each level in chunks and charges each part of a chunk as
+    it ends: "smoothing" (the sweeps, the sweeps a slab repeats over its
+    left neighbour's last columns, every g = omega f, and the change of the
+    iterate to y = S u and back), "transfer" (inside a cycle: the residual,
+    the restriction with the coarse zero guess, and the prolongation),
+    "coarse" (the exact coarsest solve, a blocked scan split over the team,
+    with the barrier before it, and, in a team, the serial tail of V-cycle
+    levels too small to split, which worker 0 runs alone) and "residual"
+    (the residual norms that decide when to stop: the finest residual and
+    its squared norms, fused into each cycle's last pass, and their sum).
+    The phases leave no gaps: they add up to worker 0's time from the
+    change to y to the change back.  ``workers`` is the size of the team
+    that ran: ``config.workers``, or 1 when the finest level is too small
+    to split (see ``CycleConfig.min_slab``).
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -189,76 +199,106 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 
 
 # ---------------------------------------------------------------------------
-# slab kernels
+# chunk kernels
 #
 # Block vectors are stored as (n_t, n_steps), one contiguous row per basis
-# coefficient, so each kernel streams whole rows.  Block products are spelled
-# out as fixed-order ufunc row operations: per step they are bitwise
-# independent of the slab split, and the inner loops release the GIL so the
-# worker threads overlap.  The kernels run on y = S u.  The step coupling is
-# rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z . y_prev) with
-# z = eval_end S^{-1}: the residual f - y + C u_prev and the sweep
-# (1 - omega) y + omega (f + C u_prev) are row passes plus one dot product
-# per step, added to row 0.  The only block products left are the transfers
-# and the change to y = S u and back, once per solve or public cycle.
+# coefficient.  A level's slab is worked through in chunks of CHUNK block
+# entries, and each kernel takes one chunk, a view of n_t row segments.  Block products are
+# spelled out as fixed-order ufunc row operations: per step they are bitwise
+# independent of the chunk and slab split, and the inner loops release the
+# GIL so the worker threads overlap.  The kernels run on y = S u.  The step
+# coupling is rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z .
+# y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
+# sweep (1 - omega) y + omega (f + C u_prev) are row passes plus one dot
+# product per step, added to row 0.  The only block products left are the
+# transfers and the change to y = S u and back, once per solve or public
+# cycle.
+
+# block entries (steps x n_t) per chunk, 1 MiB per array: a chunk's y, f, g
+# and residual stay near the core (2 MiB L2) through its sweeps, residual and
+# transfer.  Smaller chunks ran faster on one worker (2^15 entries: -35% for
+# p_t = 0 at 2^20 steps) but shorten every numpy call, and a two-worker team
+# then loses its speedup to handing the GIL over between the calls (p_t = 0,
+# 2^20 steps: 1.45 at 2^16 entries, 1.57 here, 1.70 without chunks)
+CHUNK = 1 << 17
 
 
-def _add_coupling(end, y, out, a: int, b: int) -> None:
-    """out[0, n - a] += end . y[:, n - 1] for the steps n >= 1 of the slab
-    [a, b), the coupling e_0 (end . y_prev); ``out`` holds the slab's b - a
-    columns."""
-    lo = max(a, 1)
-    prev = y[:, lo - 1:b - 1]
-    value = end[0] * prev[0]
-    for j in range(1, len(end)):
-        value += end[j] * prev[j]
-    out[0, lo - a:] += value
+def _chunk_steps(n_t: int) -> int:
+    """Steps per chunk: CHUNK // n_t, even so that a chunk restricts to whole
+    coarse steps."""
+    return max(2, CHUNK // n_t // 2 * 2)
 
 
-def _residual_slab(ops: LocalOperators, f, y, out, a: int, b: int) -> None:
-    """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on the slab [a, b)."""
-    np.subtract(f[:, a:b], y[:, a:b], out=out[:, a:b])
-    _add_coupling(ops.end_step_inv, y, out[:, a:b], a, b)
+def _chunks(a: int, b: int, n_t: int):
+    """The chunks (s, e) of the slab [a, b)."""
+    step = _chunk_steps(n_t)
+    return ((s, min(s + step, b)) for s in range(a, b, step))
 
 
-def _smoother_rhs_slab(omega: float, f, g, a: int, b: int) -> None:
-    """g = omega f on the slab [a, b): the part of the sweep that does not
-    depend on the iterate."""
-    np.multiply(f[:, a:b], omega, out=g[:, a:b])
+def _dot(z, col) -> float:
+    """z . col on Python floats, summed in the order of :func:`_coupling`."""
+    acc = z[0] * col[0]
+    for j in range(1, len(z)):
+        acc += z[j] * col[j]
+    return acc
 
 
-def _sweep_slab(ops: LocalOperators, omega: float, g, y, cur: int, nu: int,
-                a: int, b: int, barrier) -> int:
-    """``nu`` sweeps dst = (1 - omega) src + omega (f + e_0 (z . src_prev))
-    on the slab [a, b), given g = omega f, from y[cur] alternating
-    between the buffers y[0] and y[1], each followed by a barrier; returns
-    the index of the buffer that holds the result."""
-    z = omega * ops.end_step_inv
-    for _ in range(nu):
-        src, dst = y[cur], y[1 - cur][:, a:b]
-        np.multiply(src[:, a:b], 1.0 - omega, out=dst)
-        np.add(dst, g[:, a:b], out=dst)
-        _add_coupling(z, src, dst, a, b)
-        cur ^= 1
-        barrier.wait()
-    return cur
+def _coupling(z, x) -> np.ndarray:
+    """z . x[:, n - 1] for the columns n >= 1 of the chunk ``x``."""
+    value = z[0] * x[0, :-1]
+    for j in range(1, len(z)):
+        value += z[j] * x[j, :-1]
+    return value
 
 
-def _restrict_slab(r1, r2, fine, coarse, ca: int, cb: int) -> None:
-    block_apply(r1, fine[:, 2 * ca:2 * cb:2], coarse[:, ca:cb], add=False)
-    block_apply(r2, fine[:, 2 * ca + 1:2 * cb:2], coarse[:, ca:cb], add=True)
+def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool) -> None:
+    """``nu`` sweeps y <- (1 - omega) y + g + e_0 (z . y_prev), given
+    g = omega f and z = omega eval_end S^{-1}, in place on the chunk ``y``.
+    carry[k] holds sweep k's input at the column ahead of the chunk, read if
+    ``coupled``, and leaves holding it at the chunk's last column for the
+    next chunk, since the sweep overwrites it.  ``z`` and the carries are
+    lists of Python floats, whose arithmetic rounds like numpy's."""
+    for k in range(nu):
+        value = _coupling(z, y)
+        first = _dot(z, carry[k]) if coupled else None
+        carry[k] = y[:, -1].tolist()
+        np.multiply(y, 1.0 - omega, out=y)
+        np.add(y, g, out=y)
+        y[0, 1:] += value
+        if coupled:
+            y[0, 0] += first
 
 
-def _prolong_add_slab(p1, p2, coarse, fine, ca: int, cb: int) -> None:
-    block_apply(p1, coarse[:, ca:cb], fine[:, 2 * ca:2 * cb:2], add=True)
-    block_apply(p2, coarse[:, ca:cb], fine[:, 2 * ca + 1:2 * cb:2], add=True)
+def _residual(z, f, y, before, out) -> None:
+    """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on a chunk, given
+    z = eval_end S^{-1}; ``before`` is the column ahead of the chunk, None
+    at the level's first step, which has no predecessor."""
+    np.subtract(f, y, out=out)
+    out[0, 1:] += _coupling(z, y)
+    if before is not None:
+        out[0, 0] += _dot(z, before)
 
 
-def _sqnorm_slab(x, out, a: int, b: int) -> None:
-    acc = x[0, a:b] * x[0, a:b]
+def _restrict(r1, r2, fine, coarse) -> None:
+    """coarse = r1 fine_even + r2 fine_odd on a chunk that starts on an even
+    step."""
+    block_apply(r1, fine[:, 0::2], coarse, add=False)
+    block_apply(r2, fine[:, 1::2], coarse, add=True)
+
+
+def _prolong_add(p1, p2, coarse, fine, s: int) -> None:
+    """fine += the prolongation of the coarser level's ``coarse`` on the
+    chunk ``fine`` that starts at step s: p1 on even steps, p2 on odd ones."""
+    e = s + fine.shape[1]
+    even, odd = s + s % 2, s + 1 - s % 2
+    block_apply(p1, coarse[:, even // 2:(e + 1) // 2], fine[:, even - s::2], add=True)
+    block_apply(p2, coarse[:, odd // 2:e // 2], fine[:, odd - s::2], add=True)
+
+
+def _sqnorm(x, out) -> None:
+    np.multiply(x[0], x[0], out=out)
     for j in range(1, len(x)):
-        acc += x[j, a:b] * x[j, a:b]
-    out[a:b] = acc
+        out += x[j] * x[j]
 
 
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
@@ -273,17 +313,29 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     shape = np.shape(u)[:1] + (ops.n_t,)
     ut = block_input("u", u, shape).T.copy()
     g = block_input("f", f, shape).T.copy()
-    n = ut.shape[1]
-    _smoother_rhs_slab(omega, g, g, 0, n)
-    y = [np.empty_like(ut), ut]
-    block_apply(ops.step_matrix, ut, y[0], add=False)
-    cur = _sweep_slab(ops, omega, g, y, 0, nu, 0, n, NullBarrier())
-    block_apply(ops.step_inv, y[cur], y[1 - cur], add=False)
-    return y[1 - cur].T.copy()
+    np.multiply(g, omega, out=g)
+    y = np.empty_like(ut)
+    block_apply(ops.step_matrix, ut, y, add=False)
+    z, carry = (omega * ops.end_step_inv).tolist(), [None] * nu
+    for s, e in _chunks(0, y.shape[1], ops.n_t):
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+    block_apply(ops.step_inv, y, ut, add=False)
+    return ut.T.copy()
 
 
 # ---------------------------------------------------------------------------
 # cycles
+#
+# A cycle makes two fused passes over each level's slab, chunk by chunk.
+# Pass A runs the nu1 sweeps, the residual and its restriction into the
+# coarse rhs (with the coarse guess and g); pass B the prolongation-add of
+# the coarse correction, the nu2 sweeps and, on the finest level of a solve,
+# the residual's squared norms for the stopping test.  A sweep reads the
+# previous step, so a chunk starts from the sweep inputs its predecessor
+# left at its last column (the carry).  A slab's first chunk recomputes them
+# from the left neighbour's last columns, published before the barrier that
+# opened the pass, with the same per-step arithmetic as the neighbour, so a
+# pass needs no barrier inside and gives the same bits for any split.
 
 
 def _lap_clock(times: dict):
@@ -305,84 +357,155 @@ def _no_lap(phase: str) -> None:
 
 
 class _Workspace:
-    """Preallocated per-level arrays, each stored as (n_t, n_steps): two
-    smoothing buffers of y = S u, the rhs f and the sweep's g = omega f,
-    plus the coarsest level's scan buffer.  A residual goes into the
-    smoothing buffer that does not hold the iterate.  The coarsest level of
-    a cycle is solved exactly, from f alone into one y buffer."""
+    """Per-solve state: the damping per level, the sweep counts, and per
+    level arrays stored as (n_t, n_steps): the iterate y = S u, the rhs f
+    and the sweep's g = omega f, which the exact coarsest solve does not
+    read.  ``edges[lev][0]`` and ``[1]`` hold each worker's last ``width`` =
+    max(nu1, nu2) + 1 columns of the input of pass A and of pass B, for its
+    right neighbour.  The finest level also has ``u`` for the change to y
+    and back and, in a solve that measures its residual, ``sq``, the squared
+    residual norm per step.  Each worker has one chunk of residual."""
 
-    def __init__(self, levels: Sequence[Level]):
+    def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
+                 workers: int = 1, measure: bool = False):
         self.levels = list(levels)
-        self.y = []
-        self.f = []
-        self.g = []
+        self.omegas, self.nu1, self.nu2 = omegas, nu1, nu2
+        self.width = max(nu1, nu2) + 1
+        n_t, n = self.levels[0].ops.n_t, self.levels[0].n_steps
+        self.y, self.f, self.g = [], [], []
         for k, lev in enumerate(self.levels):
-            shape = (lev.ops.n_t, lev.n_steps)
-            # the finest level keeps both buffers even as the only level: the
-            # residual and the change back to u go into the free one
+            self.y.append(np.zeros((n_t, lev.n_steps)))
+            self.f.append(np.zeros((n_t, lev.n_steps)))
             smoothed = k == 0 or k < len(self.levels) - 1
-            self.y.append([np.zeros(shape) for _ in range(1 + smoothed)])
-            self.f.append(np.zeros(shape))
-            self.g.append(np.zeros(shape) if smoothed else None)
-        self.sq = np.zeros(self.levels[0].n_steps)
+            self.g.append(np.zeros((n_t, lev.n_steps)) if smoothed else None)
+        self.edges = [np.zeros((2, workers, n_t, self.width)) for _ in self.levels]
+        self.u = np.zeros((n_t, n))
+        self.sq = np.zeros(n) if measure else None
+        self.res = [np.empty((n_t, min(_chunk_steps(n_t), n))) for _ in range(workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
-    def full_slab(self, wid: int, lev: int):
+    def full_slab(self, lev: int):
         return (0, self.levels[lev].n_steps)
 
+    def publish(self, lev: int, which: int, wid: int, a: int, b: int) -> None:
+        """The last ``width`` columns of the slab [a, b) into the edge; a
+        shorter slab is never split, so no neighbour reads its edge."""
+        if b - a >= self.width:
+            self.edges[lev][which][wid] = self.y[lev][:, b - self.width:b]
 
-def _cycle(ws: _Workspace, lev: int, cur: int, nu1: int, nu2: int,
-           omegas: Sequence[float], slab_of, barrier, wid: int, lap) -> int:
-    """One multigrid cycle at level ``lev`` on y = S u; data enters and
-    leaves in ws.y[lev][returned index].  The caller guarantees the entry
-    buffer is globally complete; every exit path ends on a barrier.  The
+
+def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: bool):
+    """The carry of the first chunk of a slab that starts at step a: sweep
+    k's input at column a - 1 for k < nu, and the pass's sweep result there
+    at row nu.  The left neighbour's published input columns (``edges``;
+    None for the zero guess of a coarse level) are swept again, after the
+    prolongation-add when ``prolong``.  The window's first column is swept
+    without its predecessor; the error that leaves there moves one column
+    per sweep and never reaches column a - 1."""
+    level = ws.levels[lev]
+    carry = [None] * (nu + 1)
+    if a == 0:
+        return carry
+    lo = a - nu - 1  # >= 0: a slab holds at least width columns
+    x = (np.zeros((level.ops.n_t, nu + 1)) if edges is None
+         else edges[wid - 1][:, -(nu + 1):].copy())
+    if prolong:
+        _prolong_add(level.p1, level.p2, ws.y[lev + 1], x, lo)
+    omega = ws.omegas[lev]
+    z = (omega * level.ops.end_step_inv).tolist()
+    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, False)
+    carry[nu] = x[:, -1].tolist()
+    return carry
+
+
+def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
+    """ws.sq[s:e] = the finest residual's squared norm per step of the chunk
+    [s, e); ``before`` as in :func:`_residual`."""
+    r = ws.res[wid][:, :e - s]
+    z = ws.levels[0].ops.end_step_inv.tolist()
+    _residual(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r)
+    _sqnorm(r, ws.sq[s:e])
+
+
+def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
+    """Per chunk of the slab [a, b): nu1 sweeps, the residual and its
+    restriction into the coarse rhs, and a zero guess and g on a smoothed
+    coarse level; then the slab's edge for pass B."""
+    if a >= b:
+        return
+    level, nu, omega = ws.levels[lev], ws.nu1, ws.omegas[lev]
+    y, f, g = ws.y[lev], ws.f[lev], ws.g[lev]
+    yc, fc, gc = ws.y[lev + 1], ws.f[lev + 1], ws.g[lev + 1]
+    z, zr = (omega * level.ops.end_step_inv).tolist(), level.ops.end_step_inv.tolist()
+    # a coarse level's pass A starts from the zero guess
+    carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][0] if lev == 0 else None, False)
+    lap("smoothing")
+    for s, e in _chunks(a, b, level.ops.n_t):
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+        lap("smoothing")
+        r = ws.res[wid][:, :e - s]
+        _residual(zr, f[:, s:e], y[:, s:e], carry[nu] if s > 0 else None, r)
+        carry[nu] = y[:, e - 1].tolist()
+        cs, ce = s // 2, e // 2
+        _restrict(level.r1, level.r2, r, fc[:, cs:ce])
+        # the exact coarsest solve reads neither a guess nor g
+        if gc is not None:
+            yc[:, cs:ce] = 0.0
+        lap("transfer")
+        if gc is not None:
+            np.multiply(fc[:, cs:ce], ws.omegas[lev + 1], out=gc[:, cs:ce])
+            lap("smoothing")
+    ws.publish(lev, 1, wid, a, b)
+
+
+def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
+    """Per chunk of the slab [a, b): the prolongation-add of the coarse
+    correction, nu2 sweeps and, on the finest level of a solve, the
+    residual's squared norms; then the slab's edge for the next pass A."""
+    if a >= b:
+        return
+    level, nu, omega = ws.levels[lev], ws.nu2, ws.omegas[lev]
+    y, g, yc = ws.y[lev], ws.g[lev], ws.y[lev + 1]
+    z = (omega * level.ops.end_step_inv).tolist()
+    measure = lev == 0 and ws.sq is not None
+    carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][1], True)
+    lap("smoothing")
+    for s, e in _chunks(a, b, level.ops.n_t):
+        _prolong_add(level.p1, level.p2, yc, y[:, s:e], s)
+        lap("transfer")
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+        lap("smoothing")
+        if measure:
+            _sq_chunk(ws, wid, s, e, carry[nu] if s > 0 else None)
+            lap("residual")
+        carry[nu] = y[:, e - 1].tolist()
+    ws.publish(lev, 0, wid, a, b)
+
+
+def _cycle(ws: _Workspace, lev: int, slab, barrier, wid: int, lap) -> None:
+    """One multigrid cycle at level ``lev``, in place on ws.y[lev] = S u;
+    ``slab(lev)`` is this worker's step range, None for levels that worker
+    0 runs alone.  The caller guarantees the level's y, f and g and its
+    pass A edges are complete; every exit path ends on a barrier.  The
     coarsest level is solved exactly, from its rhs alone."""
     level = ws.levels[lev]
     if lev == len(ws.levels) - 1:
-        scan_rows(level.ops, ws.f[lev], ws.y[lev][0], ws.scan, *slab_of(wid, lev),
-                  barrier, wid == 0)
+        scan_rows(level.ops, ws.f[lev], ws.y[lev], ws.scan, *slab(lev), barrier, wid == 0)
         barrier.wait()  # coarse solution complete
         lap("coarse")
-        return 0
-    omega = omegas[lev]
-    a, b = slab_of(wid, lev)
-    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.y[lev], cur, nu1, a, b, barrier)
-    lap("smoothing")
-
-    # the residual goes into the free smoothing buffer on this worker's slab,
-    # which only this worker's restriction reads before post-smoothing
-    _residual_slab(level.ops, ws.f[lev], ws.y[lev][cur], ws.y[lev][1 - cur], a, b)
-    ca, cb = a // 2, b // 2
-    _restrict_slab(level.r1, level.r2, ws.y[lev][1 - cur], ws.f[lev + 1], ca, cb)
-    # the exact coarsest solve reads neither a guess nor g
-    smoothed = ws.g[lev + 1] is not None
-    if smoothed:
-        ws.y[lev + 1][0][:, ca:cb] = 0.0
-    lap("transfer")
-    if smoothed:
-        _smoother_rhs_slab(omegas[lev + 1], ws.f[lev + 1], ws.g[lev + 1], ca, cb)
-        lap("smoothing")
-
-    barrier.wait()  # coarse rhs, g and zero guess complete
-    if slab_of(wid, lev + 1) is None:
+        return
+    _pass_a(ws, lev, wid, *slab(lev), lap)
+    barrier.wait()  # coarse rhs, guess and g, and the pass B edges complete
+    if slab(lev + 1) is None:
         # worker 0 runs the unsplit coarse levels alone
         if wid == 0:
-            sub = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, ws.full_slab,
-                         NullBarrier(), 0, _no_lap)
-            if sub != 0:
-                ws.y[lev + 1][0][:] = ws.y[lev + 1][sub]
+            _cycle(ws, lev + 1, ws.full_slab, NullBarrier(), 0, _no_lap)
         barrier.wait()  # coarse solution complete
         lap("coarse")
-        ccur = 0
     else:
-        ccur = _cycle(ws, lev + 1, 0, nu1, nu2, omegas, slab_of, barrier, wid, lap)
-
-    _prolong_add_slab(level.p1, level.p2, ws.y[lev + 1][ccur], ws.y[lev][cur], ca, cb)
-    barrier.wait()
-    lap("transfer")
-    cur = _sweep_slab(level.ops, omega, ws.g[lev], ws.y[lev], cur, nu2, a, b, barrier)
-    lap("smoothing")
-    return cur
+        _cycle(ws, lev + 1, slab, barrier, wid, lap)
+    _pass_b(ws, lev, wid, *slab(lev), lap)
+    barrier.wait()  # level complete: the level above prolongs from it, or its norm is reduced
 
 
 def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig) -> list:
@@ -392,19 +515,16 @@ def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig) -> list:
 
 def _serial_cycle(hier: TimeHierarchy, u, f, config: CycleConfig) -> np.ndarray:
     config = config or CycleConfig()
-    ws = _Workspace(hier.levels)
+    ws = _Workspace(hier.levels, _resolve_omegas(hier, config), config.nu1, config.nu2)
     ops = ws.levels[0].ops
     shape = (ws.levels[0].n_steps, ops.n_t)
-    y = ws.y[0]
-    y[1][:] = block_input("u", u, shape).T
+    ws.u[:] = block_input("u", u, shape).T
     ws.f[0][:] = block_input("f", f, shape).T
-    omegas = _resolve_omegas(hier, config)
-    _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], *ws.full_slab(0, 0))
-    block_apply(ops.step_matrix, y[1], y[0], add=False)
-    cur = _cycle(ws, 0, 0, config.nu1, config.nu2, omegas, ws.full_slab,
-                 NullBarrier(), 0, _no_lap)
-    block_apply(ops.step_inv, y[cur], y[1 - cur], add=False)
-    return y[1 - cur].T.copy()
+    np.multiply(ws.f[0], ws.omegas[0], out=ws.g[0])
+    block_apply(ops.step_matrix, ws.u, ws.y[0], add=False)
+    _cycle(ws, 0, ws.full_slab, NullBarrier(), 0, _no_lap)
+    block_apply(ops.step_inv, ws.y[0], ws.u, add=False)
+    return ws.u.T.copy()
 
 
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
@@ -440,9 +560,10 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
     None marks levels run by worker 0.
 
     Each level is split over the largest power-of-two worker count that keeps
-    every slab at least ``min_slab`` blocks (the surplus workers hold empty
-    slabs and only join the barriers); slabs are even-sized so restriction
-    always writes whole coarse blocks.  Levels that cannot keep two workers
+    every slab at least ``min_slab`` blocks, and at least ``ws.width``, the
+    columns a slab's right neighbour sweeps again (the surplus workers hold
+    empty slabs and only join the barriers); slabs are even-sized so
+    restriction always writes whole coarse blocks.  Levels that cannot keep two workers
     busy and all levels below them are marked None and run by worker 0
     between two barriers.  The coarsest level, solved exactly, is split into
     whole scan blocks over all workers when the level above it is split.  A
@@ -452,7 +573,7 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
     for lev in ws.levels[:-1]:
         n = lev.n_steps
         active = workers
-        while active > 1 and (n % active != 0 or n // active < max(min_slab, 2)
+        while active > 1 and (n % active != 0 or n // active < max(min_slab, ws.width)
                               or (n // active) % 2 != 0):
             active //= 2
         if active < 2 or (table and table[-1] is None):
@@ -498,23 +619,19 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
     to machine precision without running any cycle.
     """
-    ws = _Workspace(hier.levels)
-    ops, y = ws.levels[0].ops, ws.y[0]
-    y[1][:] = u_init.T  # each worker turns its slab into y = S u in y[0]
+    ws = _Workspace(hier.levels, _resolve_omegas(hier, config), config.nu1, config.nu2,
+                    config.workers, measure=True)
+    ops, y, u = ws.levels[0].ops, ws.y[0], ws.u
+    u[:] = u_init.T  # each worker turns its slab into y = S u
     ws.f[0][:] = f.T
-    omegas = _resolve_omegas(hier, config)
     slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
     barrier = team_barrier(workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
-    shared = {"norm": np.zeros(1), "cur": 0, "iters": 0, "norms": []}
+    shared = {"norm": np.zeros(1), "iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f))
 
-    def norm_at(wid, cur, lap):
-        rows = slab_of(wid, 0)
-        # the free smoothing buffer holds the residual, as in _cycle
-        _residual_slab(ops, ws.f[0], y[cur], y[1 - cur], *rows)
-        _sqnorm_slab(y[1 - cur], ws.sq, *rows)
-        barrier.wait()
+    def reduce(wid, lap):
+        """The residual norm from ws.sq, complete at the caller's barrier."""
         if wid == 0:
             shared["norm"][0] = np.sqrt(np.sum(ws.sq))
         barrier.wait()
@@ -523,14 +640,18 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
 
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
-        a, b = slab_of(wid, 0)
+        slab = functools.partial(slab_of, wid)
+        a, b = slab(0)
         # the finest slab is fixed, so each worker reads only the g it made
-        _smoother_rhs_slab(omegas[0], ws.f[0], ws.g[0], a, b)
-        block_apply(ops.step_matrix, y[1][:, a:b], y[0][:, a:b], add=False)
+        np.multiply(ws.f[0][:, a:b], ws.omegas[0], out=ws.g[0][:, a:b])
+        block_apply(ops.step_matrix, u[:, a:b], y[:, a:b], add=False)
+        ws.publish(0, 0, wid, a, b)
         barrier.wait()  # y complete: the residual reads the previous slab's last step
         lap("smoothing")
-        cur = 0
-        r0 = norm_at(wid, cur, lap)
+        for s, e in _chunks(a, b, ops.n_t):
+            _sq_chunk(ws, wid, s, e, y[:, s - 1].tolist() if s > 0 else None)
+        barrier.wait()
+        r0 = reduce(wid, lap)
         if wid == 0:
             shared["norms"].append(r0)
         tol = max(config.eps * r0, floor)
@@ -538,17 +659,14 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
         iters = 0
         # all workers read the same norm and leave together; NaN fails both tests
         while tol < rk <= DIVERGENCE_RATIO * r0 and iters < max_iters:
-            cur = _cycle(ws, 0, cur, config.nu1, config.nu2, omegas, slab_of,
-                         barrier, wid, lap)
-            rk = norm_at(wid, cur, lap)
+            _cycle(ws, 0, slab, barrier, wid, lap)  # ends once ws.sq is complete
+            rk = reduce(wid, lap)
             iters += 1
             if wid == 0:
                 shared["norms"].append(rk)
-        # back to u = S^{-1} y, into the free buffer: the residual is spent
-        block_apply(ops.step_inv, y[cur][:, a:b], y[1 - cur][:, a:b], add=False)
+        block_apply(ops.step_inv, y[:, a:b], u[:, a:b], add=False)  # back to u = S^{-1} y
         lap("smoothing")
         if wid == 0:
-            shared["cur"] = 1 - cur
             shared["iters"] = iters
 
     run_team(workers, body, barrier)
@@ -560,7 +678,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
                        seed=config.seed, workers=workers, status=status)
-    return y[shared["cur"]].T.copy(), stats
+    return u.T.copy(), stats
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:

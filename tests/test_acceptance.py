@@ -5,13 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 
 import hashlib
 import math
-import os
 import warnings
 
 import numpy as np
 
 from oracles import pade_exp_eval
-from timemg.bench import ScalingPlan, run_scaling
+from timemg.bench import ScalingPlan, hardware_threads, run_scaling
 from timemg.checks import (closed_form_rho, measured_vs_predicted, order_of_accuracy,
                            smoothing_bound, symbol_equivalence)
 from timemg.dg import BasisSpec, assemble_local, stability_function
@@ -135,7 +134,7 @@ def test_criterion_10_desk_scale_scaling_trends():
     # Thresholds assume >= 4 hardware threads; with fewer cores the 4-worker
     # speedup is arithmetically capped below 2.5 and the criterion reports
     # the honest numbers for this host.
-    cpus = os.cpu_count() or 1
+    cpus = hardware_threads()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         strong = run_scaling(ScalingPlan(

@@ -476,6 +476,59 @@ class TestMemoryLayout:
             assert outs[0].tobytes() == outs[1].tobytes(), name
 
 
+class TestFusedPasses:
+    @pytest.mark.parametrize("nu", [(2, 2), (0, 1), (1, 0), (3, 1)])
+    @pytest.mark.parametrize("levels", [2, "max"])
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_output_independent_of_chunk_size(self, p_t, levels, nu, monkeypatch):
+        # 120 steps over 1-4 workers with min_slab 8 give slabs of 120, 60,
+        # 40, 30, 20 and 10 steps, split 4, 3 and 2 ways, serial tails
+        # ("max", 2 and 4 workers) and partial last chunks of 8 and 24
+        # steps, so the carries cross chunk edges and the ghost sweeps cross
+        # slab edges; one worker in a single chunk is the reference
+        basis, n, tau = BasisSpec(p_t), 120, 1e-2
+        hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        guess = random_initial_guess(hier, 5)
+        config = CycleConfig(nu1=nu[0], nu2=nu[1], eps=1e-10, min_slab=8, max_iters=4)
+        runs = {}
+        for chunk, team in [(n, 1)] + [(c, w) for w in (1, 2, 3, 4) for c in (8, 24, n)]:
+            monkeypatch.setattr(multigrid, "CHUNK", chunk * basis.n_t)  # block entries
+            u, stats = solve(hier, rhs, guess, dataclasses.replace(config, workers=team))
+            runs[chunk, team] = (u.tobytes(), stats.iterations,
+                                 np.array(stats.residual_norms).tobytes())
+        assert len(set(runs.values())) == 1 and stats.iterations > 0
+
+    @pytest.mark.parametrize("levels, min_slab, per_cycle", [
+        (2, 64, 6),          # two-grid: split level and split coarse scan
+        ("max", 64, 10),     # 4 split levels, then a serial tail
+        ("max", 2, 18)])     # 7 split levels and a split coarse scan
+    @pytest.mark.parametrize("nu", [(2, 2), (3, 1)])
+    def test_barrier_waits_per_cycle(self, levels, min_slab, per_cycle, nu, monkeypatch):
+        # each split level waits once after each of its two passes, whatever
+        # nu1 and nu2; the exact coarse scan waits 3 times (a serial tail
+        # once) and the residual norm once more
+        waits = []
+
+        class CountingBarrier(threading.Barrier):
+            def wait(self, timeout=None):
+                waits.append(1)
+                return super().wait(timeout)
+
+        monkeypatch.setattr(multigrid, "team_barrier", CountingBarrier)
+        n = 1 << 10
+        hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n, n_levels=levels)
+        counts = []
+        for iters in (2, 5):
+            waits.clear()
+            _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
+                nu1=nu[0], nu2=nu[1], eps=1e-15, workers=2, min_slab=min_slab,
+                max_iters=iters))
+            assert stats.workers == 2 and stats.iterations == iters
+            counts.append(len(waits) / 2)
+        assert (counts[1] - counts[0]) / 3 == per_cycle
+
+
 class TestSolveLargeScale:
     def test_tiny_step_vcycle_convergence(self):
         # many steps, tiny step size: converges with a per-cycle reduction

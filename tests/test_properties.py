@@ -1,7 +1,7 @@
 """Property tests of the exact solver and the multigrid solve over drawn
-(p_t, tau, n, workers, min_slab): the blocked scan against dense
+(p_t, tau, n, workers, min_slab, chunk size): the blocked scan against dense
 LU and the per-step loop, a converged solve against the scan, and bitwise
-invariance over the worker team."""
+invariance over the worker team and the chunks of its passes."""
 
 import numpy as np
 import pytest
@@ -70,16 +70,21 @@ def test_converged_solve_is_near_exact(p_t, tau, n, levels):
 
 @PROPERTY
 @given(p_ts, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(2, 4),
-       st.sampled_from((16, 64)), st.sampled_from((2, "max")))
-def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels):
+       st.sampled_from((16, 64)), st.sampled_from((2, "max")),
+       st.sampled_from((8, 24, 1 << 14)))
+def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels, chunk):
+    # the team runs its passes in chunks of ``chunk`` steps (CHUNK counts
+    # block entries), the single worker in the default chunks
     basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
     guess = random_initial_guess(hier, 5)
-    runs = [solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=w, min_slab=min_slab,
-                                                max_iters=30))
-            for w in (1, workers)]
-    (u1, s1), (uw, sw) = runs
+    u1, s1 = solve(hier, rhs, guess, CycleConfig(eps=1e-8, max_iters=30))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multigrid, "CHUNK", chunk * basis.n_t)
+        uw, sw = solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=workers,
+                                                     min_slab=min_slab, max_iters=30))
     assert uw.tobytes() == u1.tobytes() and sw.iterations == s1.iterations
+    assert sw.residual_norms == s1.residual_norms
 
 
 @PROPERTY
