@@ -330,13 +330,19 @@ def scan_buffer(n_steps: int) -> np.ndarray:
     return np.zeros(n_blocks * (block + 1) + 1, dtype=np.longdouble)
 
 
-def block_apply(mat, x, out, add: bool) -> None:
-    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order."""
-    n_t = mat.shape[0]
+def block_apply(mat, x, out, add: bool, work=None) -> None:
+    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order.
+    ``work``, two rows at least as long as x's, holds the sum and each
+    product; without it they are allocated."""
+    n_t, length = mat.shape[0], x.shape[1]
+    if work is None:
+        work = np.empty((2, length))
+    acc, prod = work[0, :length], work[1, :length]
     for i in range(n_t):
-        acc = mat[i, 0] * x[0]
+        np.multiply(x[0], mat[i, 0], out=acc)
         for j in range(1, n_t):
-            acc += mat[i, j] * x[j]
+            np.multiply(x[j], mat[i, j], out=prod)
+            acc += prod
         if add:
             out[i] += acc
         else:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import time
 from typing import Optional, Sequence
 
@@ -203,10 +204,10 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 #
 # Block vectors are stored as (n_t, n_steps), one contiguous row per basis
 # coefficient.  A level's slab is worked through in chunks of CHUNK block
-# entries, and each kernel takes one chunk, a view of n_t row segments.  Block products are
-# spelled out as fixed-order ufunc row operations: per step they are bitwise
-# independent of the chunk and slab split, and the inner loops release the
-# GIL so the worker threads overlap.  The kernels run on y = S u.  The step
+# entries, and each kernel takes one chunk, a view of n_t row segments.
+# Block products are spelled out as fixed-order ufunc row operations: per
+# step they are bitwise independent of the chunk and slab split, and the
+# inner loops release the GIL so the worker threads overlap.  The kernels run on y = S u.  The step
 # coupling is rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z .
 # y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
 # sweep (1 - omega) y + omega (f + C u_prev) are row passes plus one dot
@@ -214,18 +215,22 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # transfers and the change to y = S u and back, once per solve or public
 # cycle.
 
-# block entries (steps x n_t) per chunk, 1 MiB per array: a chunk's y, f, g
-# and residual stay near the core (2 MiB L2) through its sweeps, residual and
-# transfer.  Smaller chunks ran faster on one worker (2^15 entries: -35% for
-# p_t = 0 at 2^20 steps) but shorten every numpy call, and a two-worker team
-# then loses its speedup to handing the GIL over between the calls (p_t = 0,
-# 2^20 steps: 1.45 at 2^16 entries, 1.57 here, 1.70 without chunks)
-CHUNK = 1 << 17
+# block entries (steps x n_t) per chunk: 512 KiB per array, so that a
+# chunk's y, f, g and residual stay in a 2 MiB L2 cache through its sweeps,
+# residual and transfers
+CHUNK = 1 << 16
 
 
 def _chunk_steps(n_t: int) -> int:
     """Steps per chunk: CHUNK // n_t, even so that a chunk restricts to whole
-    coarse steps."""
+    coarse steps.  A p_t = 0 level (n_t = 1) is one chunk per slab: its
+    passes are a few one-row calls, chunking them gained little on one
+    worker, and in a team it made every numpy call short enough that the
+    workers lost their speedup to handing the GIL over between the calls
+    (2^20 steps, one worker against two, 2-vCPU host: 1.3-1.45x in chunks
+    of 2^15-2^16 steps, 1.5-1.6x as one chunk)."""
+    if n_t == 1:
+        return sys.maxsize
     return max(2, CHUNK // n_t // 2 * 2)
 
 
@@ -243,23 +248,27 @@ def _dot(z, col) -> float:
     return acc
 
 
-def _coupling(z, x) -> np.ndarray:
-    """z . x[:, n - 1] for the columns n >= 1 of the chunk ``x``."""
-    value = z[0] * x[0, :-1]
+def _coupling(z, x, work) -> np.ndarray:
+    """z . x[:, n - 1] for the columns n >= 1 of the chunk ``x``, in
+    work[0]; work[1] holds each product."""
+    value, prod = work[0, :x.shape[1] - 1], work[1, :x.shape[1] - 1]
+    np.multiply(x[0, :-1], z[0], out=value)
     for j in range(1, len(z)):
-        value += z[j] * x[j, :-1]
+        np.multiply(x[j, :-1], z[j], out=prod)
+        value += prod
     return value
 
 
-def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool) -> None:
+def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool, work) -> None:
     """``nu`` sweeps y <- (1 - omega) y + g + e_0 (z . y_prev), given
     g = omega f and z = omega eval_end S^{-1}, in place on the chunk ``y``.
     carry[k] holds sweep k's input at the column ahead of the chunk, read if
     ``coupled``, and leaves holding it at the chunk's last column for the
     next chunk, since the sweep overwrites it.  ``z`` and the carries are
-    lists of Python floats, whose arithmetic rounds like numpy's."""
+    lists of Python floats, whose arithmetic rounds like numpy's; ``work``
+    is two rows of scratch at least as long as the chunk."""
     for k in range(nu):
-        value = _coupling(z, y)
+        value = _coupling(z, y, work)
         first = _dot(z, carry[k]) if coupled else None
         carry[k] = y[:, -1].tolist()
         np.multiply(y, 1.0 - omega, out=y)
@@ -269,36 +278,38 @@ def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool) -> None:
             y[0, 0] += first
 
 
-def _residual(z, f, y, before, out) -> None:
+def _residual(z, f, y, before, out, work) -> None:
     """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on a chunk, given
     z = eval_end S^{-1}; ``before`` is the column ahead of the chunk, None
     at the level's first step, which has no predecessor."""
     np.subtract(f, y, out=out)
-    out[0, 1:] += _coupling(z, y)
+    out[0, 1:] += _coupling(z, y, work)
     if before is not None:
         out[0, 0] += _dot(z, before)
 
 
-def _restrict(r1, r2, fine, coarse) -> None:
+def _restrict(r1, r2, fine, coarse, work) -> None:
     """coarse = r1 fine_even + r2 fine_odd on a chunk that starts on an even
     step."""
-    block_apply(r1, fine[:, 0::2], coarse, add=False)
-    block_apply(r2, fine[:, 1::2], coarse, add=True)
+    block_apply(r1, fine[:, 0::2], coarse, False, work)
+    block_apply(r2, fine[:, 1::2], coarse, True, work)
 
 
-def _prolong_add(p1, p2, coarse, fine, s: int) -> None:
+def _prolong_add(p1, p2, coarse, fine, s: int, work) -> None:
     """fine += the prolongation of the coarser level's ``coarse`` on the
     chunk ``fine`` that starts at step s: p1 on even steps, p2 on odd ones."""
     e = s + fine.shape[1]
     even, odd = s + s % 2, s + 1 - s % 2
-    block_apply(p1, coarse[:, even // 2:(e + 1) // 2], fine[:, even - s::2], add=True)
-    block_apply(p2, coarse[:, odd // 2:e // 2], fine[:, odd - s::2], add=True)
+    block_apply(p1, coarse[:, even // 2:(e + 1) // 2], fine[:, even - s::2], True, work)
+    block_apply(p2, coarse[:, odd // 2:e // 2], fine[:, odd - s::2], True, work)
 
 
-def _sqnorm(x, out) -> None:
+def _sqnorm(x, out, work) -> None:
+    prod = work[0, :x.shape[1]]
     np.multiply(x[0], x[0], out=out)
     for j in range(1, len(x)):
-        out += x[j] * x[j]
+        np.multiply(x[j], x[j], out=prod)
+        out += prod
 
 
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
@@ -317,8 +328,9 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     y = np.empty_like(ut)
     block_apply(ops.step_matrix, ut, y, add=False)
     z, carry = (omega * ops.end_step_inv).tolist(), [None] * nu
+    work = np.empty((2, min(_chunk_steps(ops.n_t), y.shape[1])))
     for s, e in _chunks(0, y.shape[1], ops.n_t):
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
     block_apply(ops.step_inv, y, ut, add=False)
     return ut.T.copy()
 
@@ -364,7 +376,9 @@ class _Workspace:
     max(nu1, nu2) + 1 columns of the input of pass A and of pass B, for its
     right neighbour.  The finest level also has ``u`` for the change to y
     and back and, in a solve that measures its residual, ``sq``, the squared
-    residual norm per step.  Each worker has one chunk of residual."""
+    residual norm per step.  Each worker has one chunk of residual,
+    ``res``, and two rows of scratch, ``work``, so that the chunk kernels
+    allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
                  workers: int = 1, measure: bool = False):
@@ -381,7 +395,9 @@ class _Workspace:
         self.edges = [np.zeros((2, workers, n_t, self.width)) for _ in self.levels]
         self.u = np.zeros((n_t, n))
         self.sq = np.zeros(n) if measure else None
-        self.res = [np.empty((n_t, min(_chunk_steps(n_t), n))) for _ in range(workers)]
+        steps = min(_chunk_steps(n_t), n)
+        self.res = [np.empty((n_t, steps)) for _ in range(workers)]
+        self.work = [np.empty((2, max(steps, self.width))) for _ in range(workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
     def full_slab(self, lev: int):
@@ -410,10 +426,10 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
     x = (np.zeros((level.ops.n_t, nu + 1)) if edges is None
          else edges[wid - 1][:, -(nu + 1):].copy())
     if prolong:
-        _prolong_add(level.p1, level.p2, ws.y[lev + 1], x, lo)
+        _prolong_add(level.p1, level.p2, ws.y[lev + 1], x, lo, ws.work[wid])
     omega = ws.omegas[lev]
     z = (omega * level.ops.end_step_inv).tolist()
-    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, False)
+    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, False, ws.work[wid])
     carry[nu] = x[:, -1].tolist()
     return carry
 
@@ -421,10 +437,10 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
 def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
     """ws.sq[s:e] = the finest residual's squared norm per step of the chunk
     [s, e); ``before`` as in :func:`_residual`."""
-    r = ws.res[wid][:, :e - s]
+    r, work = ws.res[wid][:, :e - s], ws.work[wid]
     z = ws.levels[0].ops.end_step_inv.tolist()
-    _residual(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r)
-    _sqnorm(r, ws.sq[s:e])
+    _residual(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r, work)
+    _sqnorm(r, ws.sq[s:e], work)
 
 
 def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
@@ -437,17 +453,18 @@ def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     y, f, g = ws.y[lev], ws.f[lev], ws.g[lev]
     yc, fc, gc = ws.y[lev + 1], ws.f[lev + 1], ws.g[lev + 1]
     z, zr = (omega * level.ops.end_step_inv).tolist(), level.ops.end_step_inv.tolist()
+    work = ws.work[wid]
     # a coarse level's pass A starts from the zero guess
     carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][0] if lev == 0 else None, False)
     lap("smoothing")
     for s, e in _chunks(a, b, level.ops.n_t):
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
         lap("smoothing")
         r = ws.res[wid][:, :e - s]
-        _residual(zr, f[:, s:e], y[:, s:e], carry[nu] if s > 0 else None, r)
+        _residual(zr, f[:, s:e], y[:, s:e], carry[nu] if s > 0 else None, r, work)
         carry[nu] = y[:, e - 1].tolist()
         cs, ce = s // 2, e // 2
-        _restrict(level.r1, level.r2, r, fc[:, cs:ce])
+        _restrict(level.r1, level.r2, r, fc[:, cs:ce], work)
         # the exact coarsest solve reads neither a guess nor g
         if gc is not None:
             yc[:, cs:ce] = 0.0
@@ -467,13 +484,14 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     level, nu, omega = ws.levels[lev], ws.nu2, ws.omegas[lev]
     y, g, yc = ws.y[lev], ws.g[lev], ws.y[lev + 1]
     z = (omega * level.ops.end_step_inv).tolist()
+    work = ws.work[wid]
     measure = lev == 0 and ws.sq is not None
     carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][1], True)
     lap("smoothing")
     for s, e in _chunks(a, b, level.ops.n_t):
-        _prolong_add(level.p1, level.p2, yc, y[:, s:e], s)
+        _prolong_add(level.p1, level.p2, yc, y[:, s:e], s, work)
         lap("transfer")
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0)
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
         lap("smoothing")
         if measure:
             _sq_chunk(ws, wid, s, e, carry[nu] if s > 0 else None)

@@ -493,7 +493,7 @@ class TestFusedPasses:
         config = CycleConfig(nu1=nu[0], nu2=nu[1], eps=1e-10, min_slab=8, max_iters=4)
         runs = {}
         for chunk, team in [(n, 1)] + [(c, w) for w in (1, 2, 3, 4) for c in (8, 24, n)]:
-            monkeypatch.setattr(multigrid, "CHUNK", chunk * basis.n_t)  # block entries
+            monkeypatch.setattr(multigrid, "_chunk_steps", lambda n_t: chunk)
             u, stats = solve(hier, rhs, guess, dataclasses.replace(config, workers=team))
             runs[chunk, team] = (u.tobytes(), stats.iterations,
                                  np.array(stats.residual_norms).tobytes())

@@ -73,14 +73,14 @@ def test_converged_solve_is_near_exact(p_t, tau, n, levels):
        st.sampled_from((16, 64)), st.sampled_from((2, "max")),
        st.sampled_from((8, 24, 1 << 14)))
 def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels, chunk):
-    # the team runs its passes in chunks of ``chunk`` steps (CHUNK counts
-    # block entries), the single worker in the default chunks
+    # the team runs its passes in chunks of ``chunk`` steps, the single
+    # worker in the default chunks
     basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
     guess = random_initial_guess(hier, 5)
     u1, s1 = solve(hier, rhs, guess, CycleConfig(eps=1e-8, max_iters=30))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multigrid, "CHUNK", chunk * basis.n_t)
+        mp.setattr(multigrid, "_chunk_steps", lambda n_t: chunk)
         uw, sw = solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=workers,
                                                      min_slab=min_slab, max_iters=30))
     assert uw.tobytes() == u1.tobytes() and sw.iterations == s1.iterations
