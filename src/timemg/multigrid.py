@@ -10,9 +10,9 @@ convert to y on entry and back on exit.
 
 Each worker owns a contiguous slab of steps [a, b) of a level, so the same
 code runs serially (one slab covering everything) and inside the worker team,
-and works through it in chunks of ``CHUNK`` steps that stay in the L2 cache:
-a cycle makes two fused passes per level, one before and one after the
-coarse correction, with no barrier inside a pass (see "cycles" below).
+and works through it in chunks of ``CHUNK`` block entries that stay in the
+L2 cache: a cycle makes two fused passes per level, one before and one after
+the coarse correction, with no barrier inside a pass (see "cycles" below).
 Every kernel computes each block with a fixed operation order, which makes the
 solver output bitwise independent of the worker count and the chunk size.  The
 workspace stores block vectors as (n_t, n_steps), one contiguous row per basis
@@ -377,7 +377,7 @@ class _Workspace:
     right neighbour.  The finest level also has ``u`` for the change to y
     and back and, in a solve that measures its residual, ``sq``, the squared
     residual norm per step.  Each worker has one chunk of residual,
-    ``res``, and two rows of scratch, ``work``, so that the chunk kernels
+    ``res``, and 2 n_t rows of scratch, ``work``, so that the chunk kernels
     allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
@@ -397,7 +397,7 @@ class _Workspace:
         self.sq = np.zeros(n) if measure else None
         steps = min(_chunk_steps(n_t), n)
         self.res = [np.empty((n_t, steps)) for _ in range(workers)]
-        self.work = [np.empty((2, max(steps, self.width))) for _ in range(workers)]
+        self.work = [np.empty((2 * n_t, max(steps, self.width))) for _ in range(workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
     def full_slab(self, lev: int):

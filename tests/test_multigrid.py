@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import sys
 import threading
 import time
 
@@ -498,6 +499,30 @@ class TestFusedPasses:
             runs[chunk, team] = (u.tobytes(), stats.iterations,
                                  np.array(stats.residual_norms).tobytes())
         assert len(set(runs.values())) == 1 and stats.iterations > 0
+
+    def test_edge_handoff_under_forced_thread_switches(self, monkeypatch):
+        # four workers on fewer cores, 16-step chunks and a 1 us switch
+        # interval interleave the passes finely: a ghost that read an edge
+        # before it was published, or after it was overwritten, would change
+        # the bits; the solve runs in a daemon thread so a hang fails the join
+        basis, n, tau = BasisSpec(1), 1 << 9, 1e-2
+        hier = TimeHierarchy.build(basis, tau, n, n_levels="max")
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        guess = random_initial_guess(hier, 3)
+        config = CycleConfig(eps=1e-10, min_slab=16, max_iters=6)
+        want, _ = solve(hier, rhs, guess, config)
+        monkeypatch.setattr(multigrid, "_chunk_steps", lambda n_t: 16)
+        got = []
+        thread = threading.Thread(daemon=True, target=lambda: got.append(
+            solve(hier, rhs, guess, dataclasses.replace(config, workers=4))[0]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and got[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("levels, min_slab, per_cycle", [
         (2, 64, 6),          # two-grid: split level and split coarse scan
