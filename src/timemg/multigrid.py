@@ -434,6 +434,13 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
     return carry
 
 
+def _convert(ws: _Workspace, mat, src, dst, wid: int, a: int, b: int) -> None:
+    """dst = mat src, one block product per step, on the finest steps
+    [a, b), chunk by chunk."""
+    for s, e in _chunks(a, b, ws.levels[0].ops.n_t):
+        block_apply(mat, src[:, s:e], dst[:, s:e], False, ws.work[wid])
+
+
 def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
     """ws.sq[s:e] = the finest residual's squared norm per step of the chunk
     [s, e); ``before`` as in :func:`_residual`."""
@@ -539,9 +546,9 @@ def _serial_cycle(hier: TimeHierarchy, u, f, config: CycleConfig) -> np.ndarray:
     ws.u[:] = block_input("u", u, shape).T
     ws.f[0][:] = block_input("f", f, shape).T
     np.multiply(ws.f[0], ws.omegas[0], out=ws.g[0])
-    block_apply(ops.step_matrix, ws.u, ws.y[0], add=False)
+    _convert(ws, ops.step_matrix, ws.u, ws.y[0], 0, *ws.full_slab(0))
     _cycle(ws, 0, ws.full_slab, NullBarrier(), 0, _no_lap)
-    block_apply(ops.step_inv, ws.y[0], ws.u, add=False)
+    _convert(ws, ops.step_inv, ws.y[0], ws.u, 0, *ws.full_slab(0))
     return ws.u.T.copy()
 
 
@@ -662,7 +669,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
         a, b = slab(0)
         # the finest slab is fixed, so each worker reads only the g it made
         np.multiply(ws.f[0][:, a:b], ws.omegas[0], out=ws.g[0][:, a:b])
-        block_apply(ops.step_matrix, u[:, a:b], y[:, a:b], add=False)
+        _convert(ws, ops.step_matrix, u, y, wid, a, b)
         ws.publish(0, 0, wid, a, b)
         barrier.wait()  # y complete: the residual reads the previous slab's last step
         lap("smoothing")
@@ -682,7 +689,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
             iters += 1
             if wid == 0:
                 shared["norms"].append(rk)
-        block_apply(ops.step_inv, y[:, a:b], u[:, a:b], add=False)  # back to u = S^{-1} y
+        _convert(ws, ops.step_inv, y, u, wid, a, b)  # back to u = S^{-1} y
         lap("smoothing")
         if wid == 0:
             shared["iters"] = iters
