@@ -331,21 +331,22 @@ def scan_buffer(n_steps: int) -> np.ndarray:
 
 
 def block_apply(mat, x, out, add: bool, work=None) -> None:
-    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order, in
-    calls on all n_t rows at once; ``out`` must not overlap ``x``.
-    ``work``, 2 n_t rows at least as long as x's, holds the products and,
-    when ``add``, the sum; without it they are allocated."""
+    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order.
+    ``work``, two rows at least as long as x's, holds the sum and each
+    product; without it they are allocated."""
     n_t, length = mat.shape[0], x.shape[1]
     if work is None:
-        work = np.empty(((1 + add) * n_t, length))
-    prod = work[:n_t, :length]
-    acc = work[n_t:2 * n_t, :length] if add else out
-    np.multiply(mat[:, :1], x[0], out=acc)
-    for j in range(1, n_t):
-        np.multiply(mat[:, j:j + 1], x[j], out=prod)
-        acc += prod
-    if add:
-        out += acc
+        work = np.empty((2, length))
+    acc, prod = work[0, :length], work[1, :length]
+    for i in range(n_t):
+        np.multiply(x[0], mat[i, 0], out=acc)
+        for j in range(1, n_t):
+            np.multiply(x[j], mat[i, j], out=prod)
+            acc += prod
+        if add:
+            out[i] += acc
+        else:
+            out[i] = acc
 
 
 def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,

@@ -377,7 +377,7 @@ class _Workspace:
     right neighbour.  The finest level also has ``u`` for the change to y
     and back and, in a solve that measures its residual, ``sq``, the squared
     residual norm per step.  Each worker has one chunk of residual,
-    ``res``, and 2 n_t rows of scratch, ``work``, so that the chunk kernels
+    ``res``, and two rows of scratch, ``work``, so that the chunk kernels
     allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
@@ -397,7 +397,7 @@ class _Workspace:
         self.sq = np.zeros(n) if measure else None
         steps = min(_chunk_steps(n_t), n)
         self.res = [np.empty((n_t, steps)) for _ in range(workers)]
-        self.work = [np.empty((2 * n_t, max(steps, self.width))) for _ in range(workers)]
+        self.work = [np.empty((2, max(steps, self.width))) for _ in range(workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
     def full_slab(self, lev: int):
@@ -588,9 +588,9 @@ def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
     every slab at least ``min_slab`` blocks, and at least ``ws.width``, the
     columns a slab's right neighbour sweeps again (the surplus workers hold
     empty slabs and only join the barriers); slabs are even-sized so
-    restriction always writes whole coarse blocks.  Levels that cannot keep two workers
-    busy and all levels below them are marked None and run by worker 0
-    between two barriers.  The coarsest level, solved exactly, is split into
+    restriction always writes whole coarse blocks.  Levels that cannot keep
+    two workers busy and all levels below them are marked None and run by
+    worker 0 between two barriers.  The coarsest level, solved exactly, is split into
     whole scan blocks over all workers when the level above it is split.  A
     finest level too small to split runs on one worker.
     """
