@@ -6,7 +6,8 @@ mass of the level: the damped block Jacobi sweep, the residual and the exact
 coarse scan then need no block product, only the rank-one step coupling.
 This is the u-form cycle conjugated by the block-diagonal S, with the same
 residuals and convergence.  The public functions take and return u; they
-convert to y on entry and back on exit.
+convert to y on entry and back on exit, except that a call that runs no
+cycle or no sweep returns its u as given.
 
 Each worker owns a contiguous slab of steps [a, b) of a level, so the same
 code runs serially (one slab covering everything) and inside the worker team,
@@ -23,7 +24,6 @@ arrays.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import sys
 import time
@@ -115,9 +115,11 @@ class CycleConfig:
     or a fixed value in (0, 2).  The hierarchy sets the cycle depth.  Two
     smoothing steps per side keep deep V-cycles close to the two-grid
     factor; a single step is noticeably depth-sensitive on this problem.
-    ``min_slab`` is the smallest per-worker slab worth the synchronization of
-    a split level; levels use fewer workers once their slabs would drop
-    below it, or below max(nu1, nu2) + 1 steps.
+    ``workers`` is the team that splits each level into slabs, whatever its
+    size; a level uses fewer workers once its slabs would drop below
+    ``MIN_SLAB`` steps, or below max(nu1, nu2) + 1.  The counts ``nu1``,
+    ``nu2``, ``max_iters`` and ``workers`` must be integers, not bools,
+    else ``ValueError``.
     """
 
     nu1: int = 2
@@ -127,9 +129,12 @@ class CycleConfig:
     max_iters: int = 250
     seed: int = 42
     workers: int = 1
-    min_slab: int = 32768
 
     def __post_init__(self):
+        for name in ("nu1", "nu2", "max_iters", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nu1 < 0 or self.nu2 < 0 or self.nu1 + self.nu2 < 1:
             raise ValueError(f"need nu1, nu2 >= 0 with nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
         if not 0.0 < self.eps < 1.0:
@@ -166,8 +171,9 @@ class SolveStats:
     its squared norms, fused into each cycle's last pass, and their sum).
     The phases leave no gaps: they add up to worker 0's time from the
     change to y to the change back.  ``workers`` is the size of the team
-    that ran: ``config.workers``, or 1 when the finest level is too small
-    to split (see ``CycleConfig.min_slab``).
+    that ran: ``config.workers``, or 1 when the finest level is too small to
+    split into two slabs of ``MIN_SLAB`` steps (and of at least
+    max(nu1, nu2) + 1).
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -219,6 +225,9 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # chunk's y, f, g and residual stay in a 2 MiB L2 cache through its sweeps,
 # residual and transfers
 CHUNK = 1 << 16
+
+# steps of the smallest slab worth the synchronization of a split level
+MIN_SLAB = 1 << 15
 
 
 def _chunk_steps(n_t: int) -> int:
@@ -322,8 +331,11 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     if nu < 0:
         raise ValueError(f"sweep count must be >= 0, got {nu}")
     shape = np.shape(u)[:1] + (ops.n_t,)
-    ut = block_input("u", u, shape).T.copy()
+    u = block_input("u", u, shape)
     g = block_input("f", f, shape).T.copy()
+    if nu == 0:  # no round trip through y = S u
+        return u.copy()
+    ut = u.T.copy()
     np.multiply(g, omega, out=g)
     y = np.empty_like(ut)
     block_apply(ops.step_matrix, ut, y, add=False)
@@ -368,23 +380,55 @@ def _no_lap(phase: str) -> None:
     """The clock of the other workers and of serial sub-cycles."""
 
 
+def _slab_table(levels: Sequence[Level], workers: int, width: int):
+    """Each worker's step range [a, b) per level, the first level that
+    worker 0 runs alone (``len(levels)`` if none) and the team.
+
+    Worker w of k holds the units [w U // k, (w + 1) U // k) of a level's U
+    units, step pairs on a smoothed level, so that restriction writes whole
+    coarse steps, and scan blocks on the exact coarsest level; the workers
+    from k on hold empty ranges at the level's end.  A smoothed level takes
+    the most workers, up to ``workers``, whose smallest slab keeps
+    ``MIN_SLAB`` steps and ``width``, the columns a slab's right neighbour
+    sweeps again.  The coarsest level takes the whole team; from the first
+    level that cannot keep two workers busy (the tail) down, worker 0 holds
+    every step.  A finest level that cannot be split, or a single level,
+    makes the team one worker."""
+    pair = -(-max(MIN_SLAB, width) // 2)  # step pairs per smallest slab
+    counts = [min(workers, level.n_steps // 2 // pair) for level in levels[:-1]]
+    counts.append(workers if counts else 1)  # a single level runs on one worker
+    tail = next((lev for lev, k in enumerate(counts) if k < 2), len(levels))
+    team = workers if tail > 0 else 1
+    slabs = []
+    for lev, level in enumerate(levels):
+        n, k = level.n_steps, counts[lev] if lev < tail else 1
+        size = 2 if lev < len(levels) - 1 else scan_block(n)
+        units = -(-n // size)
+        slabs.append([(min(w * units // k * size, n), min((w + 1) * units // k * size, n))
+                      for w in range(team)])
+    return slabs, tail, team
+
+
 class _Workspace:
     """Per-solve state: the damping per level, the sweep counts, and per
     level arrays stored as (n_t, n_steps): the iterate y = S u, the rhs f
     and the sweep's g = omega f, which the exact coarsest solve does not
-    read.  ``edges[lev][0]`` and ``[1]`` hold each worker's last ``width`` =
-    max(nu1, nu2) + 1 columns of the input of pass A and of pass B, for its
-    right neighbour.  The finest level also has ``u`` for the change to y
-    and back and, in a solve that measures its residual, ``sq``, the squared
-    residual norm per step.  Each worker has one chunk of residual,
-    ``res``, and two rows of scratch, ``work``, so that the chunk kernels
-    allocate nothing."""
+    read.  ``slabs[lev][wid]`` is worker wid's step range of level lev,
+    ``tail`` the first level that worker 0 runs alone and ``workers`` the
+    team (see :func:`_slab_table`).  ``edges[lev][0]`` and ``[1]`` hold
+    each worker's last ``width`` = max(nu1, nu2) + 1 columns of the input of
+    pass A and of pass B, for its right neighbour.  The finest level also
+    has ``u`` for the change to y and back and, in a solve that measures its
+    residual, ``sq``, the squared residual norm per step.  Each worker has
+    one chunk of residual, ``res``, and two rows of scratch, ``work``, so
+    that the chunk kernels allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
                  workers: int = 1, measure: bool = False):
         self.levels = list(levels)
         self.omegas, self.nu1, self.nu2 = omegas, nu1, nu2
         self.width = max(nu1, nu2) + 1
+        self.slabs, self.tail, self.workers = _slab_table(self.levels, workers, self.width)
         n_t, n = self.levels[0].ops.n_t, self.levels[0].n_steps
         self.y, self.f, self.g = [], [], []
         for k, lev in enumerate(self.levels):
@@ -392,16 +436,13 @@ class _Workspace:
             self.f.append(np.zeros((n_t, lev.n_steps)))
             smoothed = k == 0 or k < len(self.levels) - 1
             self.g.append(np.zeros((n_t, lev.n_steps)) if smoothed else None)
-        self.edges = [np.zeros((2, workers, n_t, self.width)) for _ in self.levels]
+        self.edges = [np.zeros((2, self.workers, n_t, self.width)) for _ in self.levels]
         self.u = np.zeros((n_t, n))
         self.sq = np.zeros(n) if measure else None
         steps = min(_chunk_steps(n_t), n)
-        self.res = [np.empty((n_t, steps)) for _ in range(workers)]
-        self.work = [np.empty((2, max(steps, self.width))) for _ in range(workers)]
+        self.res = [np.empty((n_t, steps)) for _ in range(self.workers)]
+        self.work = [np.empty((2, max(steps, self.width))) for _ in range(self.workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
-
-    def full_slab(self, lev: int):
-        return (0, self.levels[lev].n_steps)
 
     def publish(self, lev: int, which: int, wid: int, a: int, b: int) -> None:
         """The last ``width`` columns of the slab [a, b) into the edge; a
@@ -507,29 +548,29 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     ws.publish(lev, 0, wid, a, b)
 
 
-def _cycle(ws: _Workspace, lev: int, slab, barrier, wid: int, lap) -> None:
-    """One multigrid cycle at level ``lev``, in place on ws.y[lev] = S u;
-    ``slab(lev)`` is this worker's step range, None for levels that worker
-    0 runs alone.  The caller guarantees the level's y, f and g and its
-    pass A edges are complete; every exit path ends on a barrier.  The
+def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
+    """One multigrid cycle at level ``lev``, in place on ws.y[lev] = S u, on
+    this worker's slab ``ws.slabs[lev][wid]``; worker 0 runs the levels from
+    ``ws.tail`` down alone.  The caller guarantees the level's y, f and g and
+    its pass A edges are complete; every exit path ends on a barrier.  The
     coarsest level is solved exactly, from its rhs alone."""
-    level = ws.levels[lev]
+    level, (a, b) = ws.levels[lev], ws.slabs[lev][wid]
     if lev == len(ws.levels) - 1:
-        scan_rows(level.ops, ws.f[lev], ws.y[lev], ws.scan, *slab(lev), barrier, wid == 0)
+        scan_rows(level.ops, ws.f[lev], ws.y[lev], ws.scan, a, b, barrier, wid == 0)
         barrier.wait()  # coarse solution complete
         lap("coarse")
         return
-    _pass_a(ws, lev, wid, *slab(lev), lap)
+    _pass_a(ws, lev, wid, a, b, lap)
     barrier.wait()  # coarse rhs, guess and g, and the pass B edges complete
-    if slab(lev + 1) is None:
+    if lev + 1 == ws.tail:
         # worker 0 runs the unsplit coarse levels alone
         if wid == 0:
-            _cycle(ws, lev + 1, ws.full_slab, NullBarrier(), 0, _no_lap)
+            _cycle(ws, lev + 1, NullBarrier(), 0, _no_lap)
         barrier.wait()  # coarse solution complete
         lap("coarse")
     else:
-        _cycle(ws, lev + 1, slab, barrier, wid, lap)
-    _pass_b(ws, lev, wid, *slab(lev), lap)
+        _cycle(ws, lev + 1, barrier, wid, lap)
+    _pass_b(ws, lev, wid, a, b, lap)
     barrier.wait()  # level complete: the level above prolongs from it, or its norm is reduced
 
 
@@ -546,9 +587,9 @@ def _serial_cycle(hier: TimeHierarchy, u, f, config: CycleConfig) -> np.ndarray:
     ws.u[:] = block_input("u", u, shape).T
     ws.f[0][:] = block_input("f", f, shape).T
     np.multiply(ws.f[0], ws.omegas[0], out=ws.g[0])
-    _convert(ws, ops.step_matrix, ws.u, ws.y[0], 0, *ws.full_slab(0))
-    _cycle(ws, 0, ws.full_slab, NullBarrier(), 0, _no_lap)
-    _convert(ws, ops.step_inv, ws.y[0], ws.u, 0, *ws.full_slab(0))
+    _convert(ws, ops.step_matrix, ws.u, ws.y[0], 0, *ws.slabs[0][0])
+    _cycle(ws, 0, NullBarrier(), 0, _no_lap)
+    _convert(ws, ops.step_inv, ws.y[0], ws.u, 0, *ws.slabs[0][0])
     return ws.u.T.copy()
 
 
@@ -580,52 +621,6 @@ def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray
 # iteration driver (shared by solve and the convergence measurement)
 
 
-def _make_slab_table(ws: _Workspace, workers: int, min_slab: int):
-    """Per (worker, level) block ranges, and the worker count they are for;
-    None marks levels run by worker 0.
-
-    Each level is split over the largest power-of-two worker count that keeps
-    every slab at least ``min_slab`` blocks, and at least ``ws.width``, the
-    columns a slab's right neighbour sweeps again (the surplus workers hold
-    empty slabs and only join the barriers); slabs are even-sized so
-    restriction always writes whole coarse blocks.  Levels that cannot keep
-    two workers busy and all levels below them are marked None and run by
-    worker 0 between two barriers.  The coarsest level, solved exactly, is split into
-    whole scan blocks over all workers when the level above it is split.  A
-    finest level too small to split runs on one worker.
-    """
-    table = []
-    for lev in ws.levels[:-1]:
-        n = lev.n_steps
-        active = workers
-        while active > 1 and (n % active != 0 or n // active < max(min_slab, ws.width)
-                              or (n // active) % 2 != 0):
-            active //= 2
-        if active < 2 or (table and table[-1] is None):
-            table.append(None)
-            continue
-        per = n // active
-        table.append([(w * per, (w + 1) * per) if w < active else (n, n)
-                      for w in range(workers)])
-    if table and table[-1] is not None:
-        n = ws.levels[-1].n_steps
-        block = scan_block(n)
-        n_blocks = -(-n // block)
-        table.append([(w * n_blocks // workers * block,
-                       min((w + 1) * n_blocks // workers * block, n))
-                      for w in range(workers)])
-    else:
-        table.append(None)
-    if table[0] is None:
-        workers, table = 1, [[(0, lev.n_steps)] for lev in ws.levels]
-
-    def slab(wid, lev):
-        rows = table[lev]
-        return None if rows is None else rows[wid]
-
-    return slab, workers
-
-
 def _max_ratio(norms: Sequence[float]) -> float:
     if len(norms) < 2:
         return float("nan")
@@ -649,8 +644,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     ops, y, u = ws.levels[0].ops, ws.y[0], ws.u
     u[:] = u_init.T  # each worker turns its slab into y = S u
     ws.f[0][:] = f.T
-    slab_of, workers = _make_slab_table(ws, config.workers, config.min_slab)
-    barrier = team_barrier(workers)
+    barrier = team_barrier(ws.workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
     shared = {"norm": np.zeros(1), "iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f))
@@ -665,8 +659,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
 
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
-        slab = functools.partial(slab_of, wid)
-        a, b = slab(0)
+        a, b = ws.slabs[0][wid]
         # the finest slab is fixed, so each worker reads only the g it made
         np.multiply(ws.f[0][:, a:b], ws.omegas[0], out=ws.g[0][:, a:b])
         _convert(ws, ops.step_matrix, u, y, wid, a, b)
@@ -684,17 +677,18 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
         iters = 0
         # all workers read the same norm and leave together; NaN fails both tests
         while tol < rk <= DIVERGENCE_RATIO * r0 and iters < max_iters:
-            _cycle(ws, 0, slab, barrier, wid, lap)  # ends once ws.sq is complete
+            _cycle(ws, 0, barrier, wid, lap)  # ends once ws.sq is complete
             rk = reduce(wid, lap)
             iters += 1
             if wid == 0:
                 shared["norms"].append(rk)
-        _convert(ws, ops.step_inv, y, u, wid, a, b)  # back to u = S^{-1} y
+        if iters:  # back to u = S^{-1} y; u still holds u_init if no cycle ran
+            _convert(ws, ops.step_inv, y, u, wid, a, b)
         lap("smoothing")
         if wid == 0:
             shared["iters"] = iters
 
-    run_team(workers, body, barrier)
+    run_team(ws.workers, body, barrier)
     norms = shared["norms"]
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)
@@ -702,7 +696,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
-                       seed=config.seed, workers=workers, status=status)
+                       seed=config.seed, workers=ws.workers, status=status)
     return u.T.copy(), stats
 
 

@@ -129,6 +129,17 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             CycleConfig(max_iters=0)
 
+    @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, np.float64(2.0)],
+                             ids=["float", "whole-float", "bool", "str", "none", "np-float"])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            CycleConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers"])
+    def test_config_accepts_numpy_integer_counts(self, field):
+        assert getattr(CycleConfig(**{field: np.int64(3)}), field) == 3
+
 
 class TestJacobiSweep:
     def test_exact_solution_fixed_point(self):
@@ -160,6 +171,15 @@ class TestJacobiSweep:
             out = block_jacobi_sweep(ops, u2, f, omega=0.9)
             changed = np.where(np.max(np.abs(out - base), axis=1) > 1e-14)[0]
             assert set(changed) <= {m, m + 1}
+
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_zero_sweeps_return_input_bits(self, p_t):
+        # no sweep, so no round trip through y = S u to round the input
+        ops = assemble_local(BasisSpec(p_t), 0.3)
+        rng = np.random.default_rng(p_t)
+        u = rng.standard_normal((64, ops.n_t))
+        out = block_jacobi_sweep(ops, u, rng.standard_normal((64, ops.n_t)), 0.7, nu=0)
+        assert out.tobytes() == u.tobytes() and out is not u
 
     def test_invalid_omega(self):
         ops = assemble_local(BasisSpec(0), 1.0)
@@ -315,10 +335,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("n, workers, min_slab, levels, team", [
         (64, 4, 32768, 2, 1), (64, 4, 32768, "max", 1), (1 << 12, 4, 256, 1, 1),
-        (1 << 12, 2, 256, 2, 2), (1 << 12, 4, 256, "max", 4), (1 << 12, 3, 256, 2, 1)])
+        (1 << 12, 2, 256, 2, 2), (1 << 12, 4, 256, "max", 4), (1 << 12, 3, 256, 2, 3),
+        (1 << 12, 6, 256, 2, 6), (1 << 12, 7, 256, "max", 7)])
     def test_workers_is_the_team_that_ran(self, n, workers, min_slab, levels, team,
                                           monkeypatch):
-        # a finest level too small to split collapses the team to one worker
+        # any team size splits; a finest level too small to split collapses
+        # the team to one worker
+        monkeypatch.setattr(multigrid, "MIN_SLAB", min_slab)
         started, original = [], multigrid.run_team
 
         def recording(k, body, barrier):
@@ -328,7 +351,7 @@ class TestSolve:
         monkeypatch.setattr(multigrid, "run_team", recording)
         hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n, n_levels=levels)
         _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
-            eps=1e-6, workers=workers, min_slab=min_slab))
+            eps=1e-6, workers=workers))
         assert started == [team] and stats.workers == team
 
     def test_converged_follows_status(self):
@@ -343,49 +366,49 @@ class TestSolve:
             dataclasses.replace(marked, converged=True)
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-    def test_worker_count_invariance_small(self, workers):
+    def test_worker_count_invariance_small(self, workers, monkeypatch):
         # same bits for any worker count, including non powers of two; n_t = 4
         # is where a block product's memory layout could change the rounding
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 256)
         for p_t in (1, 3):
             basis = BasisSpec(p_t)
             hier = TimeHierarchy.build(basis, 1e-3, 1 << 12)
             f = np.zeros((1 << 12, basis.n_t))
             u_init = random_initial_guess(hier, 42)
-            base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1, min_slab=256))
-            got, _ = solve(hier, f, u_init,
-                           CycleConfig(eps=1e-8, workers=workers, min_slab=256))
-            assert got.tobytes() == base.tobytes(), p_t
+            base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1))
+            got, stats = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=workers))
+            assert stats.workers == workers and got.tobytes() == base.tobytes(), p_t
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("basis", [BasisSpec(3), BasisSpec(2)], ids=["p3", "p2"])
-    def test_worker_count_invariance_nonzero_rhs(self, basis, workers):
-        # a non-zero f makes the finest g = omega f non-zero; with min_slab
-        # 256 and 4 workers the levels split over 4, then 2 workers, then run
-        # as a serial tail, so coarse g is made on slabs of one split and
-        # read on another
+    def test_worker_count_invariance_nonzero_rhs(self, basis, workers, monkeypatch):
+        # a non-zero f makes the finest g = omega f non-zero; with MIN_SLAB
+        # 256 and 3 or 4 workers the levels split over the team, then over 2
+        # or 3 workers, then run as a serial tail, so coarse g is made on
+        # slabs of one split and read on another
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 256)
         tau, n = 1e-3, 1 << 12
         hier = TimeHierarchy.build(basis, tau, n, n_levels="max")
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         u_init = random_initial_guess(hier, 5)
-        base, base_stats = solve(hier, rhs, u_init, CycleConfig(
-            eps=1e-10, workers=1, min_slab=256))
-        got, stats = solve(hier, rhs, u_init, CycleConfig(
-            eps=1e-10, workers=workers, min_slab=256))
+        base, base_stats = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=1))
+        got, stats = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=workers))
         assert stats.converged and stats.iterations == base_stats.iterations
+        assert stats.workers == workers
         assert got.tobytes() == base.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("levels", [2, "max"])
     @pytest.mark.parametrize("p_t", [0, 1, 3])
-    def test_reported_residual_is_that_of_returned_u(self, p_t, levels, workers):
+    def test_reported_residual_is_that_of_returned_u(self, p_t, levels, workers, monkeypatch):
         # the cycle measures the residual of y = S u; the returned u = S^{-1} y
         # must have that residual, up to the rounding of the change back
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 64)
         basis = BasisSpec(p_t)
         tau, n = 1e-2, 1 << 10
         hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
-        u, stats = solve(hier, rhs, config=CycleConfig(
-            eps=1e-8, workers=workers, min_slab=64))
+        u, stats = solve(hier, rhs, config=CycleConfig(eps=1e-8, workers=workers))
         want = np.linalg.norm(rhs - apply_global(GlobalSystem(hier.finest.ops, n), u))
         assert stats.converged and stats.iterations > 0
         assert abs(stats.residual_norms[-1] - want) <= 1e-12 * stats.residual_norms[0]
@@ -399,6 +422,22 @@ class TestSolve:
         assert stats.converged and stats.iterations == 0 and len(stats.residual_norms) == 1
         assert 0.0 < stats.residual_norms[0] <= 1e-14 * np.linalg.norm(rhs)
         assert abs(stats.residual_norms[0] - want) <= 1e-15 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_no_cycle_returns_input_bits(self, p_t, workers):
+        # a solve that runs no cycle skips the round trip through y = S u: a
+        # single level returns forward_solve's bits, and a solve started
+        # from them returns its guess
+        basis, tau, n = BasisSpec(p_t), 0.1, 256
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        exact = forward_solve(GlobalSystem(assemble_local(basis, tau), n), rhs)
+        single = TimeHierarchy.build(basis, tau, n, n_levels=1)
+        u, stats = solve(single, rhs, config=CycleConfig(workers=workers))
+        assert stats.iterations == 0 and u.tobytes() == exact.tobytes()
+        hier = TimeHierarchy.build(basis, tau, n)
+        u, stats = solve(hier, rhs, u_init=exact, config=CycleConfig(workers=workers))
+        assert stats.iterations == 0 and u.tobytes() == exact.tobytes()
 
     @pytest.mark.parametrize("entry", ["solve", "v_cycle", "two_grid_cycle",
                                        "block_jacobi_sweep"])
@@ -426,17 +465,20 @@ class TestSolve:
         with pytest.raises(ValueError):
             calls[entry]()
 
-    def test_worker_result_independent_of_min_slab(self):
-        # min_slab 2 splits every level above the 8-step coarsest, whose exact
+    def test_worker_result_independent_of_min_slab(self, monkeypatch):
+        # MIN_SLAB 2 splits every level above the 8-step coarsest, whose exact
         # solve then follows a split level, as it does in the two-grid cycle
-        # at min_slab 64; 64 and 256 leave a serial tail of sub-cycles
+        # at MIN_SLAB 64; 64 and 256 leave a serial tail of sub-cycles
         f = np.zeros((1 << 10, 1))
         for levels, min_slabs in (("max", (2, 64, 256, 1 << 20)), (2, (64,))):
             hier = TimeHierarchy.build(BasisSpec(0), 1e-2, 1 << 10, n_levels=levels)
             u_init = random_initial_guess(hier, 7)
-            outs = {(workers, ms): solve(hier, f, u_init, CycleConfig(
-                        eps=1e-8, workers=workers, min_slab=ms))[0].tobytes()
-                    for workers in (1, 2, 4) for ms in min_slabs}
+            outs = {}
+            for workers in (1, 2, 4):
+                for ms in min_slabs:
+                    monkeypatch.setattr(multigrid, "MIN_SLAB", ms)
+                    outs[workers, ms] = solve(hier, f, u_init, CycleConfig(
+                        eps=1e-8, workers=workers))[0].tobytes()
             assert len(set(outs.values())) == 1, levels
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -448,7 +490,8 @@ class TestSolve:
         monkeypatch.setattr(multigrid.time, "perf_counter", lambda: float(next(readings)))
         hier = TimeHierarchy.build(BasisSpec(1), 1e-2, 1 << 10)
         f = rhs_moments(np.cos, BasisSpec(1), 1e-2, 1 << 10, u0=1.0)
-        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, workers=workers, min_slab=64))
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 64)
+        _, stats = solve(hier, f, config=CycleConfig(eps=1e-8, workers=workers))
         assert stats.iterations > 0
         assert sum(stats.times.values()) == next(readings) - 1
 
@@ -482,16 +525,18 @@ class TestFusedPasses:
     @pytest.mark.parametrize("levels", [2, "max"])
     @pytest.mark.parametrize("p_t", [0, 1, 3])
     def test_output_independent_of_chunk_size(self, p_t, levels, nu, monkeypatch):
-        # 120 steps over 1-4 workers with min_slab 8 give slabs of 120, 60,
-        # 40, 30, 20 and 10 steps, split 4, 3 and 2 ways, serial tails
-        # ("max", 2 and 4 workers) and partial last chunks of 8 and 24
-        # steps, so the carries cross chunk edges and the ghost sweeps cross
-        # slab edges; one worker in a single chunk is the reference
+        # 120 steps over 1-4 workers with MIN_SLAB 8 give slabs of 120, 60,
+        # 40, 30, 20, 16, 14 and 10 steps, split 4, 3 and 2 ways, uneven
+        # shares (14 and 16 steps), a worker left idle on a level ("max", 4
+        # workers) and partial last chunks of 8 and 24 steps, so the carries
+        # cross chunk edges and the ghost sweeps cross slab edges; one worker
+        # in a single chunk is the reference
         basis, n, tau = BasisSpec(p_t), 120, 1e-2
         hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         guess = random_initial_guess(hier, 5)
-        config = CycleConfig(nu1=nu[0], nu2=nu[1], eps=1e-10, min_slab=8, max_iters=4)
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 8)
+        config = CycleConfig(nu1=nu[0], nu2=nu[1], eps=1e-10, max_iters=4)
         runs = {}
         for chunk, team in [(n, 1)] + [(c, w) for w in (1, 2, 3, 4) for c in (8, 24, n)]:
             monkeypatch.setattr(multigrid, "_chunk_steps", lambda n_t: chunk)
@@ -501,20 +546,22 @@ class TestFusedPasses:
         assert len(set(runs.values())) == 1 and stats.iterations > 0
 
     def test_edge_handoff_under_forced_thread_switches(self, monkeypatch):
-        # four workers on fewer cores, 16-step chunks and a 1 us switch
-        # interval interleave the passes finely: a ghost that read an edge
-        # before it was published, or after it was overwritten, would change
-        # the bits; the solve runs in a daemon thread so a hang fails the join
+        # four and seven workers on fewer cores, 16-step chunks and a 1 us
+        # switch interval interleave the passes finely: a ghost that read an
+        # edge before it was published, or after it was overwritten, would
+        # change the bits; seven workers take uneven shares and leave some
+        # idle; the solves run in a daemon thread so a hang fails the join
         basis, n, tau = BasisSpec(1), 1 << 9, 1e-2
         hier = TimeHierarchy.build(basis, tau, n, n_levels="max")
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         guess = random_initial_guess(hier, 3)
-        config = CycleConfig(eps=1e-10, min_slab=16, max_iters=6)
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 16)
+        config = CycleConfig(eps=1e-10, max_iters=6)
         want, _ = solve(hier, rhs, guess, config)
         monkeypatch.setattr(multigrid, "_chunk_steps", lambda n_t: 16)
         got = []
-        thread = threading.Thread(daemon=True, target=lambda: got.append(
-            solve(hier, rhs, guess, dataclasses.replace(config, workers=4))[0]))
+        thread = threading.Thread(daemon=True, target=lambda: got.extend(
+            solve(hier, rhs, guess, dataclasses.replace(config, workers=w))[0] for w in (4, 7)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -522,7 +569,8 @@ class TestFusedPasses:
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not thread.is_alive() and got[0].tobytes() == want.tobytes()
+        assert not thread.is_alive() and len(got) == 2
+        assert all(u.tobytes() == want.tobytes() for u in got)
 
     @pytest.mark.parametrize("levels, min_slab, per_cycle", [
         (2, 64, 6),          # two-grid: split level and split coarse scan
@@ -541,14 +589,14 @@ class TestFusedPasses:
                 return super().wait(timeout)
 
         monkeypatch.setattr(multigrid, "team_barrier", CountingBarrier)
+        monkeypatch.setattr(multigrid, "MIN_SLAB", min_slab)
         n = 1 << 10
         hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n, n_levels=levels)
         counts = []
         for iters in (2, 5):
             waits.clear()
             _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
-                nu1=nu[0], nu2=nu[1], eps=1e-15, workers=2, min_slab=min_slab,
-                max_iters=iters))
+                nu1=nu[0], nu2=nu[1], eps=1e-15, workers=2, max_iters=iters))
             assert stats.workers == 2 and stats.iterations == iters
             counts.append(len(waits) / 2)
         assert (counts[1] - counts[0]) / 3 == per_cycle

@@ -1,5 +1,5 @@
 """Property tests of the exact solver and the multigrid solve over drawn
-(p_t, tau, n, workers, min_slab, chunk size): the blocked scan against dense
+(p_t, tau, n, workers, MIN_SLAB, chunk size): the blocked scan against dense
 LU and the per-step loop, a converged solve against the scan, and bitwise
 invariance over the worker team and the chunks of its passes."""
 
@@ -74,15 +74,17 @@ def test_converged_solve_is_near_exact(p_t, tau, n, levels):
        st.sampled_from((8, 24, 1 << 14)))
 def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, levels, chunk):
     # the team runs its passes in chunks of ``chunk`` steps, the single
-    # worker in the default chunks
+    # worker in the default chunks; the whole team runs whenever the finest
+    # level holds two slabs of MIN_SLAB steps
     basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
     guess = random_initial_guess(hier, 5)
     u1, s1 = solve(hier, rhs, guess, CycleConfig(eps=1e-8, max_iters=30))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigrid, "_chunk_steps", lambda n_t: chunk)
-        uw, sw = solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=workers,
-                                                     min_slab=min_slab, max_iters=30))
+        mp.setattr(multigrid, "MIN_SLAB", min_slab)
+        uw, sw = solve(hier, rhs, guess, CycleConfig(eps=1e-8, workers=workers, max_iters=30))
+    assert sw.workers == (workers if n >= 2 * min_slab else 1)
     assert uw.tobytes() == u1.tobytes() and sw.iterations == s1.iterations
     assert sw.residual_norms == s1.residual_norms
 
@@ -109,8 +111,9 @@ def test_in_cycle_coarse_solve_is_forward_solve(p_t, tau, n, workers, min_slab):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigrid, "scan_rows", recording)
+        mp.setattr(multigrid, "MIN_SLAB", min_slab)
         solve(hier, rhs, random_initial_guess(hier, 1),
-              CycleConfig(eps=1e-8, workers=workers, min_slab=min_slab, max_iters=3))
+              CycleConfig(eps=1e-8, workers=workers, max_iters=3))
     assert solves
     system = GlobalSystem(coarse.ops, coarse.n_steps)
     for f_in, y in solves:
