@@ -117,6 +117,13 @@ def _tau_grid(args) -> np.ndarray:
 # analyze
 
 
+# theta_star is written only where the peak radius exceeds every radius
+# outside its +-theta pair by at least PEAK_MARGIN times the peak, else null:
+# on analyze's default grid, the radii near a flat peak moved by up to 16 eps
+# of the peak when the same symbols were diagonalized as transposes, enough
+# to move the argmax, while every clear peak stood at least 290 eps above the rest
+PEAK_MARGIN = 64 * np.finfo(float).eps
+
 _ANALYZE_DEFAULTS = dict(pt=0, nu1=1, nu2=1, omega="optimal", steps=1024,
                          tau=None, tau_min=1e-6, tau_max=1e6, tau_points=49,
                          out=".", format="csv")
@@ -132,8 +139,10 @@ def cmd_analyze(args) -> int:
         report = smoothing_factor(basis, tau, args.omega, args.steps)
         low, radii = rho_profile(basis, tau, args.steps, args.nu1, args.nu2, args.omega)
         k = int(np.argmax(radii))
+        rest = radii[np.abs(low) != abs(low[k])]
+        clear = rest.size == 0 or radii[k] - rest.max() >= PEAK_MARGIN * radii[k]
         rows.append({"tau": tau, "rho_theory": float(radii[k]), "mu_s": report.mu_s,
-                     "omega_star": omega_star, "theta_star": float(low[k])})
+                     "omega_star": omega_star, "theta_star": float(low[k]) if clear else None})
     path = _out_path(args, f"analyze_pt{args.pt}_nu{args.nu1}_{args.nu2}")
     _write_rows(path, rows, args.format)
     print(f"wrote {len(rows)} rows to {path}")

@@ -330,23 +330,27 @@ def scan_buffer(n_steps: int) -> np.ndarray:
     return np.zeros(n_blocks * (block + 1) + 1, dtype=np.longdouble)
 
 
+def row_dot(z, x, out, prod) -> np.ndarray:
+    """out[n] = sum_j z[j] * x[j, n], summed in fixed j order; ``prod`` is a
+    scratch row as long as ``out``.  Every row product of the solver goes
+    through it, so each step's sum has the same operation order, and the
+    same bits, however the steps are chunked or split over workers."""
+    np.multiply(x[0], z[0], out=out)
+    for j in range(1, len(z)):
+        np.multiply(x[j], z[j], out=prod)
+        out += prod
+    return out
+
+
 def block_apply(mat, x, out, add: bool, work=None) -> None:
-    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], summed in fixed j order.
-    ``work``, two rows at least as long as x's, holds the sum and each
-    product; without it they are allocated."""
-    n_t, length = mat.shape[0], x.shape[1]
-    if work is None:
-        work = np.empty((2, length))
-    acc, prod = work[0, :length], work[1, :length]
-    for i in range(n_t):
-        np.multiply(x[0], mat[i, 0], out=acc)
-        for j in range(1, n_t):
-            np.multiply(x[j], mat[i, j], out=prod)
-            acc += prod
+    """out[i, n] (+)= sum_j mat[i, j] * x[j, n], one :func:`row_dot` per row
+    i; ``work`` is two scratch rows at least as long as x's, else allocated."""
+    work = np.empty((2, x.shape[1])) if work is None else work[:, :x.shape[1]]
+    for i in range(mat.shape[0]):
         if add:
-            out[i] += acc
+            out[i] += row_dot(mat[i], x, work[0], work[1])
         else:
-            out[i] = acc
+            row_dot(mat[i], x, out[i], work[1])
 
 
 def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
@@ -381,9 +385,9 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     0-5, tau 1e-6 to 1e6, 2^17 steps).  In this form it measured 0.87-1.38x
     the loop's on the grid of ``test_scan_matches_step_loop``, but 2.14x at
     p_t = 0, tau = 1e-2, 2^15 steps (3.38e-15 against 1.58e-15) and 2.63x at
-    2^17 steps (4.86e-15 against 1.85e-15): see ROADMAP item 4.
+    2^17 steps (4.86e-15 against 1.85e-15), off that test's grid.
     """
-    n_t, n = y.shape
+    n = y.shape[1]
     block = scan_block(n)
     n_blocks = -(-n // block)
     blocks = work[:n_blocks * block].reshape(n_blocks, block)
@@ -399,10 +403,7 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     if a < b:
         # b_n; the partial last block is padded with zeros
         sums = np.zeros((k1 - k0, block))
-        flat = sums.reshape(-1)[:b - a]
-        np.multiply(rhs[0, a:b], z[0], out=flat)
-        for j in range(1, n_t):
-            flat += z[j] * rhs[j, a:b]
+        row_dot(z, rhs[:, a:b], sums.reshape(-1)[:b - a], np.empty(b - a))
         # the step ending each pair of spans gets the pair's sum
         for span, r_s in spans:
             sums[:, 2 * span - 1::2 * span] += r_s * sums[:, span - 1::2 * span]

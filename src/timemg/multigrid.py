@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
-                 block_input, build_transfers, check_step_size, forward_solve, scan_block,
-                 scan_buffer, scan_rows)
+                 block_input, build_transfers, check_step_size, forward_solve, row_dot,
+                 scan_block, scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 
@@ -112,14 +112,15 @@ class CycleConfig:
     """Solver parameters.
 
     ``damping`` is "optimal" (recomputed per level from the level step size)
-    or a fixed value in (0, 2).  The hierarchy sets the cycle depth.  Two
-    smoothing steps per side keep deep V-cycles close to the two-grid
-    factor; a single step is noticeably depth-sensitive on this problem.
+    or a fixed value in (0, 2).  The hierarchy sets the cycle depth.  A deep
+    V-cycle converges more slowly than the two-grid prediction: measured
+    factors (n = 1024, p_t 0-3, tau 1e-4 to 10) read up to 27% above it at
+    nu1 = nu2 = 2 and up to 63% at nu1 = nu2 = 1; no test checks this yet.
     ``workers`` is the team that splits each level into slabs, whatever its
     size; a level uses fewer workers once its slabs would drop below
     ``MIN_SLAB`` steps, or below max(nu1, nu2) + 1.  The counts ``nu1``,
-    ``nu2``, ``max_iters`` and ``workers`` must be integers, not bools,
-    else ``ValueError``.
+    ``nu2`` and ``seed`` (>= 0) and ``max_iters`` and ``workers`` (>= 1)
+    must be integers, not bools, else ``ValueError`` naming the field.
     """
 
     nu1: int = 2
@@ -131,18 +132,19 @@ class CycleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("nu1", "nu2", "max_iters", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.nu1 < 0 or self.nu2 < 0 or self.nu1 + self.nu2 < 1:
-            raise ValueError(f"need nu1, nu2 >= 0 with nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
+        for name, low in (("nu1", 0), ("nu2", 0), ("max_iters", 1), ("seed", 0), ("workers", 1)):
+            _check_count(name, getattr(self, name), low)
+        if self.nu1 + self.nu2 < 1:
+            raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # residual growth over the initial residual that stops a solve as diverged; no
@@ -211,8 +213,8 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # Block vectors are stored as (n_t, n_steps), one contiguous row per basis
 # coefficient.  A level's slab is worked through in chunks of CHUNK block
 # entries, and each kernel takes one chunk, a view of n_t row segments.
-# Block products are spelled out as fixed-order ufunc row operations: per
-# step they are bitwise independent of the chunk and slab split, and the
+# Every row product goes through dg.row_dot, fixed-order ufunc row operations:
+# per step they are bitwise independent of the chunk and slab split, and the
 # inner loops release the GIL so the worker threads overlap.  The kernels run on y = S u.  The step
 # coupling is rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z .
 # y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
@@ -250,7 +252,8 @@ def _chunks(a: int, b: int, n_t: int):
 
 
 def _dot(z, col) -> float:
-    """z . col on Python floats, summed in the order of :func:`_coupling`."""
+    """z . col on Python floats, summed in the order of :func:`dg.row_dot`:
+    its scalar twin, for the carried columns, which are lists of floats."""
     acc = z[0] * col[0]
     for j in range(1, len(z)):
         acc += z[j] * col[j]
@@ -260,12 +263,8 @@ def _dot(z, col) -> float:
 def _coupling(z, x, work) -> np.ndarray:
     """z . x[:, n - 1] for the columns n >= 1 of the chunk ``x``, in
     work[0]; work[1] holds each product."""
-    value, prod = work[0, :x.shape[1] - 1], work[1, :x.shape[1] - 1]
-    np.multiply(x[0, :-1], z[0], out=value)
-    for j in range(1, len(z)):
-        np.multiply(x[j, :-1], z[j], out=prod)
-        value += prod
-    return value
+    m = x.shape[1] - 1
+    return row_dot(z, x[:, :-1], work[0, :m], work[1, :m])
 
 
 def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool, work) -> None:
@@ -313,14 +312,6 @@ def _prolong_add(p1, p2, coarse, fine, s: int, work) -> None:
     block_apply(p2, coarse[:, odd // 2:e // 2], fine[:, odd - s::2], True, work)
 
 
-def _sqnorm(x, out, work) -> None:
-    prod = work[0, :x.shape[1]]
-    np.multiply(x[0], x[0], out=out)
-    for j in range(1, len(x)):
-        np.multiply(x[j], x[j], out=prod)
-        out += prod
-
-
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
     """Apply ``nu`` damped block Jacobi sweeps; every block update reads only
     the previous iterate (blocks n and n-1), so all updates are independent.
@@ -328,8 +319,7 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     ``ValueError``."""
     if not 0.0 < omega < 2.0:
         raise ValueError(f"damping must lie in (0, 2), got {omega}")
-    if nu < 0:
-        raise ValueError(f"sweep count must be >= 0, got {nu}")
+    _check_count("nu", nu, 0)
     shape = np.shape(u)[:1] + (ops.n_t,)
     u = block_input("u", u, shape)
     g = block_input("f", f, shape).T.copy()
@@ -488,7 +478,7 @@ def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
     r, work = ws.res[wid][:, :e - s], ws.work[wid]
     z = ws.levels[0].ops.end_step_inv.tolist()
     _residual(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r, work)
-    _sqnorm(r, ws.sq[s:e], work)
+    row_dot(r, r, ws.sq[s:e], work[0, :e - s])
 
 
 def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
@@ -579,46 +569,38 @@ def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig) -> list:
             for lev in hier.levels]
 
 
-def _serial_cycle(hier: TimeHierarchy, u, f, config: CycleConfig) -> np.ndarray:
-    config = config or CycleConfig()
-    ws = _Workspace(hier.levels, _resolve_omegas(hier, config), config.nu1, config.nu2)
-    ops = ws.levels[0].ops
-    shape = (ws.levels[0].n_steps, ops.n_t)
-    ws.u[:] = block_input("u", u, shape).T
-    ws.f[0][:] = block_input("f", f, shape).T
-    np.multiply(ws.f[0], ws.omegas[0], out=ws.g[0])
-    _convert(ws, ops.step_matrix, ws.u, ws.y[0], 0, *ws.slabs[0][0])
-    _cycle(ws, 0, NullBarrier(), 0, _no_lap)
-    _convert(ws, ops.step_inv, ws.y[0], ws.u, 0, *ws.slabs[0][0])
-    return ws.u.T.copy()
-
-
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
                    config: CycleConfig = None) -> np.ndarray:
     """One two-grid cycle at ``level``: pre-smooth, restrict the residual,
     solve the coarse grid exactly, prolongate the correction, post-smooth.
-    ``u`` and ``f`` must be finite and shaped (n_steps, n_t) like ``level``,
-    else ``ValueError``."""
-    if not 0 <= level < len(hier) - 1:
+    It is :func:`v_cycle` on the two levels from ``level`` down, so it runs
+    on the same team.  ``level`` must be an integer with a coarser level
+    below it, and ``u`` and ``f`` finite and shaped (n_steps, n_t) like
+    ``level``, else ``ValueError``."""
+    _check_count("level", level, 0)
+    if level >= len(hier) - 1:
         raise ValueError(f"level {level} is not a level with a coarser neighbor")
-    return _serial_cycle(TimeHierarchy(hier.basis, hier.levels[level:level + 2]),
-                         u, f, config)
+    return v_cycle(TimeHierarchy(hier.basis, hier.levels[level:level + 2]), u, f, config)
 
 
 def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray:
     """One V-cycle from the finest level; the coarse solve of the two-grid
     cycle is replaced by one recursive cycle except at the coarsest level,
     which is solved directly.  The cycle descends every level of ``hier``,
-    so on a 2-level hierarchy it is the two-grid cycle.  ``u`` and ``f``
-    must be finite and shaped (n_steps, n_t) like the finest level, else
-    ``ValueError``."""
+    so on a 2-level hierarchy it is the two-grid cycle.  It runs through
+    the driver of :func:`solve`, on the team of ``config.workers``, with
+    the same bits for any team size.  ``u`` and ``f`` must be finite and
+    shaped (n_steps, n_t) like the finest level, else ``ValueError``."""
     if len(hier) < 2:
         raise ValueError(f"v_cycle needs at least 2 levels, but the hierarchy has {len(hier)}")
-    return _serial_cycle(hier, u, f, config)
+    shape = (hier.finest.n_steps, hier.finest.ops.n_t)
+    u, f = block_input("u", u, shape), block_input("f", f, shape)
+    return _iterate(hier, f, u, config or CycleConfig(), 1, measure=False)[0]
 
 
 # ---------------------------------------------------------------------------
-# iteration driver (shared by solve and the convergence measurement)
+# iteration driver (shared by solve, the public cycles and the convergence
+# measurement)
 
 
 def _max_ratio(norms: Sequence[float]) -> float:
@@ -630,32 +612,36 @@ def _max_ratio(norms: Sequence[float]) -> float:
     return float(max(ratios[1:])) if len(ratios) > 1 else float(ratios[0])
 
 
-def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int):
-    """Run cycles until the residual drops by ``config.eps`` relative to the
-    start.
+def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int,
+             measure: bool = True):
+    """Run cycles on the team of ``config.workers`` until the residual drops
+    by ``config.eps`` relative to the start; return u and its ``SolveStats``.
 
     Worker 0 reduces the per-block squared norms in fixed order, so stopping
     decisions (and hence the iterates) are identical for any worker count.
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
-    to machine precision without running any cycle.
+    to machine precision without running any cycle.  Without ``measure``
+    (the public cycles) it computes no residual norm, runs exactly
+    ``max_iters`` cycles and returns None for the stats.
     """
     ws = _Workspace(hier.levels, _resolve_omegas(hier, config), config.nu1, config.nu2,
-                    config.workers, measure=True)
+                    config.workers, measure=measure)
     ops, y, u = ws.levels[0].ops, ws.y[0], ws.u
     u[:] = u_init.T  # each worker turns its slab into y = S u
     ws.f[0][:] = f.T
     barrier = team_barrier(ws.workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
-    shared = {"norm": np.zeros(1), "iters": 0, "norms": []}
-    floor = 1e-12 * float(np.linalg.norm(f))
+    shared = {"iters": 0, "norms": []}
+    floor = 1e-12 * float(np.linalg.norm(f)) if measure else None
 
     def reduce(wid, lap):
-        """The residual norm from ws.sq, complete at the caller's barrier."""
+        """The residual norm from ws.sq, complete at the caller's barrier;
+        worker 0 adds it to the history."""
         if wid == 0:
-            shared["norm"][0] = np.sqrt(np.sum(ws.sq))
+            shared["norms"].append(float(np.sqrt(np.sum(ws.sq))))
         barrier.wait()
         lap("residual")
-        return float(shared["norm"][0])
+        return shared["norms"][-1]
 
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
@@ -666,22 +652,19 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
         ws.publish(0, 0, wid, a, b)
         barrier.wait()  # y complete: the residual reads the previous slab's last step
         lap("smoothing")
-        for s, e in _chunks(a, b, ops.n_t):
-            _sq_chunk(ws, wid, s, e, y[:, s - 1].tolist() if s > 0 else None)
-        barrier.wait()
-        r0 = reduce(wid, lap)
-        if wid == 0:
-            shared["norms"].append(r0)
-        tol = max(config.eps * r0, floor)
-        rk = r0
+        if measure:
+            for s, e in _chunks(a, b, ops.n_t):
+                _sq_chunk(ws, wid, s, e, y[:, s - 1].tolist() if s > 0 else None)
+            barrier.wait()
+            r0 = rk = reduce(wid, lap)
+            tol = max(config.eps * r0, floor)
         iters = 0
         # all workers read the same norm and leave together; NaN fails both tests
-        while tol < rk <= DIVERGENCE_RATIO * r0 and iters < max_iters:
+        while iters < max_iters and (not measure or tol < rk <= DIVERGENCE_RATIO * r0):
             _cycle(ws, 0, barrier, wid, lap)  # ends once ws.sq is complete
-            rk = reduce(wid, lap)
             iters += 1
-            if wid == 0:
-                shared["norms"].append(rk)
+            if measure:
+                rk = reduce(wid, lap)
         if iters:  # back to u = S^{-1} y; u still holds u_init if no cycle ran
             _convert(ws, ops.step_inv, y, u, wid, a, b)
         lap("smoothing")
@@ -689,6 +672,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
             shared["iters"] = iters
 
     run_team(ws.workers, body, barrier)
+    if not measure:
+        return u.T.copy(), None
     norms = shared["norms"]
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)

@@ -9,6 +9,7 @@ from timemg import cli
 from timemg.checks import Result
 from timemg.cli import main
 from timemg.dg import BasisSpec, rhs_moments
+from timemg.fourier import rho_profile
 from timemg.multigrid import TimeHierarchy, solve
 
 
@@ -43,6 +44,25 @@ class TestAnalyze:
         assert code == 0
         rows = json.loads((tmp_path / "analyze_pt0_nu1_1.json").read_text())
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("pt, tau, fmt, clear", [
+        (3, 1e-6, "json", False), (1, 1e-5, "json", False), (3, 1e-3, "csv", False),
+        (0, 1e-6, "json", True), (3, 1.0, "csv", True)])
+    def test_theta_star_only_where_the_peak_stands_clear(self, tmp_path, pt, tau, fmt, clear):
+        # at small tau the p_t >= 1 radius profile is flat to rounding near its
+        # peak, so its argmax names no frequency: theta_star is null there
+        assert main(["analyze", "--pt", str(pt), "--tau", str(tau), "--format", fmt,
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / f"analyze_pt{pt}_nu1_1.{fmt}"
+        row = json.loads(path.read_text())[0] if fmt == "json" else read_csv(path)[0]
+        low, radii = rho_profile(BasisSpec(pt), tau, 1024)
+        k = int(np.argmax(radii))
+        margin = radii[k] - radii[np.abs(low) != abs(low[k])].max()
+        assert (margin >= cli.PEAK_MARGIN * radii[k]) == clear
+        if not clear:
+            assert row["theta_star"] in (None, "")
+        else:
+            assert float(row["theta_star"]) == low[k]
 
     def test_empty_range_usage_error(self, tmp_path):
         code = main(["analyze", "--tau-min", "10", "--tau-max", "1",

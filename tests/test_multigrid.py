@@ -22,6 +22,19 @@ from timemg.parallel import run_team, team_barrier
 from timemg.smoothing import alpha, optimal_omega
 
 
+@pytest.fixture
+def teams(monkeypatch):
+    """The size of every worker team the multigrid module starts, in order."""
+    started, original = [], multigrid.run_team
+
+    def recording(k, body, barrier):
+        started.append(k)
+        original(k, body, barrier)
+
+    monkeypatch.setattr(multigrid, "run_team", recording)
+    return started
+
+
 class TestTransfers:
     def test_degree_zero_blocks(self):
         r1, r2 = build_transfers(BasisSpec(0), 0.7)
@@ -129,16 +142,35 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             CycleConfig(max_iters=0)
 
-    @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers"])
+    @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, np.float64(2.0)],
                              ids=["float", "whole-float", "bool", "str", "none", "np-float"])
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             CycleConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("nu1", -1), ("nu2", -1), ("max_iters", 0), ("seed", -1), ("workers", 0)])
+    def test_config_rejects_counts_below_their_minimum(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {value + 1}, "):
+            CycleConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers"])
     def test_config_accepts_numpy_integer_counts(self, field):
         assert getattr(CycleConfig(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("entry, field", [("block_jacobi_sweep", "nu"),
+                                              ("two_grid_cycle", "level")])
+    @pytest.mark.parametrize("value", [1.5, 0.0, True, "0", -1],
+                             ids=["float", "whole-float", "bool", "str", "negative"])
+    def test_cycle_counts_name_their_field(self, entry, field, value):
+        hier = TimeHierarchy.build(BasisSpec(1), 0.1, 32)
+        u = np.zeros((32, 2))
+        calls = {"block_jacobi_sweep": lambda: block_jacobi_sweep(hier.finest.ops, u, u, 0.7,
+                                                                  value),
+                 "two_grid_cycle": lambda: two_grid_cycle(hier, value, u, u)}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got "):
+            calls[entry]()
 
 
 class TestJacobiSweep:
@@ -336,23 +368,22 @@ class TestSolve:
     @pytest.mark.parametrize("n, workers, min_slab, levels, team", [
         (64, 4, 32768, 2, 1), (64, 4, 32768, "max", 1), (1 << 12, 4, 256, 1, 1),
         (1 << 12, 2, 256, 2, 2), (1 << 12, 4, 256, "max", 4), (1 << 12, 3, 256, 2, 3),
-        (1 << 12, 6, 256, 2, 6), (1 << 12, 7, 256, "max", 7)])
+        (1 << 12, 6, 256, 2, 6), (1 << 12, 7, 256, "max", 7), (1 << 12, 1, 256, "max", 1),
+        (1 << 12, 2, 256, "max", 2), (1 << 12, 3, 256, "max", 3), (1 << 12, 4, 256, 2, 4),
+        (1 << 12, 7, 256, 2, 7)])
     def test_workers_is_the_team_that_ran(self, n, workers, min_slab, levels, team,
-                                          monkeypatch):
+                                          monkeypatch, teams):
         # any team size splits; a finest level too small to split collapses
-        # the team to one worker
+        # the team to one worker; the public cycles run on the solve's team
         monkeypatch.setattr(multigrid, "MIN_SLAB", min_slab)
-        started, original = [], multigrid.run_team
-
-        def recording(k, body, barrier):
-            started.append(k)
-            original(k, body, barrier)
-
-        monkeypatch.setattr(multigrid, "run_team", recording)
         hier = TimeHierarchy.build(BasisSpec(1), 1e-2, n, n_levels=levels)
-        _, stats = solve(hier, np.zeros((n, 2)), config=CycleConfig(
-            eps=1e-6, workers=workers))
-        assert started == [team] and stats.workers == team
+        config, zero = CycleConfig(eps=1e-6, workers=workers), np.zeros((n, 2))
+        _, stats = solve(hier, zero, config=config)
+        assert teams == [team] and stats.workers == team
+        if len(hier) > 1:
+            v_cycle(hier, zero, zero, config)
+            two_grid_cycle(hier, 0, zero, zero, config)
+            assert teams == [team] * 3
 
     def test_converged_follows_status(self):
         hier = TimeHierarchy.build(BasisSpec(0), 0.5, 32)
@@ -365,8 +396,8 @@ class TestSolve:
         with pytest.raises(ValueError):
             dataclasses.replace(marked, converged=True)
 
-    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-    def test_worker_count_invariance_small(self, workers, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7, 8])
+    def test_worker_count_invariance_small(self, workers, monkeypatch, teams):
         # same bits for any worker count, including non powers of two; n_t = 4
         # is where a block product's memory layout could change the rounding
         monkeypatch.setattr(multigrid, "MIN_SLAB", 256)
@@ -375,27 +406,42 @@ class TestSolve:
             hier = TimeHierarchy.build(basis, 1e-3, 1 << 12)
             f = np.zeros((1 << 12, basis.n_t))
             u_init = random_initial_guess(hier, 42)
-            base, _ = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=1))
-            got, stats = solve(hier, f, u_init, CycleConfig(eps=1e-8, workers=workers))
+            one, team = CycleConfig(eps=1e-8, workers=1), CycleConfig(eps=1e-8, workers=workers)
+            base, _ = solve(hier, f, u_init, one)
+            got, stats = solve(hier, f, u_init, team)
             assert stats.workers == workers and got.tobytes() == base.tobytes(), p_t
+            for cycle in (v_cycle, lambda h, u, f, c: two_grid_cycle(h, 0, u, f, c)):
+                del teams[:]
+                got = cycle(hier, u_init, f, team)
+                assert teams == [workers] and got.tobytes() == cycle(hier, u_init, f, one).tobytes()
 
-    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
     @pytest.mark.parametrize("basis", [BasisSpec(3), BasisSpec(2)], ids=["p3", "p2"])
-    def test_worker_count_invariance_nonzero_rhs(self, basis, workers, monkeypatch):
+    def test_worker_count_invariance_nonzero_rhs(self, basis, workers, monkeypatch, teams):
         # a non-zero f makes the finest g = omega f non-zero; with MIN_SLAB
         # 256 and 3 or 4 workers the levels split over the team, then over 2
         # or 3 workers, then run as a serial tail, so coarse g is made on
-        # slabs of one split and read on another
+        # slabs of one split and read on another; the public V-cycle and the
+        # two-grid cycle of each level pair run on the same team
         monkeypatch.setattr(multigrid, "MIN_SLAB", 256)
         tau, n = 1e-3, 1 << 12
         hier = TimeHierarchy.build(basis, tau, n, n_levels="max")
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         u_init = random_initial_guess(hier, 5)
-        base, base_stats = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=1))
-        got, stats = solve(hier, rhs, u_init, CycleConfig(eps=1e-10, workers=workers))
+        one, team = CycleConfig(eps=1e-10, workers=1), CycleConfig(eps=1e-10, workers=workers)
+        base, base_stats = solve(hier, rhs, u_init, one)
+        got, stats = solve(hier, rhs, u_init, team)
         assert stats.converged and stats.iterations == base_stats.iterations
         assert stats.workers == workers
         assert got.tobytes() == base.tobytes()
+        del teams[:]
+        got = v_cycle(hier, u_init, rhs, team)
+        assert teams == [workers] and got.tobytes() == v_cycle(hier, u_init, rhs, one).tobytes()
+        for level in range(len(hier) - 1):
+            m = hier.levels[level].n_steps
+            got = two_grid_cycle(hier, level, u_init[:m], rhs[:m], team)
+            want = two_grid_cycle(hier, level, u_init[:m], rhs[:m], one)
+            assert got.tobytes() == want.tobytes(), level
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("levels", [2, "max"])
