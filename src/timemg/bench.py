@@ -18,16 +18,8 @@ import warnings
 import numpy as np
 
 from .dg import BasisSpec
-from .multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
-
-
-def _check_worker_counts(workers) -> list:
-    ws = list(workers)
-    if not ws or any(w < 1 or (w & (w - 1)) != 0 for w in ws):
-        raise ValueError(f"worker counts must be powers of two, got {workers}")
-    if any(b < a for a, b in zip(ws, ws[1:])):
-        raise ValueError(f"worker counts must be nondecreasing, got {workers}")
-    return ws
+from .multigrid import (CycleConfig, TimeHierarchy, _check_count, random_initial_guess,
+                        solve)
 
 
 @dataclasses.dataclass
@@ -48,14 +40,17 @@ class ScalingPlan:
     def __post_init__(self):
         if self.mode not in ("strong", "weak"):
             raise ValueError(f"mode must be 'strong' or 'weak', got {self.mode!r}")
-        self.workers = _check_worker_counts(self.workers)
+        self.workers = list(self.workers)
+        if not self.workers:
+            raise ValueError("need at least one worker count, got none")
+        for w in self.workers:
+            _check_count("worker count", w, 1)
+        if self.workers != sorted(self.workers):
+            raise ValueError(f"worker counts must be nondecreasing, got {self.workers}")
         if not self.p_t_list:
             raise ValueError("need at least one polynomial degree, got none")
         if self.repetitions < 3:
             raise ValueError(f"need >= 3 repetitions for a median, got {self.repetitions}")
-        if self.mode == "strong" and self.total_steps % max(self.workers) != 0:
-            raise ValueError(f"total steps {self.total_steps} not divisible by "
-                             f"{max(self.workers)} workers")
 
 
 @dataclasses.dataclass

@@ -45,11 +45,12 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, f"{name}.{args.format}")
 
 
-def _file_value(key: str, action: argparse.Action, value, default):
+def _file_value(key: str, action: argparse.Action, value):
     """Check a config file value as its flag checks its text (a JSON string, or
     the JSON spelling of any other value); a number flag needs a JSON number,
     a switch true or false, and null stands for a default of None."""
-    if (action.nargs == 0 and isinstance(value, bool)) or (value is None and default is None):
+    if ((action.nargs == 0 and isinstance(value, bool))
+            or (value is None and action.default is None)):
         return value
     try:
         got = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
@@ -62,24 +63,18 @@ def _file_value(key: str, action: argparse.Action, value, default):
     return got
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Layer defaults < config file < explicit flags; reject unknown file keys
-    and values that the subcommand's flags would reject."""
-    merged = dict(args.defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = set(file_values) - set(args.defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        actions = {a.dest: a for a in args.parser._actions}
-        merged.update({key: _file_value(key, actions[key], value, args.defaults[key])
-                       for key, value in file_values.items()})
-    merged.update(vars(args))
-    return argparse.Namespace(**merged)
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The file's values as the subcommand's defaults: its keys are the
+    subcommand's flag dests, each value checked as :func:`_file_value` says."""
+    with open(path) as fh:
+        file_values = json.load(fh)
+    if not isinstance(file_values, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = set(file_values) - set(actions)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {key: _file_value(key, actions[key], value) for key, value in file_values.items()}
 
 
 def _parse_omega(value: str):
@@ -123,10 +118,6 @@ def _tau_grid(args) -> np.ndarray:
 # of the peak when the same symbols were diagonalized as transposes, enough
 # to move the argmax, while every clear peak stood at least 290 eps above the rest
 PEAK_MARGIN = 64 * np.finfo(float).eps
-
-_ANALYZE_DEFAULTS = dict(pt=0, nu1=1, nu2=1, omega="optimal", steps=1024,
-                         tau=None, tau_min=1e-6, tau_max=1e6, tau_points=49,
-                         out=".", format="csv")
 
 
 def cmd_analyze(args) -> int:
@@ -176,14 +167,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # solve
-
-
-_N_LEVELS = inspect.signature(TimeHierarchy.build).parameters["n_levels"].default
-_SOLVE_DEFAULTS = dict(pt=0, steps=64, T=1.0, tau=None, u0=1.0, f="zero", f_param=1.0,
-                       nu1=CycleConfig.nu1, nu2=CycleConfig.nu2, omega=CycleConfig.damping,
-                       levels=_N_LEVELS, eps=CycleConfig.eps, seed=CycleConfig.seed,
-                       workers=CycleConfig.workers, max_iters=CycleConfig.max_iters,
-                       compare_sequential=False, out=".", format="csv")
 
 
 def _preset_f(name: str, param: float):
@@ -257,13 +240,6 @@ def cmd_solve(args) -> int:
 # bench
 
 
-_BENCH_DEFAULTS = dict(mode="strong", workers="1,2,4",
-                       steps_per_worker=ScalingPlan.steps_per_worker,
-                       total_steps=ScalingPlan.total_steps, pt="0", tau=ScalingPlan.tau,
-                       eps=ScalingPlan.eps, reps=ScalingPlan.repetitions,
-                       seed=ScalingPlan.seed, out=".", format="csv")
-
-
 def cmd_bench(args) -> int:
     plan = ScalingPlan(mode=args.mode, workers=_parse_int_list(args.workers),
                        steps_per_worker=args.steps_per_worker, total_steps=args.total_steps,
@@ -296,8 +272,8 @@ def cmd_bench(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults for this subcommand")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--format", choices=_FORMATS, help="output file format")
+    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--format", default="csv", choices=_FORMATS, help="output file format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,69 +281,71 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="multigrid-in-time solver and analysis toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analyze", help="tabulate predicted convergence factors",
-                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--pt", type=int)
-    p.add_argument("--nu1", type=int)
-    p.add_argument("--nu2", type=int)
-    p.add_argument("--omega", type=_parse_omega)
-    p.add_argument("--steps", type=int)
+    p = subs.add_parser("analyze", help="tabulate predicted convergence factors")
+    p.add_argument("--pt", type=int, default=0)
+    p.add_argument("--nu1", type=int, default=1)
+    p.add_argument("--nu2", type=int, default=1)
+    p.add_argument("--omega", type=_parse_omega, default="optimal")
+    p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--tau", type=float)
-    p.add_argument("--tau-min", type=float)
-    p.add_argument("--tau-max", type=float)
-    p.add_argument("--tau-points", type=int)
+    p.add_argument("--tau-min", type=float, default=1e-6)
+    p.add_argument("--tau-max", type=float, default=1e6)
+    p.add_argument("--tau-points", type=int, default=49)
     _add_common(p)
-    p.set_defaults(func=cmd_analyze, defaults=_ANALYZE_DEFAULTS, parser=p)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = subs.add_parser("verify", help="run theory-vs-practice cross checks")
     p.add_argument("suite", choices=tuple(_VERIFY_SUITES))
-    p.set_defaults(func=cmd_verify, defaults=None)
+    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("solve", help="solve u' + u = f with the time-multigrid solver",
-                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--pt", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--T", type=float)
+    p = subs.add_parser("solve", help="solve u' + u = f with the time-multigrid solver")
+    p.add_argument("--pt", type=int, default=0)
+    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--tau", type=float, help="step size (overrides --T)")
-    p.add_argument("--u0", type=float)
-    p.add_argument("--f", choices=("zero", "const", "poly", "sin"))
-    p.add_argument("--f-param", type=float)
-    p.add_argument("--nu1", type=int)
-    p.add_argument("--nu2", type=int)
-    p.add_argument("--omega", type=_parse_omega)
-    p.add_argument("--levels", type=_parse_levels)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--max-iters", type=int)
+    p.add_argument("--u0", type=float, default=1.0)
+    p.add_argument("--f", choices=("zero", "const", "poly", "sin"), default="zero")
+    p.add_argument("--f-param", type=float, default=1.0)
+    p.add_argument("--nu1", type=int, default=CycleConfig.nu1)
+    p.add_argument("--nu2", type=int, default=CycleConfig.nu2)
+    p.add_argument("--omega", type=_parse_omega, default=CycleConfig.damping)
+    p.add_argument("--levels", type=_parse_levels,
+                   default=inspect.signature(TimeHierarchy.build).parameters["n_levels"].default)
+    p.add_argument("--eps", type=float, default=CycleConfig.eps)
+    p.add_argument("--seed", type=int, default=CycleConfig.seed)
+    p.add_argument("--workers", type=int, default=CycleConfig.workers)
+    p.add_argument("--max-iters", type=int, default=CycleConfig.max_iters)
     p.add_argument("--compare-sequential", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_solve, defaults=_SOLVE_DEFAULTS, parser=p)
+    p.set_defaults(func=cmd_solve, parser=p)
 
-    p = subs.add_parser("bench", help="strong/weak scaling study",
-                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--mode", choices=("strong", "weak"))
-    p.add_argument("--workers")
-    p.add_argument("--steps-per-worker", type=int)
-    p.add_argument("--total-steps", type=int)
-    p.add_argument("--pt")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
+    p = subs.add_parser("bench", help="strong/weak scaling study")
+    p.add_argument("--mode", choices=("strong", "weak"), default="strong")
+    p.add_argument("--workers", default="1,2,4")
+    p.add_argument("--steps-per-worker", type=int, default=ScalingPlan.steps_per_worker)
+    p.add_argument("--total-steps", type=int, default=ScalingPlan.total_steps)
+    p.add_argument("--pt", default="0")
+    p.add_argument("--tau", type=float, default=ScalingPlan.tau)
+    p.add_argument("--eps", type=float, default=ScalingPlan.eps)
+    p.add_argument("--reps", type=int, default=ScalingPlan.repetitions)
+    p.add_argument("--seed", type=int, default=ScalingPlan.seed)
     _add_common(p)
-    p.set_defaults(func=cmd_bench, defaults=_BENCH_DEFAULTS, parser=p)
+    p.set_defaults(func=cmd_bench, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse, and parse again beneath a ``--config`` file's values: explicit
+    flags win over the file, and the file over the flags' own defaults."""
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.defaults is not None:
-            args = _merge_config(args)
+        if getattr(args, "config", None):
+            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -405,10 +405,11 @@ class _Workspace:
     and the sweep's g = omega f, which the exact coarsest solve does not
     read.  ``slabs[lev][wid]`` is worker wid's step range of level lev,
     ``tail`` the first level that worker 0 runs alone and ``workers`` the
-    team (see :func:`_slab_table`).  ``edges[lev][0]`` and ``[1]`` hold
-    each worker's last ``width`` = max(nu1, nu2) + 1 columns of the input of
-    pass A and of pass B, for its right neighbour.  The finest level also
-    has ``u`` for the change to y and back and, in a solve that measures its
+    team (see :func:`_slab_table`).  On a smoothed level, ``edges[lev][0]``
+    and ``[1]`` hold each worker's last ``width`` = max(nu1, nu2) + 1
+    columns of the input of pass A (written on the finest level only) and
+    of pass B, for its right neighbour.  The finest level also has ``u``
+    for the change to y and back and, in a solve that measures its
     residual, ``sq``, the squared residual norm per step.  Each worker has
     one chunk of residual, ``res``, and two rows of scratch, ``work``, so
     that the chunk kernels allocate nothing."""
@@ -420,13 +421,13 @@ class _Workspace:
         self.width = max(nu1, nu2) + 1
         self.slabs, self.tail, self.workers = _slab_table(self.levels, workers, self.width)
         n_t, n = self.levels[0].ops.n_t, self.levels[0].n_steps
-        self.y, self.f, self.g = [], [], []
+        self.y, self.f, self.g, self.edges = [], [], [], []
         for k, lev in enumerate(self.levels):
             self.y.append(np.zeros((n_t, lev.n_steps)))
             self.f.append(np.zeros((n_t, lev.n_steps)))
             smoothed = k == 0 or k < len(self.levels) - 1
             self.g.append(np.zeros((n_t, lev.n_steps)) if smoothed else None)
-        self.edges = [np.zeros((2, self.workers, n_t, self.width)) for _ in self.levels]
+            self.edges.append(np.zeros((2, self.workers, n_t, self.width)) if smoothed else None)
         self.u = np.zeros((n_t, n))
         self.sq = np.zeros(n) if measure else None
         steps = min(_chunk_steps(n_t), n)
@@ -516,7 +517,8 @@ def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
 def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     """Per chunk of the slab [a, b): the prolongation-add of the coarse
     correction, nu2 sweeps and, on the finest level of a solve, the
-    residual's squared norms; then the slab's edge for the next pass A."""
+    residual's squared norms; then, on the finest level, the slab's edge
+    for the next pass A."""
     if a >= b:
         return
     level, nu, omega = ws.levels[lev], ws.nu2, ws.omegas[lev]
@@ -535,7 +537,8 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
             _sq_chunk(ws, wid, s, e, carry[nu] if s > 0 else None)
             lap("residual")
         carry[nu] = y[:, e - 1].tolist()
-    ws.publish(lev, 0, wid, a, b)
+    if lev == 0:  # a coarse pass A starts from the zero guess
+        ws.publish(lev, 0, wid, a, b)
 
 
 def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:

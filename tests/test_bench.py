@@ -1,7 +1,9 @@
 import os
+import re
 
 import pytest
 
+from timemg import multigrid
 from timemg.bench import ScalingPlan, run_scaling
 
 
@@ -17,9 +19,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan("strong", repetitions=2)
 
-    def test_rejects_non_power_of_two_workers(self):
-        with pytest.raises(ValueError):
-            tiny_plan("weak", workers=[1, 3])
+    @pytest.mark.parametrize("workers, message", [
+        ([], "need at least one worker count, got none"),
+        ([0, 1], "worker count must be an integer >= 1, got 0"),
+        ([1, 2.5], "worker count must be an integer >= 1, got 2.5")])
+    def test_rejects_bad_worker_counts(self, workers, message):
+        # at construction, before any point runs
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_plan("weak", workers=workers)
 
     def test_rejects_decreasing_workers(self):
         with pytest.raises(ValueError):
@@ -28,10 +35,6 @@ class TestPlanValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             tiny_plan("scaling")
-
-    def test_rejects_indivisible_strong_size(self):
-        with pytest.raises(ValueError):
-            tiny_plan("strong", total_steps=510, workers=[1, 4])
 
     def test_rejects_empty_degree_list(self):
         with pytest.raises(ValueError, match="at least one polynomial degree"):
@@ -53,6 +56,17 @@ class TestStrongScaling:
         d = row.to_dict()
         assert {"mode", "workers", "steps", "p_t", "median_time", "scaled",
                 "iterations", "samples"} == set(d)
+
+
+class TestAnyTeam:
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_three_workers_split_and_match_one(self, monkeypatch, teams, mode):
+        # with 64-step slabs the 512 and 768 finest steps split three ways
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 64)
+        rows = run_scaling(tiny_plan(mode, workers=[1, 3]))
+        assert teams == [1, 1, 1, 3, 3, 3]
+        assert [r.workers for r in rows] == [1, 3]
+        assert rows[0].iterations == rows[1].iterations
 
 
 class TestWeakScaling:

@@ -18,6 +18,24 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def untimed(path):
+    """A written file's bytes, or the JSON of one with measured times
+    without them (solve's phase times, bench's times and speedups; a row
+    keeps its count of samples)."""
+    if not path.name.startswith(("solve_stats", "bench_")):
+        return path.read_bytes()
+    data = json.loads(path.read_text())
+
+    def keep(row):
+        row = {k: v for k, v in row.items()
+               if k not in ("times", "median_time", "scaled") and k[:4] != "t_pt"}
+        if "samples" in row:
+            row["samples"] = len(row["samples"])
+        return row
+
+    return keep(data) if isinstance(data, dict) else [keep(row) for row in data]
+
+
 class TestAnalyze:
     def test_single_tau_closed_form(self, tmp_path):
         code = main(["analyze", "--pt", "0", "--tau", "1.0", "--out", str(tmp_path)])
@@ -252,6 +270,16 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"ptt": 1}))
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key", ["config", "help", "func", "parser", "command"])
+    def test_non_flag_names_are_unknown_keys(self, tmp_path, capsys, key):
+        # only the subcommand's own flags are keys: not --config or --help,
+        # nor the names the parser sets besides the flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_error(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -297,6 +325,41 @@ class TestConfigFile:
                      "--format", "json", "--out", str(tmp_path / "flags")]) == 0
         name = "solve_solution.json"
         assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, values", [
+        ("analyze", {"pt": 1, "nu1": 2, "nu2": 3, "omega": 0.7, "steps": 64, "tau": None,
+                     "tau_min": 0.5, "tau_max": 2, "tau_points": 3, "format": "json"}),
+        ("solve", {"pt": 1, "steps": 128, "T": 2, "tau": 0.03, "u0": 0.5, "f": "sin",
+                   "f_param": 3, "nu1": 1, "nu2": 3, "omega": 0.7, "levels": "max",
+                   "eps": 1e-9, "seed": 3, "workers": 2, "max_iters": 40,
+                   "compare_sequential": True, "format": "json"}),
+        *(("bench", {"mode": mode, "workers": "1,2", "steps_per_worker": 64,
+                     "total_steps": 128, "pt": "0,1", "tau": 0.01, "eps": 1e-5, "reps": 4,
+                     "seed": 5, "format": "json"}) for mode in ("weak", "strong")),
+    ], ids=["analyze", "solve", "bench-weak", "bench-strong"])
+    def test_every_key_as_its_flag(self, tmp_path, command, values):
+        # a file setting every flag's dest writes what the flags write.  The
+        # values are not the defaults, so a key the file drops shows, except
+        # bench's mode "strong", which the weak case covers; each mode reads
+        # one of bench's step counts.  null is the default None, which no
+        # flag spells.
+        values = {**values, "out": str(tmp_path / "file")}
+        keys = set(vars(cli.build_parser().parse_args([command])))
+        assert set(values) == keys - {"command", "func", "parser", "config"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        flags = [command, "--out", str(tmp_path / "flags")]
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                flags.append(flag)
+            elif value is not None and key != "out":
+                flags += [flag, str(value)]
+        assert main([command, "--config", str(cfg)]) == 0
+        assert main(flags) == 0
+        file, flags = (sorted((tmp_path / side).iterdir()) for side in ("file", "flags"))
+        assert [p.name for p in file] == [p.name for p in flags]
+        assert [untimed(p) for p in file] == [untimed(p) for p in flags]
 
 
 class TestBench:

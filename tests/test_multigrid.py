@@ -22,19 +22,6 @@ from timemg.parallel import run_team, team_barrier
 from timemg.smoothing import alpha, optimal_omega
 
 
-@pytest.fixture
-def teams(monkeypatch):
-    """The size of every worker team the multigrid module starts, in order."""
-    started, original = [], multigrid.run_team
-
-    def recording(k, body, barrier):
-        started.append(k)
-        original(k, body, barrier)
-
-    monkeypatch.setattr(multigrid, "run_team", recording)
-    return started
-
-
 class TestTransfers:
     def test_degree_zero_blocks(self):
         r1, r2 = build_transfers(BasisSpec(0), 0.7)
