@@ -17,9 +17,8 @@ import warnings
 
 import numpy as np
 
-from .dg import BasisSpec
-from .multigrid import (CycleConfig, TimeHierarchy, _check_count, random_initial_guess,
-                        solve)
+from .dg import BasisSpec, check_count, check_step_size
+from .multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
 
 
 @dataclasses.dataclass
@@ -44,13 +43,15 @@ class ScalingPlan:
         if not self.workers:
             raise ValueError("need at least one worker count, got none")
         for w in self.workers:
-            _check_count("worker count", w, 1)
+            check_count("worker count", w, 1)
         if self.workers != sorted(self.workers):
             raise ValueError(f"worker counts must be nondecreasing, got {self.workers}")
         if not self.p_t_list:
             raise ValueError("need at least one polynomial degree, got none")
-        if self.repetitions < 3:
-            raise ValueError(f"need >= 3 repetitions for a median, got {self.repetitions}")
+        for p_t in self.p_t_list:
+            check_count("p_t", p_t, 0)
+        check_step_size(self.tau)
+        check_count("repetitions", self.repetitions, 3)  # for a median
 
 
 @dataclasses.dataclass

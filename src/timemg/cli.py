@@ -56,7 +56,7 @@ def _file_value(key: str, action: argparse.Action, value):
         got = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
     except (ValueError, argparse.ArgumentTypeError):
         got = None
-    if (action.nargs == 0 or got is None or (isinstance(value, str) and not isinstance(got, str))
+    if (action.nargs == 0 or got is None or (isinstance(value, str) and isinstance(got, (int, float)))
             or (action.choices is not None and got not in action.choices)):
         expect = f" (choose from {', '.join(action.choices)})" if action.choices else ""
         raise ValueError(f"config key {key!r}: invalid value {json.dumps(value)}{expect}")
@@ -93,7 +93,10 @@ def _parse_levels(value: str):
 
 
 def _parse_int_list(value: str) -> list:
-    return [int(v) for v in value.split(",") if v]
+    try:
+        return [int(v) for v in value.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -207,10 +210,8 @@ def cmd_solve(args) -> int:
     with open(stats_path, "w") as fh:
         json.dump(record, fh, indent=2, allow_nan=False)
     res_path = os.path.join(args.out, "solve_residuals.csv")
-    with open(res_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual_norm"])
-        writer.writerows(enumerate(stats.residual_norms))
+    _write_rows(res_path, [{"iteration": k, "residual_norm": r}
+                           for k, r in enumerate(stats.residual_norms)], "csv")
     factor = f"{stats.factor:.6e}" if len(stats.residual_norms) > 1 else "not measured"
     print(f"measured convergence factor: {factor}")
     print(f"wrote {sol_path}, {stats_path} and {res_path}")
@@ -241,9 +242,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    plan = ScalingPlan(mode=args.mode, workers=_parse_int_list(args.workers),
+    plan = ScalingPlan(mode=args.mode, workers=args.workers,
                        steps_per_worker=args.steps_per_worker, total_steps=args.total_steps,
-                       p_t_list=tuple(_parse_int_list(args.pt)), tau=args.tau, eps=args.eps,
+                       p_t_list=tuple(args.pt), tau=args.tau, eps=args.eps,
                        repetitions=args.reps, seed=args.seed)
     rows = run_scaling(plan)
     if args.mode == "strong":
@@ -321,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="strong/weak scaling study")
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--workers", default="1,2,4")
+    p.add_argument("--workers", type=_parse_int_list, default="1,2,4")
     p.add_argument("--steps-per-worker", type=int, default=ScalingPlan.steps_per_worker)
     p.add_argument("--total-steps", type=int, default=ScalingPlan.total_steps)
-    p.add_argument("--pt", default="0")
+    p.add_argument("--pt", type=_parse_int_list, default="0")
     p.add_argument("--tau", type=float, default=ScalingPlan.tau)
     p.add_argument("--eps", type=float, default=ScalingPlan.eps)
     p.add_argument("--reps", type=int, default=ScalingPlan.repetitions)

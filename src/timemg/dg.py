@@ -48,8 +48,7 @@ def radau_rule(s: int) -> RadauRule:
     RadauRule
         Nodes ``c`` with c[0] = 0 and positive weights ``b`` summing to 1.
     """
-    if s < 1:
-        raise ValueError(f"radau_rule needs s >= 1, got {s}")
+    check_count("s", s, 1)
     if s == 1:
         return RadauRule(c=np.zeros(1), b=np.ones(1))
     # Interior nodes on [-1, 1] are the roots of the Jacobi polynomial
@@ -78,8 +77,7 @@ class BasisSpec:
     p_t: int
 
     def __post_init__(self):
-        if self.p_t < 0:
-            raise ValueError(f"polynomial degree must be >= 0, got {self.p_t}")
+        check_count("p_t", self.p_t, 0)
 
     @property
     def n_t(self) -> int:
@@ -210,6 +208,13 @@ def reference_tables(basis: BasisSpec) -> ReferenceTables:
     return tables
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``low``: the one rule for every count argument."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_step_size(tau: float) -> None:
     """Raise ``ValueError`` unless ``tau`` is a finite positive step size."""
     if not 0.0 < tau < math.inf:
@@ -279,11 +284,11 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
     moment ``tau b_k f(t_k)`` of basis function k and makes the scheme the
     (p_t+1)-stage RADAU IA method.  ``u0`` enters the first block through the
     coupling ``u0 * eval_start = u0 e_0``, at entry (0, 0).  A non-finite or
-    non-positive ``tau`` or fewer than 1 step raises ``ValueError``.
+    non-positive ``tau``, or an ``n_steps`` that is not an integer >= 1
+    (:func:`check_count`), raises ``ValueError``.
     """
     check_step_size(tau)
-    if n_steps < 1:
-        raise ValueError(f"need at least 1 step, got {n_steps}")
+    check_count("n_steps", n_steps, 1)
     rule = radau_rule(basis.n_t)
     times = (np.arange(n_steps)[:, None] + rule.c[None, :]) * tau
     try:

@@ -11,14 +11,15 @@ import dataclasses
 
 import numpy as np
 
-from .dg import BasisSpec, LocalOperators, assemble_local, build_transfers
+from .dg import BasisSpec, LocalOperators, assemble_local, build_transfers, check_count
 from .smoothing import alpha, resolve_damping, smoothing_symbol_modulus
 
 _BOUNDARY_TOL = 1e-12
 
 
 def _check_n_steps(n_steps: int) -> None:
-    if n_steps < 4 or (n_steps & (n_steps - 1)) != 0:
+    check_count("n_steps", n_steps, 4)
+    if n_steps & (n_steps - 1):
         raise ValueError(f"number of steps must be a power of two >= 4, got {n_steps}")
 
 
@@ -116,8 +117,7 @@ def symbol_smoother(ops: LocalOperators, theta, omega: float, nu: int = 1) -> np
     ``theta`` may be an array; the result then stacks one n_t x n_t block per
     frequency, shape ``theta.shape + (n_t, n_t)``.
     """
-    if nu < 0:
-        raise ValueError(f"smoothing count must be >= 0, got {nu}")
+    check_count("nu", nu, 0)
     s = (1.0 - omega) * np.eye(ops.n_t, dtype=complex) \
         + _phase(theta, -1) * omega * np.outer(ops.step_inv_start, ops.eval_end)
     return np.linalg.matrix_power(s, nu)

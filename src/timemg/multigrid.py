@@ -32,14 +32,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
-                 block_input, build_transfers, check_step_size, forward_solve, row_dot,
-                 scan_block, scan_buffer, scan_rows)
+                 block_input, build_transfers, check_count, check_step_size, forward_solve,
+                 row_dot, scan_block, scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, resolve_damping
 
 
 # ---------------------------------------------------------------------------
 # hierarchy
+
+# steps of the smallest grid that coarsening makes
+COARSEST = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,16 +78,15 @@ class TimeHierarchy:
 
     @classmethod
     def build(cls, basis: BasisSpec, tau: float, n_steps: int,
-              n_levels=2, coarsest: int = 8) -> "TimeHierarchy":
+              n_levels=2) -> "TimeHierarchy":
         """Coarsen by step doubling until ``n_levels`` grids exist ("max": no
-        cap) or the next grid would drop below ``coarsest`` steps (never
-        below 2).  Every cycle descends all levels, so the default 2 gives
-        the two-grid cycle with an exact, team-split coarse solve, the
-        faster solver here, where a coarse step costs O(n_t); "max" gives the
-        paper's V-cycle, the method for space-time problems.  Any other
-        ``n_levels`` than "max" or an integer >= 1 raises ``ValueError``."""
-        if n_steps < 2:
-            raise ValueError(f"need at least 2 steps, got {n_steps}")
+        cap) or the next grid would drop below ``COARSEST`` steps.  Every
+        cycle descends all levels, so the default 2 gives the two-grid cycle
+        with an exact, team-split coarse solve, the faster solver here, where
+        a coarse step costs O(n_t); "max" gives the paper's V-cycle, the
+        method for space-time problems.  ``n_steps`` must be a count >= 2
+        and ``n_levels`` "max" or an integer >= 1, else ``ValueError``."""
+        check_count("n_steps", n_steps, 2)
         check_step_size(tau)
         if n_levels != "max" and (not isinstance(n_levels, (int, np.integer))
                                   or isinstance(n_levels, bool) or n_levels < 1):
@@ -92,7 +94,7 @@ class TimeHierarchy:
         max_levels = np.inf if n_levels == "max" else n_levels
         grids = [(n_steps, tau)]
         n = n_steps
-        while len(grids) < max_levels and n % 2 == 0 and n // 2 >= max(2, coarsest):
+        while len(grids) < max_levels and n % 2 == 0 and n // 2 >= COARSEST:
             n = n // 2
             grids.append((n, 2.0 * grids[-1][1]))
         ops = [assemble_local(basis, t) for _, t in grids]
@@ -133,18 +135,11 @@ class CycleConfig:
 
     def __post_init__(self):
         for name, low in (("nu1", 0), ("nu2", 0), ("max_iters", 1), ("seed", 0), ("workers", 1)):
-            _check_count(name, getattr(self, name), low)
+            check_count(name, getattr(self, name), low)
         if self.nu1 + self.nu2 < 1:
             raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
-    not a bool, of at least ``low``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # residual growth over the initial residual that stops a solve as diverged; no
@@ -319,7 +314,7 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     ``ValueError``."""
     if not 0.0 < omega < 2.0:
         raise ValueError(f"damping must lie in (0, 2), got {omega}")
-    _check_count("nu", nu, 0)
+    check_count("nu", nu, 0)
     shape = np.shape(u)[:1] + (ops.n_t,)
     u = block_input("u", u, shape)
     g = block_input("f", f, shape).T.copy()
@@ -580,7 +575,7 @@ def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
     on the same team.  ``level`` must be an integer with a coarser level
     below it, and ``u`` and ``f`` finite and shaped (n_steps, n_t) like
     ``level``, else ``ValueError``."""
-    _check_count("level", level, 0)
+    check_count("level", level, 0)
     if level >= len(hier) - 1:
         raise ValueError(f"level {level} is not a level with a coarser neighbor")
     return v_cycle(TimeHierarchy(hier.basis, hier.levels[level:level + 2]), u, f, config)

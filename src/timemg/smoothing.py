@@ -38,8 +38,10 @@ def resolve_damping(damping, a: float) -> float:
     """Turn a damping choice ("optimal" or a number in (0, 2)) into a value.
 
     Values in (1, 2) still converge but smooth non-uniformly; they are allowed
-    with a warning.
+    with a warning.  A bool is not a number here.
     """
+    if isinstance(damping, (bool, np.bool_)):
+        raise ValueError(f"damping must be 'optimal' or a number in (0, 2), got {damping!r}")
     if isinstance(damping, str):
         if damping != "optimal":
             raise ValueError(f"unknown damping mode {damping!r}")

@@ -1,6 +1,7 @@
 import os
 import re
 
+import numpy as np
 import pytest
 
 from timemg import multigrid
@@ -39,6 +40,19 @@ class TestPlanValidation:
     def test_rejects_empty_degree_list(self):
         with pytest.raises(ValueError, match="at least one polynomial degree"):
             tiny_plan("strong", p_t_list=())
+
+    @pytest.mark.parametrize("p_t", [-1, 1.5, True])
+    def test_rejects_bad_degree(self, p_t):
+        # at construction, before the degree-0 points run
+        with pytest.raises(ValueError, match="^p_t must be an integer >= 0, got "
+                                             + re.escape(repr(p_t))):
+            tiny_plan("strong", p_t_list=(0, p_t))
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_bad_step_size(self, tau):
+        # at construction, not when the first point builds its hierarchy
+        with pytest.raises(ValueError, match=f"must be finite and positive, got {tau}"):
+            tiny_plan("strong", tau=tau)
 
 
 class TestStrongScaling:

@@ -396,3 +396,29 @@ class TestBench:
         rows = json.loads((tmp_path / "bench_weak.json").read_text())
         assert rows[0]["scaled"] == 1.0
         assert rows[1]["steps"] == 256
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "1,x"), ("--pt", "0,x")])
+    def test_bad_int_list_names_its_flag(self, tmp_path, capsys, flag, value):
+        # refused where it is parsed, before any point runs
+        assert main(["bench", flag, value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated integers, got '{value}'" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["workers", "pt"])
+    def test_json_list_config_value_names_its_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: [1, 2]}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}': invalid value [1, 2]\n"
+        assert not out.exists()
+
+    def test_number_config_values_for_int_lists(self, tmp_path):
+        # a JSON number is one entry of the list, like the flag's "2"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2, "pt": 1, "total_steps": 256, "tau": 0.01,
+                                   "eps": 1e-5, "format": "json"}))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "bench_strong.json").read_text())
+        assert [(r["workers"], r["p_t"]) for r in rows] == [(2, 1)]

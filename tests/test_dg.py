@@ -263,7 +263,7 @@ class TestRhsMoments:
 
     @pytest.mark.parametrize("n_steps", [0, -2])
     def test_rejects_fewer_than_one_step(self, n_steps):
-        with pytest.raises(ValueError, match=f"need at least 1 step, got {n_steps}"):
+        with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps}"):
             rhs_moments(np.cos, BasisSpec(1), 0.5, n_steps, u0=1.0)
 
 

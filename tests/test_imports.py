@@ -4,7 +4,7 @@ import cycle cannot hide behind an import deferred into a function.  The
 import itself builds no quadrature tables: every cache starts empty.  Neither
 the import nor building a basis's tables loads scipy: numpy is the only
 runtime dependency.  The README's module table lists exactly the package's
-modules."""
+modules.  No module imports another module's private name."""
 
 import ast
 import json
@@ -94,3 +94,16 @@ def test_readme_module_table_names_every_module():
     section = README.read_text().split("## What is inside\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `timemg\.(\w+)` \|", section, flags=re.MULTILINE)
     assert sorted(rows) == MODULES
+
+
+def test_no_private_name_imported_across_modules():
+    # a name with a leading underscore belongs to its module; one that
+    # another module needs is made public where it lives
+    imports = [(path.name, node) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "timemg")]
+    private = [f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for name, node in imports for alias in node.names if alias.name.startswith("_")]
+    assert imports
+    assert private == []

@@ -75,8 +75,9 @@ class TestTransfers:
 
 
 class TestHierarchy:
-    def test_nesting(self):
-        hier = TimeHierarchy.build(BasisSpec(1), 0.25, 64, n_levels="max", coarsest=4)
+    def test_nesting(self, monkeypatch):
+        monkeypatch.setattr(multigrid, "COARSEST", 4)
+        hier = TimeHierarchy.build(BasisSpec(1), 0.25, 64, n_levels="max")
         assert [lev.n_steps for lev in hier.levels] == [64, 32, 16, 8, 4]
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
             assert coarse.tau == 2.0 * fine.tau  # exact doubling
@@ -98,10 +99,11 @@ class TestHierarchy:
             TimeHierarchy.build(BasisSpec(0), 1.0, 64, n_levels=n_levels)
 
     @pytest.mark.parametrize("p_t", range(8))
-    def test_prolongation_in_step_scaled_unknowns(self, p_t):
+    def test_prolongation_in_step_scaled_unknowns(self, p_t, monkeypatch):
         # the cycle prolongates y = S u: blockdiag(S_f) P blockdiag(S_c^{-1})
         n = 8
-        hier = TimeHierarchy.build(BasisSpec(p_t), 0.3, n, n_levels=2, coarsest=2)
+        monkeypatch.setattr(multigrid, "COARSEST", 2)
+        hier = TimeHierarchy.build(BasisSpec(p_t), 0.3, n, n_levels=2)
         fine, coarse = hier.levels
         want = (np.kron(np.eye(n), fine.ops.step_matrix)
                 @ dense_prolongation(fine.r1, fine.r2, n)
@@ -110,8 +112,9 @@ class TestHierarchy:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert coarse.p1 is None and coarse.p2 is None
 
-    def test_coarsest_at_least_two(self):
-        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, n_levels="max", coarsest=2)
+    def test_coarsest_at_least_two(self, monkeypatch):
+        monkeypatch.setattr(multigrid, "COARSEST", 2)
+        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 8, n_levels="max")
         assert hier.levels[-1].n_steps >= 2
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
@@ -229,14 +232,15 @@ class TestTwoGridCycle:
 
     @pytest.mark.parametrize("nu1, nu2", [(1, 1), (0, 1), (1, 0), (2, 2)])
     @pytest.mark.parametrize("p_t", [0, 1])
-    def test_matches_dense_error_propagation(self, p_t, nu1, nu2):
+    def test_matches_dense_error_propagation(self, p_t, nu1, nu2, monkeypatch):
         # with f = 0 the exact solution is 0, so the cycle output IS the
         # propagated error and must match the dense two-grid matrix; the
         # residual shares a buffer with the smoother, so cover an empty
         # pre- and an empty post-smoothing side
         basis = BasisSpec(p_t)
         tau, n = 0.8, 8
-        hier = TimeHierarchy.build(basis, tau, n, n_levels=2, coarsest=2)
+        monkeypatch.setattr(multigrid, "COARSEST", 2)
+        hier = TimeHierarchy.build(basis, tau, n, n_levels=2)
         omega = optimal_omega(alpha(basis, tau))
         m_dense = dense_twogrid(hier.levels[0].ops, hier.levels[1].ops,
                                 hier.levels[0].r1, hier.levels[0].r2,
@@ -270,8 +274,9 @@ class TestVCycle:
         b = two_grid_cycle(hier, 0, u, f, cfg)
         assert a.tobytes() == b.tobytes()
 
-    def test_zero_map(self):
-        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 32, n_levels="max", coarsest=4)
+    def test_zero_map(self, monkeypatch):
+        monkeypatch.setattr(multigrid, "COARSEST", 4)
+        hier = TimeHierarchy.build(BasisSpec(0), 1.0, 32, n_levels="max")
         out = v_cycle(hier, np.zeros((32, 1)), np.zeros((32, 1)))
         assert np.max(np.abs(out)) == 0.0
 
@@ -281,10 +286,11 @@ class TestVCycle:
         with pytest.raises(ValueError, match=r"the hierarchy has 1"):
             v_cycle(single, u, u)
 
-    def test_four_level_reduction(self):
+    def test_four_level_reduction(self, monkeypatch):
         # regression ceiling for the multilevel factor at small steps
         basis = BasisSpec(0)
-        hier = TimeHierarchy.build(basis, 1e-3, 64, n_levels=4, coarsest=8)
+        monkeypatch.setattr(multigrid, "COARSEST", 8)
+        hier = TimeHierarchy.build(basis, 1e-3, 64, n_levels=4)
         rng = np.random.default_rng(11)
         u = rng.random((64, 1))
         f = np.zeros((64, 1))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from numpy.testing import assert_allclose
 from timemg.checks import all_frequency_bound
 from timemg.dense import dense_smoother
 from timemg.dg import BasisSpec, assemble_local
-from timemg.fourier import smoothing_factor, symbol_smoother
-from timemg.multigrid import block_jacobi_sweep
+from timemg.fourier import rho_profile, smoothing_factor, symbol_smoother
+from timemg.multigrid import CycleConfig, TimeHierarchy, block_jacobi_sweep, solve
 from timemg.smoothing import (ALPHA_MIN, alpha, optimal_omega, resolve_damping,
                               smoothing_symbol_modulus)
 
@@ -51,6 +52,17 @@ class TestOptimalOmega:
                 resolve_damping(bad, 0.3)
         with pytest.raises(ValueError):
             resolve_damping("fastest", 0.3)
+
+    @pytest.mark.parametrize("damping", [True, False, np.True_])
+    def test_bool_damping_refused(self, damping):
+        # not read as the number 1.0 or 0.0, in a solve or in the analysis
+        message = "^damping must be 'optimal' or a number in \\(0, 2\\), got " + re.escape(
+            repr(damping))
+        hier = TimeHierarchy.build(BasisSpec(1), 0.1, 32)
+        with pytest.raises(ValueError, match=message):
+            solve(hier, np.zeros((32, 2)), config=CycleConfig(damping=damping))
+        with pytest.raises(ValueError, match=message):
+            rho_profile(BasisSpec(1), 0.1, 16, damping=damping)
 
 
 class TestSymbolModulus:
