@@ -24,7 +24,8 @@ from .multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
 @dataclasses.dataclass
 class ScalingPlan:
     """One scaling experiment: fixed problem (strong) or fixed work per worker
-    (weak), repeated ``repetitions`` times per point with the median reported."""
+    (weak), repeated ``repetitions`` times per point with the median reported;
+    ``config``, every point's cycle, is built and checked when the plan is made."""
 
     mode: str                      # "strong" | "weak"
     workers: list
@@ -51,13 +52,15 @@ class ScalingPlan:
         for p_t in self.p_t_list:
             check_count("p_t", p_t, 0)
         check_step_size(self.tau)
-        check_count("repetitions", self.repetitions, 3)  # for a median
+        for name, low in (("steps_per_worker", 2), ("total_steps", 2), ("repetitions", 3)):
+            check_count(name, getattr(self, name), low)  # 3 repetitions for a median
+        self.config = CycleConfig(eps=self.eps, seed=self.seed)
 
 
 @dataclasses.dataclass
 class ScalingRow:
-    """One measured point; ``scaled`` is speedup vs one worker in strong mode
-    and the wall-time growth ratio vs one worker in weak mode."""
+    """One measured point; ``scaled`` is the speedup vs the plan's first worker
+    count in strong mode and the wall-time growth ratio vs it in weak mode."""
 
     mode: str
     workers: int
@@ -74,7 +77,7 @@ class ScalingRow:
 
 def _run_point(basis: BasisSpec, n_steps: int, plan: ScalingPlan, workers: int):
     hier = TimeHierarchy.build(basis, plan.tau, n_steps)
-    config = CycleConfig(eps=plan.eps, seed=plan.seed, workers=workers)
+    config = dataclasses.replace(plan.config, workers=workers)
     f = np.zeros((n_steps, basis.n_t))
     u_init = random_initial_guess(hier, plan.seed)
     samples = []

@@ -44,9 +44,9 @@ def measured_vs_predicted(points) -> list:
     for p_t, nu, tau in points:
         basis = BasisSpec(p_t)
         hier = TimeHierarchy.build(basis, tau, 1024, n_levels=2)
-        measured = measure_convergence_factor(
-            hier, CycleConfig(nu1=nu, nu2=nu, eps=1e-100, seed=42))
-        predicted = predicted_rho(basis, tau, 1024, nu, nu, "optimal")
+        config = CycleConfig(nu1=nu, nu2=nu, eps=1e-100, seed=42)
+        measured = measure_convergence_factor(hier, config)
+        predicted = predicted_rho(basis, tau, 1024, config.nu1, config.nu2, config.damping)
         results.append(Result(f"measured vs predicted p_t={p_t} tau={tau} nu={nu}",
                               abs(measured - predicted) / predicted,
                               abs(measured - predicted) <= 0.1 * predicted,

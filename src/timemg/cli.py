@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks
 from .bench import ScalingPlan, run_scaling
-from .dg import BasisSpec, GlobalSystem, forward_solve, rhs_moments
+from .dg import BasisSpec, GlobalSystem, check_count, forward_solve, rhs_moments
 from .fourier import rho_profile, smoothing_factor
 from .multigrid import DIVERGENCE_RATIO, CycleConfig, TimeHierarchy, solve
 from .smoothing import alpha, optimal_omega
@@ -106,8 +106,9 @@ def _tau_grid(args) -> np.ndarray:
             raise ValueError(f"tau must be finite and positive, got {tau}")
     if args.tau is not None:
         return np.array([args.tau], dtype=float)
-    if args.tau_min > args.tau_max or args.tau_points < 1:
+    if args.tau_min > args.tau_max:
         raise ValueError(f"empty tau range [{args.tau_min}, {args.tau_max}]")
+    check_count("tau_points", args.tau_points, 1)
     return np.logspace(math.log10(args.tau_min), math.log10(args.tau_max), args.tau_points)
 
 
@@ -284,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="tabulate predicted convergence factors")
     p.add_argument("--pt", type=int, default=0)
-    p.add_argument("--nu1", type=int, default=1)
-    p.add_argument("--nu2", type=int, default=1)
+    p.add_argument("--nu1", type=int, default=1, help="pre-sweeps, default 1: nu 1/1 gives the "
+                   "closed form 1/(2 + 2 tau + tau^2) at p_t 0; solve defaults to 2/2")
+    p.add_argument("--nu2", type=int, default=1, help="post-sweeps, default 1 (see --nu1)")
     p.add_argument("--omega", type=_parse_omega, default="optimal")
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--tau", type=float)

@@ -12,15 +12,13 @@ import dataclasses
 import numpy as np
 
 from .dg import BasisSpec, LocalOperators, assemble_local, build_transfers, check_count
-from .smoothing import alpha, resolve_damping, smoothing_symbol_modulus
+from .smoothing import alpha, check_cycle, resolve_damping, smoothing_symbol_modulus
 
 _BOUNDARY_TOL = 1e-12
 
-
-def _check_n_steps(n_steps: int) -> None:
-    check_count("n_steps", n_steps, 4)
-    if n_steps & (n_steps - 1):
-        raise ValueError(f"number of steps must be a power of two >= 4, got {n_steps}")
+# smallest tau rho_profile takes: at n = 1024, nu 1-2 and p_t 0-5, its predictions
+# there match those at tau = 1e-9 to 1e-9; at 1e-15 some are off by up to 0.9
+MIN_TAU = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,7 +37,9 @@ class FrequencySet:
 
 def frequencies(n_steps: int) -> FrequencySet:
     """Build the frequency set for ``n_steps`` (power of two, >= 4)."""
-    _check_n_steps(n_steps)
+    check_count("n_steps", n_steps, 4)
+    if n_steps & (n_steps - 1):
+        raise ValueError(f"number of steps must be a power of two >= 4, got {n_steps}")
     k = np.arange(1 - n_steps // 2, n_steps // 2 + 1)
     theta = 2.0 * np.pi * k / n_steps
     low_mask = (theta > -np.pi / 2) & (theta <= np.pi / 2)
@@ -152,6 +152,8 @@ def twogrid_symbol(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     ``theta`` may be an array of low frequencies; the result then stacks one
     matrix per frequency, shape ``theta.shape + (2 n_t, 2 n_t)``.
     """
+    check_count("nu1", nu1, 0)
+    check_count("nu2", nu2, 0)
     g = gamma(theta)
     n_t = ops_fine.n_t
     r1, r2 = transfers
@@ -187,7 +189,10 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     conjugate of the one at theta and has the same radius: only the
     frequencies in [0, pi/2] are diagonalized, and their radii are mirrored.
     """
-    _check_n_steps(n_steps)
+    check_cycle(nu1, nu2, damping)
+    if tau < MIN_TAU:
+        raise ValueError(f"tau must be >= MIN_TAU = {MIN_TAU:g}, got {tau}: below it "
+                         "stiffness + mass rounds the mass away and the coarse symbol is singular")
     omega = resolve_damping(damping, alpha(basis, tau))
     ops_f = assemble_local(basis, tau)
     ops_c = assemble_local(basis, 2.0 * tau)

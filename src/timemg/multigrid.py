@@ -35,7 +35,7 @@ from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_
                  block_input, build_transfers, check_count, check_step_size, forward_solve,
                  row_dot, scan_block, scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
-from .smoothing import alpha, resolve_damping
+from .smoothing import alpha, check_cycle, resolve_damping
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +120,8 @@ class CycleConfig:
     nu1 = nu2 = 2 and up to 63% at nu1 = nu2 = 1; no test checks this yet.
     ``workers`` is the team that splits each level into slabs, whatever its
     size; a level uses fewer workers once its slabs would drop below
-    ``MIN_SLAB`` steps, or below max(nu1, nu2) + 1.  The counts ``nu1``,
-    ``nu2`` and ``seed`` (>= 0) and ``max_iters`` and ``workers`` (>= 1)
-    must be integers, not bools, else ``ValueError`` naming the field.
+    ``MIN_SLAB`` steps, or below max(nu1, nu2) + 1.  Each field is checked
+    when the config is made (the cycle by ``check_cycle``), by name.
     """
 
     nu1: int = 2
@@ -134,7 +133,8 @@ class CycleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, low in (("nu1", 0), ("nu2", 0), ("max_iters", 1), ("seed", 0), ("workers", 1)):
+        check_cycle(self.nu1, self.nu2, self.damping)
+        for name, low in (("max_iters", 1), ("seed", 0), ("workers", 1)):
             check_count(name, getattr(self, name), low)
         if self.nu1 + self.nu2 < 1:
             raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
@@ -562,11 +562,6 @@ def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
     barrier.wait()  # level complete: the level above prolongs from it, or its norm is reduced
 
 
-def _resolve_omegas(hier: TimeHierarchy, config: CycleConfig) -> list:
-    return [resolve_damping(config.damping, alpha(hier.basis, lev.tau))
-            for lev in hier.levels]
-
-
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
                    config: CycleConfig = None) -> np.ndarray:
     """One two-grid cycle at ``level``: pre-smooth, restrict the residual,
@@ -597,8 +592,8 @@ def v_cycle(hier: TimeHierarchy, u, f, config: CycleConfig = None) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# iteration driver (shared by solve, the public cycles and the convergence
-# measurement)
+# iteration driver (shared by solve, which the convergence measurement
+# calls, and the public cycles)
 
 
 def _max_ratio(norms: Sequence[float]) -> float:
@@ -622,8 +617,8 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     (the public cycles) it computes no residual norm, runs exactly
     ``max_iters`` cycles and returns None for the stats.
     """
-    ws = _Workspace(hier.levels, _resolve_omegas(hier, config), config.nu1, config.nu2,
-                    config.workers, measure=measure)
+    omegas = [resolve_damping(config.damping, alpha(hier.basis, lev.tau)) for lev in hier.levels]
+    ws = _Workspace(hier.levels, omegas, config.nu1, config.nu2, config.workers, measure=measure)
     ops, y, u = ws.levels[0].ops, ws.y[0], ws.u
     u[:] = u_init.T  # each worker turns its slab into y = S u
     ws.f[0][:] = f.T
@@ -716,14 +711,10 @@ def solve(hier: TimeHierarchy, f, u_init=None,
 
 def measure_convergence_factor(hier: TimeHierarchy, config: CycleConfig = None) -> float:
     """Measured asymptotic factor of the two-grid cycle on the two finest
-    levels of ``hier``, on a zero right-hand side: max ratio of consecutive
-    residual norms, from a seeded random start, capped at 250 iterations or
-    the configured reduction ``eps``."""
-    config = config or CycleConfig(eps=1e-100)
+    levels of ``hier``: :func:`solve`'s ``factor`` on a zero right-hand side
+    from the seeded start, by default to a residual reduction of 1e-100."""
     if len(hier) < 2:
         raise ValueError("measuring the two-grid factor needs 2 levels")
     two = TimeHierarchy(hier.basis, hier.levels[:2])
     f = np.zeros((two.finest.n_steps, two.finest.ops.n_t))
-    _, stats = _iterate(two, f, random_initial_guess(two, config.seed), config,
-                        min(config.max_iters, 250))
-    return stats.factor
+    return solve(two, f, None, config or CycleConfig(eps=1e-100))[1].factor

@@ -10,11 +10,12 @@ high-frequency modulus at alpha/sqrt(1 + alpha^2) <= 1/sqrt(2).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
 
-from .dg import BasisSpec, stability_function
+from .dg import BasisSpec, check_count, stability_function
 
 # global minimum of R(-tau) over all degrees and tau >= 0
 ALPHA_MIN = (5.0 - 3.0 * math.sqrt(3.0)) / 2.0
@@ -34,21 +35,34 @@ def optimal_omega(a: float) -> float:
     return 1.0 / (1.0 + a * a) if a >= 0 else 1.0
 
 
+def check_damping(damping) -> None:
+    """Refuse, by name, a ``damping`` other than "optimal" or a number in (0, 2)."""
+    if isinstance(damping, str):
+        if damping != "optimal":
+            raise ValueError(f"unknown damping mode {damping!r}")
+    elif isinstance(damping, bool) or not isinstance(damping, numbers.Real):
+        raise ValueError(f"damping must be 'optimal' or a number in (0, 2), got {damping!r}")
+    elif not 0.0 < damping < 2.0:
+        raise ValueError(f"damping must lie in (0, 2), got {float(damping)}")
+
+
+def check_cycle(nu1: int, nu2: int, damping) -> None:
+    """The one check of a cycle, for the solver and the analyzer, by name."""
+    check_count("nu1", nu1, 0)
+    check_count("nu2", nu2, 0)
+    check_damping(damping)
+
+
 def resolve_damping(damping, a: float) -> float:
     """Turn a damping choice ("optimal" or a number in (0, 2)) into a value.
 
     Values in (1, 2) still converge but smooth non-uniformly; they are allowed
-    with a warning.  A bool is not a number here.
+    with a warning.
     """
-    if isinstance(damping, (bool, np.bool_)):
-        raise ValueError(f"damping must be 'optimal' or a number in (0, 2), got {damping!r}")
+    check_damping(damping)
     if isinstance(damping, str):
-        if damping != "optimal":
-            raise ValueError(f"unknown damping mode {damping!r}")
         return optimal_omega(a)
     w = float(damping)
-    if not 0.0 < w < 2.0:
-        raise ValueError(f"damping must lie in (0, 2), got {w}")
     if w > 1.0:
         warnings.warn(f"damping {w} in (1, 2): convergent but not uniformly smoothing",
                       stacklevel=2)

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timemg import cli
 from timemg.checks import Result
@@ -101,6 +106,13 @@ class TestAnalyze:
 
     def test_unknown_flag_usage_error(self):
         assert main(["analyze", "--does-not-exist", "1"]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_bad_tau_points_usage_error(self, tmp_path, capsys, points):
+        # named, not reported as an empty range
+        assert main(["analyze", "--tau-points", points, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: tau_points must be an integer >= 1, got {points}\n"
 
     def test_repeat_run_is_deterministic(self, tmp_path):
         args = ["analyze", "--pt", "1", "--tau-min", "0.5", "--tau-max", "2",
@@ -422,3 +434,69 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "bench_strong.json").read_text())
         assert [(r["workers"], r["p_t"]) for r in rows] == [(2, 1)]
+
+
+# small, fast commands; each draw overrides one of their flags (degree 1,
+# where a tau below the analyzer's floor made a singular coarse symbol)
+ARGV_BASE = {"analyze": ["analyze", "--pt", "1", "--tau", "1", "--steps", "16"],
+             "solve": ["solve", "--steps", "16"],
+             "bench": ["bench", "--workers", "1", "--total-steps", "64",
+                       "--steps-per-worker", "32", "--reps", "3"]}
+ARGV_FLAGS = {command: sorted(a.dest for a in cli.build_parser().parse_args(argv).parser._actions
+                              if a.option_strings and a.nargs != 0
+                              and a.dest not in ("config", "out", "format"))
+              for command, argv in ARGV_BASE.items()}
+# good or bad text: negative, float, bool-like, non-number, empty, the
+# analyzer's tau floor; the only integers are 1-4, which as a worker count
+# start at most 4 threads
+ARGV_VALUES = ["-1", "-3", "0", "1", "2", "3", "4", "2.5", "true", "True", "abc", "", "nan",
+               "inf", "1e-16"]
+# names a message may give instead of the flag or key: the parameter the value feeds
+ARGV_ALIASES = {"pt": ("p_t", "polynomial degree"), "omega": ("damping",),
+                "reps": ("repetitions",), "steps": ("n_steps",), "workers": ("worker count",),
+                "tau": ("time step",), "T": ("time step",), "u0": ("f",)}
+
+
+@st.composite
+def argv_overrides(draw):
+    command = draw(st.sampled_from(sorted(ARGV_BASE)))
+    return (command, draw(st.sampled_from(ARGV_FLAGS[command])),
+            draw(st.sampled_from(ARGV_VALUES)), draw(st.booleans()))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # oversubscribed teams, damping in (1, 2)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv_overrides())
+@example(("analyze", "nu1", "-1", False))
+@example(("bench", "total_steps", "1", False))
+@example(("analyze", "tau", "1e-16", False))
+def test_drawn_flag_value_is_used_or_refused_by_name(override):
+    command, dest, text, as_key = override
+    flag = "--" + dest.replace("_", "-")
+    argv = list(ARGV_BASE[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        if as_key:
+            # an explicit flag wins over the file, so the base drops it
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            try:
+                value = json.loads(text)
+            except ValueError:
+                value = text
+            with open(f"{tmp}/cfg.json", "w") as fh:
+                json.dump({dest: value}, fh)
+            argv += ["--config", f"{tmp}/cfg.json"]
+        else:
+            argv += [flag, text]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        # the last line is the error; argparse's usage line above it names every flag
+        message = err.strip().splitlines()[-1]
+        names = (flag, dest) + ARGV_ALIASES.get(dest, ())
+        assert any(re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", message)
+                   for n in names), (argv, message)

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from timemg.bench import ScalingPlan
-from timemg.dg import BasisSpec, assemble_local, radau_rule, rhs_moments
-from timemg.fourier import frequencies, rho_profile, symbol_smoother
-from timemg.multigrid import TimeHierarchy
+from timemg.dg import BasisSpec, assemble_local, build_transfers, radau_rule, rhs_moments
+from timemg.fourier import frequencies, rho_profile, symbol_smoother, twogrid_symbol
+from timemg.multigrid import CycleConfig, TimeHierarchy
+
+_OPS = (assemble_local(BasisSpec(1), 0.5), assemble_local(BasisSpec(1), 1.0),
+        build_transfers(BasisSpec(1), 0.5))
 
 # entry point: (its count's name, the minimum, a call with the count)
 ENTRIES = {
@@ -25,6 +28,14 @@ ENTRIES = {
                                                    0.7, nu)),
     "ScalingPlan": ("repetitions", 3,
                     lambda reps: ScalingPlan(mode="strong", workers=[1], repetitions=reps)),
+    "ScalingPlan.steps_per_worker": ("steps_per_worker", 2, lambda n: ScalingPlan(
+        mode="weak", workers=[1], steps_per_worker=n)),
+    "ScalingPlan.total_steps": ("total_steps", 2, lambda n: ScalingPlan(
+        mode="strong", workers=[1], total_steps=n)),
+    "rho_profile.nu1": ("nu1", 0, lambda nu: rho_profile(BasisSpec(0), 1.0, 16, nu, 1)),
+    "rho_profile.nu2": ("nu2", 0, lambda nu: rho_profile(BasisSpec(0), 1.0, 16, 1, nu)),
+    "twogrid_symbol.nu1": ("nu1", 0, lambda nu: twogrid_symbol(*_OPS, 0.3, nu, 1, 0.7)),
+    "twogrid_symbol.nu2": ("nu2", 0, lambda nu: twogrid_symbol(*_OPS, 0.3, 1, nu, 0.7)),
 }
 
 
@@ -42,3 +53,17 @@ def test_rejects_bad_count(entry, kind):
 def test_accepts_numpy_integer(entry):
     _, low, call = ENTRIES[entry]
     call(np.int64(low))
+
+
+def _plan(**field):
+    return ScalingPlan(mode="strong", workers=[1], **field)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (CycleConfig, "damping", 5.0), (CycleConfig, "damping", "bogus"),
+    (CycleConfig, "damping", True), (_plan, "eps", 5.0), (_plan, "seed", -3)],
+    ids=["damping-range", "damping-mode", "damping-bool", "plan-eps", "plan-seed"])
+def test_cycle_fields_refused_at_construction(make, field, value):
+    # the cycle is checked when it is specified, not when a solve starts
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        make(**{field: value})

@@ -6,7 +6,7 @@ from timemg.checks import symbol_equivalence
 from timemg.dense import dense_prolongation, dense_restriction
 from timemg.dg import (BasisSpec, LocalOperators, assemble_local, build_transfers,
                        radau_rule)
-from timemg.fourier import (frequencies, gamma, mode_vector, predicted_rho,
+from timemg.fourier import (MIN_TAU, frequencies, gamma, mode_vector, predicted_rho,
                             rho_profile, symbol_smoother, symbol_system,
                             transfer_symbols, twogrid_symbol)
 from timemg.smoothing import alpha, optimal_omega
@@ -360,3 +360,20 @@ class TestPredictedRho:
                                  (legendre(ops_f), legendre(ops_c),
                                   (v.T @ r1 @ v_inv_t, v.T @ r2 @ v_inv_t)))]
         assert np.max(np.abs(radii[0] - radii[1])) < 1e-11
+
+
+@pytest.mark.parametrize("p_t", [0, 1, 2, 3])
+class TestStepSizeFloor:
+    """Below ``MIN_TAU`` the mass rounds away in stiffness + mass and the
+    coarse symbol is singular: the analyzer refuses such a tau by name."""
+
+    @pytest.mark.parametrize("tau", [1e-15, 1e-16, 1e-20])
+    def test_refuses_tau_below_floor(self, p_t, tau):
+        with pytest.raises(ValueError, match=f"^tau must be >= MIN_TAU = 1e-14, got {tau}: "):
+            predicted_rho(BasisSpec(p_t), tau, 64)
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_floor_keeps_the_small_step_prediction(self, p_t, nu):
+        at_floor = predicted_rho(BasisSpec(p_t), MIN_TAU, 1024, nu, nu)
+        assert at_floor == pytest.approx(predicted_rho(BasisSpec(p_t), 1e-9, 1024, nu, nu),
+                                         abs=1e-8)
