@@ -24,7 +24,7 @@ from .bench import ScalingPlan, run_scaling
 from .dg import BasisSpec, GlobalSystem, check_count, forward_solve, rhs_moments
 from .fourier import rho_profile, smoothing_factor
 from .multigrid import DIVERGENCE_RATIO, CycleConfig, TimeHierarchy, solve
-from .smoothing import alpha, optimal_omega
+from .smoothing import optimal_omega
 
 _FORMATS = ("csv", "json")
 
@@ -129,9 +129,8 @@ def cmd_analyze(args) -> int:
     taus = _tau_grid(args)
     rows = []
     for tau in taus:
-        a = alpha(basis, tau)
-        omega_star = optimal_omega(a)
         report = smoothing_factor(basis, tau, args.omega, args.steps)
+        omega_star = optimal_omega(report.alpha)
         low, radii = rho_profile(basis, tau, args.steps, args.nu1, args.nu2, args.omega)
         k = int(np.argmax(radii))
         rest = radii[np.abs(low) != abs(low[k])]

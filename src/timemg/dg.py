@@ -284,11 +284,13 @@ def rhs_moments(f: Callable, basis: BasisSpec, tau: float, n_steps: int,
     moment ``tau b_k f(t_k)`` of basis function k and makes the scheme the
     (p_t+1)-stage RADAU IA method.  ``u0`` enters the first block through the
     coupling ``u0 * eval_start = u0 e_0``, at entry (0, 0).  A non-finite or
-    non-positive ``tau``, or an ``n_steps`` that is not an integer >= 1
-    (:func:`check_count`), raises ``ValueError``.
+    non-positive ``tau``, an ``n_steps`` that is not an integer >= 1
+    (:func:`check_count`) or a non-finite ``u0`` raises ``ValueError``.
     """
     check_step_size(tau)
     check_count("n_steps", n_steps, 1)
+    if not math.isfinite(u0):
+        raise ValueError(f"u0 must be finite, got {u0}")
     rule = radau_rule(basis.n_t)
     times = (np.arange(n_steps)[:, None] + rule.c[None, :]) * tau
     try:
@@ -442,15 +444,14 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     O(n_steps) work in O(sqrt(n_steps)) array passes.
 
     ``rhs`` must be finite and shaped (n_steps, n_t), else ``ValueError``.
-    It is read as a C-ordered float array and the result is C-ordered, so
-    the rounding does not depend on the input's memory layout."""
+    The scan reads ``rhs`` in place and writes u = S^{-1} y straight into
+    the C-ordered result, with the same rounding for any input layout."""
     rhs = block_input("rhs", rhs, (system.n_steps, system.ops.n_t))
-    rows = rhs.T.copy()
-    y = np.empty_like(rows)
-    scan_rows(system.ops, rows, y, scan_buffer(system.n_steps), 0, system.n_steps)
-    block_apply(system.ops.step_inv, y, rows, add=False)  # u = S^{-1} y
-    del y  # freed before the copy: two (n_t, n_steps) arrays live at most
-    return rows.T.copy()
+    y = np.empty(rhs.shape[::-1])
+    scan_rows(system.ops, rhs.T, y, scan_buffer(system.n_steps), 0, system.n_steps)
+    u = np.empty_like(rhs)  # after the scan has freed its work arrays
+    block_apply(system.ops.step_inv, y, u.T, add=False)
+    return u
 
 
 def stability_function(basis: BasisSpec, z: complex) -> complex:

@@ -6,8 +6,8 @@ mass of the level: the damped block Jacobi sweep, the residual and the exact
 coarse scan then need no block product, only the rank-one step coupling.
 This is the u-form cycle conjugated by the block-diagonal S, with the same
 residuals and convergence.  The public functions take and return u; they
-convert to y on entry and back on exit, except that a call that runs no
-cycle or no sweep returns its u as given.
+convert it to y and back with no copy in between, except that a call that
+runs no cycle or no sweep returns a copy of its u.
 
 Each worker owns a contiguous slab of steps [a, b) of a level, so the same
 code runs serially (one slab covering everything) and inside the worker team,
@@ -35,7 +35,7 @@ from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_
                  block_input, build_transfers, check_count, check_step_size, forward_solve,
                  row_dot, scan_block, scan_buffer, scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
-from .smoothing import alpha, check_cycle, resolve_damping
+from .smoothing import alpha, check_cycle, check_damping, resolve_damping
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,8 @@ class SolveStats:
     ``times`` holds worker 0's wall time in seconds per phase.  A cycle
     works through each level in chunks and charges each part of a chunk as
     it ends: "smoothing" (the sweeps, the sweeps a slab repeats over its
-    left neighbour's last columns, every g = omega f, and the change of the
-    iterate to y = S u and back), "transfer" (inside a cycle: the residual,
+    left neighbour's last columns, every g = omega f, and the move of f and
+    u to f and y = S u and back), "transfer" (inside a cycle: the residual,
     the restriction with the coarse zero guess, and the prolongation),
     "coarse" (the exact coarsest solve, a blocked scan split over the team,
     with the barrier before it, and, in a team, the serial tail of V-cycle
@@ -262,22 +262,22 @@ def _coupling(z, x, work) -> np.ndarray:
     return row_dot(z, x[:, :-1], work[0, :m], work[1, :m])
 
 
-def _smooth(z, omega: float, g, y, carry, nu: int, coupled: bool, work) -> None:
+def _smooth(z, omega: float, g, y, carry, nu: int, work) -> None:
     """``nu`` sweeps y <- (1 - omega) y + g + e_0 (z . y_prev), given
     g = omega f and z = omega eval_end S^{-1}, in place on the chunk ``y``.
-    carry[k] holds sweep k's input at the column ahead of the chunk, read if
-    ``coupled``, and leaves holding it at the chunk's last column for the
-    next chunk, since the sweep overwrites it.  ``z`` and the carries are
-    lists of Python floats, whose arithmetic rounds like numpy's; ``work``
-    is two rows of scratch at least as long as the chunk."""
+    carry[k] holds sweep k's input at the column ahead of the chunk, None at
+    the level's first step, and leaves holding it at the chunk's last column
+    for the next chunk, since the sweep overwrites it.  ``z`` and the
+    carries are lists of Python floats, whose arithmetic rounds like
+    numpy's; ``work`` is two rows of scratch at least as long as the chunk."""
     for k in range(nu):
         value = _coupling(z, y, work)
-        first = _dot(z, carry[k]) if coupled else None
+        first = None if carry[k] is None else _dot(z, carry[k])
         carry[k] = y[:, -1].tolist()
         np.multiply(y, 1.0 - omega, out=y)
         np.add(y, g, out=y)
         y[0, 1:] += value
-        if coupled:
+        if first is not None:
             y[0, 0] += first
 
 
@@ -310,26 +310,26 @@ def _prolong_add(p1, p2, coarse, fine, s: int, work) -> None:
 def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> np.ndarray:
     """Apply ``nu`` damped block Jacobi sweeps; every block update reads only
     the previous iterate (blocks n and n-1), so all updates are independent.
-    ``u`` and ``f`` must be finite and shaped (n_steps, n_t), else
-    ``ValueError``."""
-    if not 0.0 < omega < 2.0:
-        raise ValueError(f"damping must lie in (0, 2), got {omega}")
+    ``u`` and ``f`` must be finite and shaped (n_steps, n_t), and ``omega``
+    a number in (0, 2), else ``ValueError``."""
+    if isinstance(omega, str):  # no step size here to resolve "optimal"
+        raise ValueError(f"omega must be a number in (0, 2), got {omega!r}")
+    check_damping(omega)
     check_count("nu", nu, 0)
     shape = np.shape(u)[:1] + (ops.n_t,)
-    u = block_input("u", u, shape)
-    g = block_input("f", f, shape).T.copy()
+    u, f = block_input("u", u, shape), block_input("f", f, shape)
     if nu == 0:  # no round trip through y = S u
         return u.copy()
-    ut = u.T.copy()
-    np.multiply(g, omega, out=g)
-    y = np.empty_like(ut)
-    block_apply(ops.step_matrix, ut, y, add=False)
+    g = np.multiply(f.T, omega, order="C")
+    y = np.empty_like(g)
+    block_apply(ops.step_matrix, u.T, y, add=False)
     z, carry = (omega * ops.end_step_inv).tolist(), [None] * nu
     work = np.empty((2, min(_chunk_steps(ops.n_t), y.shape[1])))
     for s, e in _chunks(0, y.shape[1], ops.n_t):
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
-    block_apply(ops.step_inv, y, ut, add=False)
-    return ut.T.copy()
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, work)
+    out = np.empty_like(u)
+    block_apply(ops.step_inv, y, out.T, add=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +403,10 @@ class _Workspace:
     team (see :func:`_slab_table`).  On a smoothed level, ``edges[lev][0]``
     and ``[1]`` hold each worker's last ``width`` = max(nu1, nu2) + 1
     columns of the input of pass A (written on the finest level only) and
-    of pass B, for its right neighbour.  The finest level also has ``u``
-    for the change to y and back and, in a solve that measures its
-    residual, ``sq``, the squared residual norm per step.  Each worker has
-    one chunk of residual, ``res``, and two rows of scratch, ``work``, so
-    that the chunk kernels allocate nothing."""
+    of pass B, for its right neighbour.  In a solve that measures its
+    residual, ``sq`` holds the finest residual's squared norm per step.
+    Each worker has one chunk of residual, ``res``, and two rows of scratch,
+    ``work``, so that the chunk kernels allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
                  workers: int = 1, measure: bool = False):
@@ -423,7 +422,6 @@ class _Workspace:
             smoothed = k == 0 or k < len(self.levels) - 1
             self.g.append(np.zeros((n_t, lev.n_steps)) if smoothed else None)
             self.edges.append(np.zeros((2, self.workers, n_t, self.width)) if smoothed else None)
-        self.u = np.zeros((n_t, n))
         self.sq = np.zeros(n) if measure else None
         steps = min(_chunk_steps(n_t), n)
         self.res = [np.empty((n_t, steps)) for _ in range(self.workers)]
@@ -456,7 +454,7 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
         _prolong_add(level.p1, level.p2, ws.y[lev + 1], x, lo, ws.work[wid])
     omega = ws.omegas[lev]
     z = (omega * level.ops.end_step_inv).tolist()
-    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, False, ws.work[wid])
+    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, ws.work[wid])
     carry[nu] = x[:, -1].tolist()
     return carry
 
@@ -492,10 +490,10 @@ def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][0] if lev == 0 else None, False)
     lap("smoothing")
     for s, e in _chunks(a, b, level.ops.n_t):
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, work)
         lap("smoothing")
         r = ws.res[wid][:, :e - s]
-        _residual(zr, f[:, s:e], y[:, s:e], carry[nu] if s > 0 else None, r, work)
+        _residual(zr, f[:, s:e], y[:, s:e], carry[nu], r, work)
         carry[nu] = y[:, e - 1].tolist()
         cs, ce = s // 2, e // 2
         _restrict(level.r1, level.r2, r, fc[:, cs:ce], work)
@@ -526,10 +524,10 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     for s, e in _chunks(a, b, level.ops.n_t):
         _prolong_add(level.p1, level.p2, yc, y[:, s:e], s, work)
         lap("transfer")
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, s > 0, work)
+        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, work)
         lap("smoothing")
         if measure:
-            _sq_chunk(ws, wid, s, e, carry[nu] if s > 0 else None)
+            _sq_chunk(ws, wid, s, e, carry[nu])
             lap("residual")
         carry[nu] = y[:, e - 1].tolist()
     if lev == 0:  # a coarse pass A starts from the zero guess
@@ -559,7 +557,7 @@ def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
     else:
         _cycle(ws, lev + 1, barrier, wid, lap)
     _pass_b(ws, lev, wid, a, b, lap)
-    barrier.wait()  # level complete: the level above prolongs from it, or its norm is reduced
+    barrier.wait()  # level complete: the level above prolongs from it, or its norm is summed
 
 
 def two_grid_cycle(hier: TimeHierarchy, level: int, u, f,
@@ -610,8 +608,10 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     """Run cycles on the team of ``config.workers`` until the residual drops
     by ``config.eps`` relative to the start; return u and its ``SolveStats``.
 
-    Worker 0 reduces the per-block squared norms in fixed order, so stopping
-    decisions (and hence the iterates) are identical for any worker count.
+    Each worker moves its finest slab of f and of u_init, as y = S u,
+    straight into the workspace, and after the last cycle its y straight
+    into the result.  Every worker sums the per-step squared norms in the
+    same order, so all stop alike, with the same iterates for any team.
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
     to machine precision without running any cycle.  Without ``measure``
     (the public cycles) it computes no residual norm, runs exactly
@@ -619,29 +619,28 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     """
     omegas = [resolve_damping(config.damping, alpha(hier.basis, lev.tau)) for lev in hier.levels]
     ws = _Workspace(hier.levels, omegas, config.nu1, config.nu2, config.workers, measure=measure)
-    ops, y, u = ws.levels[0].ops, ws.y[0], ws.u
-    u[:] = u_init.T  # each worker turns its slab into y = S u
-    ws.f[0][:] = f.T
+    ops, y, out = ws.levels[0].ops, ws.y[0], np.empty_like(u_init)
     barrier = team_barrier(ws.workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
     shared = {"iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f)) if measure else None
 
-    def reduce(wid, lap):
-        """The residual norm from ws.sq, complete at the caller's barrier;
-        worker 0 adds it to the history."""
+    def norm(wid, lap):
+        """The residual norm from ws.sq; pass B rewrites ws.sq only after a
+        barrier that every worker reaches after this sum.  Worker 0 records it."""
+        rk = float(np.sqrt(np.sum(ws.sq)))
         if wid == 0:
-            shared["norms"].append(float(np.sqrt(np.sum(ws.sq))))
-        barrier.wait()
+            shared["norms"].append(rk)
         lap("residual")
-        return shared["norms"][-1]
+        return rk
 
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
         a, b = ws.slabs[0][wid]
-        # the finest slab is fixed, so each worker reads only the g it made
+        # the finest slab is fixed, so each worker makes g from the f it moved in
+        ws.f[0][:, a:b] = f[a:b].T
         np.multiply(ws.f[0][:, a:b], ws.omegas[0], out=ws.g[0][:, a:b])
-        _convert(ws, ops.step_matrix, u, y, wid, a, b)
+        _convert(ws, ops.step_matrix, u_init.T, y, wid, a, b)
         ws.publish(0, 0, wid, a, b)
         barrier.wait()  # y complete: the residual reads the previous slab's last step
         lap("smoothing")
@@ -649,24 +648,25 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
             for s, e in _chunks(a, b, ops.n_t):
                 _sq_chunk(ws, wid, s, e, y[:, s - 1].tolist() if s > 0 else None)
             barrier.wait()
-            r0 = rk = reduce(wid, lap)
+            r0 = rk = norm(wid, lap)
             tol = max(config.eps * r0, floor)
         iters = 0
-        # all workers read the same norm and leave together; NaN fails both tests
+        # every worker sums the same norm and leaves alike; NaN fails both tests
         while iters < max_iters and (not measure or tol < rk <= DIVERGENCE_RATIO * r0):
             _cycle(ws, 0, barrier, wid, lap)  # ends once ws.sq is complete
             iters += 1
             if measure:
-                rk = reduce(wid, lap)
-        if iters:  # back to u = S^{-1} y; u still holds u_init if no cycle ran
-            _convert(ws, ops.step_inv, y, u, wid, a, b)
+                rk = norm(wid, lap)
+        if iters:  # back to u = S^{-1} y
+            _convert(ws, ops.step_inv, y, out.T, wid, a, b)
         lap("smoothing")
         if wid == 0:
             shared["iters"] = iters
 
     run_team(ws.workers, body, barrier)
+    u = out if shared["iters"] else u_init.copy()
     if not measure:
-        return u.T.copy(), None
+        return u, None
     norms = shared["norms"]
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)
@@ -675,7 +675,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
                        factor=_max_ratio(norms), times=times,
                        seed=config.seed, workers=ws.workers, status=status)
-    return u.T.copy(), stats
+    return u, stats
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:

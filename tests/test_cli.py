@@ -454,7 +454,7 @@ ARGV_VALUES = ["-1", "-3", "0", "1", "2", "3", "4", "2.5", "true", "True", "abc"
 # names a message may give instead of the flag or key: the parameter the value feeds
 ARGV_ALIASES = {"pt": ("p_t", "polynomial degree"), "omega": ("damping",),
                 "reps": ("repetitions",), "steps": ("n_steps",), "workers": ("worker count",),
-                "tau": ("time step",), "T": ("time step",), "u0": ("f",)}
+                "tau": ("time step",), "T": ("time step",)}
 
 
 @st.composite

@@ -266,6 +266,11 @@ class TestRhsMoments:
         with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps}"):
             rhs_moments(np.cos, BasisSpec(1), 0.5, n_steps, u0=1.0)
 
+    @pytest.mark.parametrize("u0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_initial_value(self, u0):
+        with pytest.raises(ValueError, match=f"^u0 must be finite, got {u0}"):
+            rhs_moments(np.cos, BasisSpec(1), 0.5, 4, u0=u0)
+
 
 class TestForwardSolve:
     def test_backward_euler_decay(self):

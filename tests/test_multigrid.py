@@ -204,9 +204,12 @@ class TestJacobiSweep:
         assert out.tobytes() == u.tobytes() and out is not u
 
     def test_invalid_omega(self):
+        # the damping rule of the cycles, except that the sweep has no step
+        # size to resolve "optimal"
         ops = assemble_local(BasisSpec(0), 1.0)
-        with pytest.raises(ValueError):
-            block_jacobi_sweep(ops, np.ones((2, 1)), np.zeros((2, 1)), omega=2.5)
+        for omega in (2.5, 0.0, True, "optimal", "abc", None):
+            with pytest.raises(ValueError):
+                block_jacobi_sweep(ops, np.ones((2, 1)), np.zeros((2, 1)), omega=omega)
 
     @pytest.mark.parametrize("tau", [1e-6, 0.3, 1e6])
     @pytest.mark.parametrize("p_t", range(10))
@@ -558,6 +561,42 @@ class TestMemoryLayout:
                 assert out.shape == (256, basis.n_t) and out.flags.c_contiguous, name
             assert outs[0].tobytes() == outs[1].tobytes(), name
 
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reads_caller_arrays_without_writing_them(self, p_t, workers, monkeypatch):
+        # the solver reads u and f in place: read-only and Fortran-ordered
+        # inputs give the C-ordered call's bits in a new C-ordered array and
+        # come back unchanged, also where no cycle or no sweep runs
+        monkeypatch.setattr(multigrid, "MIN_SLAB", 64)
+        basis, n = BasisSpec(p_t), 256
+        hier, deep = (TimeHierarchy.build(basis, 0.01, n, n_levels=k) for k in (2, "max"))
+        config = CycleConfig(eps=1e-10, workers=workers)
+        f = rhs_moments(np.cos, basis, 0.01, n, u0=1.0)
+        u, zero = random_initial_guess(hier, 5), np.zeros_like(f)
+        ops = hier.finest.ops
+        run_solve = lambda u, f: solve(hier, f, u, config)[0]
+        calls = {
+            "solve": (run_solve, u, f),
+            "solve, no cycle": (run_solve, zero, zero),
+            "v_cycle": (lambda u, f: v_cycle(deep, u, f, config), u, f),
+            "two_grid_cycle": (lambda u, f: two_grid_cycle(deep, 0, u, f, config), u, f),
+            "forward_solve": (lambda u, f: forward_solve(GlobalSystem(ops, n), f), u, f),
+            "block_jacobi_sweep": (lambda u, f: block_jacobi_sweep(ops, u, f, 0.7, 2), u, f),
+            "block_jacobi_sweep, nu=0": (lambda u, f: block_jacobi_sweep(ops, u, f, 0.7, 0),
+                                         u, f),
+        }
+        for name, (call, u_in, f_in) in calls.items():
+            want = call(u_in.copy(), f_in.copy())
+            for order, writeable in itertools.product("CF", (True, False)):
+                uu, ff = np.array(u_in, order=order), np.array(f_in, order=order)
+                uu.flags.writeable = ff.flags.writeable = writeable
+                keep = uu.tobytes(), ff.tobytes()
+                out = call(uu, ff)
+                assert out.flags.c_contiguous and out.flags.writeable, name
+                assert out is not uu and out is not ff, name
+                assert out.tobytes() == want.tobytes(), name
+                assert (uu.tobytes(), ff.tobytes()) == keep, name
+
 
 class TestFusedPasses:
     @pytest.mark.parametrize("nu", [(2, 2), (0, 1), (1, 0), (3, 1)])
@@ -612,14 +651,14 @@ class TestFusedPasses:
         assert all(u.tobytes() == want.tobytes() for u in got)
 
     @pytest.mark.parametrize("levels, min_slab, per_cycle", [
-        (2, 64, 6),          # two-grid: split level and split coarse scan
-        ("max", 64, 10),     # 4 split levels, then a serial tail
-        ("max", 2, 18)])     # 7 split levels and a split coarse scan
+        (2, 64, 5),          # two-grid: split level and split coarse scan
+        ("max", 64, 9),      # 4 split levels, then a serial tail
+        ("max", 2, 17)])     # 7 split levels and a split coarse scan
     @pytest.mark.parametrize("nu", [(2, 2), (3, 1)])
     def test_barrier_waits_per_cycle(self, levels, min_slab, per_cycle, nu, monkeypatch):
         # each split level waits once after each of its two passes, whatever
         # nu1 and nu2; the exact coarse scan waits 3 times (a serial tail
-        # once) and the residual norm once more
+        # once); every worker sums the residual norm after the last wait
         waits = []
 
         class CountingBarrier(threading.Barrier):
