@@ -365,6 +365,8 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
     """Exact solve of one worker's steps [a, b) in the step-scaled unknowns
     y_n = S u_n, on block vectors stored as (n_t, n_steps) rows: ``rhs`` in,
     ``y`` out, ``work`` from :func:`scan_buffer` and shared by the team.
+    ``rhs`` may be ``y``, to solve in place: rows 1.. then stay as they are,
+    and the last pass reads each step's row-0 entry only to overwrite it.
 
     The end values w_n = eval_end . u_n = z . y_n, z = eval_end S^{-1}
     (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} + b_n
@@ -434,7 +436,8 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
         # a block's last end value is the next block's carry, so every step
         # reads the same w_{n-1} whichever worker holds the previous block
         mine[:, -1] = carry[k0 + 1:k1 + 1]
-        y[1:, a:b] = rhs[1:, a:b]
+        if rhs is not y:
+            y[1:, a:b] = rhs[1:, a:b]
         y[0, a] = rhs[0, a] + carry[k0]
         np.add(rhs[0, a + 1:b], w[a:b - 1], out=y[0, a + 1:b])
 

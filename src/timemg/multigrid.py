@@ -6,8 +6,9 @@ mass of the level: the damped block Jacobi sweep, the residual and the exact
 coarse scan then need no block product, only the rank-one step coupling.
 This is the u-form cycle conjugated by the block-diagonal S, with the same
 residuals and convergence.  The public functions take and return u; they
-convert it to y and back with no copy in between, except that a call that
-runs no cycle or no sweep returns a copy of its u.
+convert it to y and back with no copy in between, and a solve returns u in
+the buffer that held its finest rhs, except that a call that runs no cycle
+or no sweep returns a copy of its u.
 
 Each worker owns a contiguous slab of steps [a, b) of a level, so the same
 code runs serially (one slab covering everything) and inside the worker team,
@@ -158,18 +159,18 @@ class SolveStats:
     ``times`` holds worker 0's wall time in seconds per phase.  A cycle
     works through each level in chunks and charges each part of a chunk as
     it ends: "smoothing" (the sweeps, the sweeps a slab repeats over its
-    left neighbour's last columns, every g = omega f, and the move of f and
-    u to f and y = S u and back), "transfer" (inside a cycle: the residual,
-    the restriction with the coarse zero guess, and the prolongation),
-    "coarse" (the exact coarsest solve, a blocked scan split over the team,
-    with the barrier before it, and, in a team, the serial tail of V-cycle
-    levels too small to split, which worker 0 runs alone) and "residual"
-    (the residual norms that decide when to stop: the finest residual and
-    its squared norms, fused into each cycle's last pass, and their sum).
-    The phases leave no gaps: they add up to worker 0's time from the
-    change to y to the change back.  ``workers`` is the size of the team
-    that ran: ``config.workers``, or 1 when the finest level is too small to
-    split into two slabs of ``MIN_SLAB`` steps (and of at least
+    left neighbour's last columns, each chunk's g = omega f, and the move of
+    f and u to f and y = S u and back), "transfer" (inside a cycle: the
+    residual, the restriction with the coarse zero guess, and the
+    prolongation), "coarse" (the exact coarsest solve, a blocked scan split
+    over the team, with the barrier before it, and, in a team, the serial
+    tail of V-cycle levels too small to split, which worker 0 runs alone)
+    and "residual" (the residual norms that decide when to stop: the finest
+    residual and its squared norms, fused into each cycle's last pass, and
+    their sum).  The phases leave no gaps: they add up to worker 0's time
+    from the change to y to the change back.  ``workers`` is the size of the
+    team that ran: ``config.workers``, or 1 when the finest level is too
+    small to split into two slabs of ``MIN_SLAB`` steps (and of at least
     max(nu1, nu2) + 1).
 
     The constructor still takes ``converged`` so that
@@ -264,7 +265,8 @@ def _coupling(z, x, work) -> np.ndarray:
 
 def _smooth(z, omega: float, g, y, carry, nu: int, work) -> None:
     """``nu`` sweeps y <- (1 - omega) y + g + e_0 (z . y_prev), given
-    g = omega f and z = omega eval_end S^{-1}, in place on the chunk ``y``.
+    g = omega f, a chunk of scratch, and z = omega eval_end S^{-1}, in place
+    on the chunk ``y``.
     carry[k] holds sweep k's input at the column ahead of the chunk, None at
     the level's first step, and leaves holding it at the chunk's last column
     for the next chunk, since the sweep overwrites it.  ``z`` and the
@@ -312,9 +314,7 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
     the previous iterate (blocks n and n-1), so all updates are independent.
     ``u`` and ``f`` must be finite and shaped (n_steps, n_t), and ``omega``
     a number in (0, 2), else ``ValueError``."""
-    if isinstance(omega, str):  # no step size here to resolve "optimal"
-        raise ValueError(f"omega must be a number in (0, 2), got {omega!r}")
-    check_damping(omega)
+    check_damping(omega, "omega")
     check_count("nu", nu, 0)
     shape = np.shape(u)[:1] + (ops.n_t,)
     u, f = block_input("u", u, shape), block_input("f", f, shape)
@@ -337,7 +337,7 @@ def block_jacobi_sweep(ops: LocalOperators, u, f, omega: float, nu: int = 1) -> 
 #
 # A cycle makes two fused passes over each level's slab, chunk by chunk.
 # Pass A runs the nu1 sweeps, the residual and its restriction into the
-# coarse rhs (with the coarse guess and g); pass B the prolongation-add of
+# coarse rhs (with the coarse zero guess); pass B the prolongation-add of
 # the coarse correction, the nu2 sweeps and, on the finest level of a solve,
 # the residual's squared norms for the stopping test.  A sweep reads the
 # previous step, so a chunk starts from the sweep inputs its predecessor
@@ -396,17 +396,18 @@ def _slab_table(levels: Sequence[Level], workers: int, width: int):
 
 class _Workspace:
     """Per-solve state: the damping per level, the sweep counts, and per
-    level arrays stored as (n_t, n_steps): the iterate y = S u, the rhs f
-    and the sweep's g = omega f, which the exact coarsest solve does not
-    read.  ``slabs[lev][wid]`` is worker wid's step range of level lev,
+    level arrays stored as (n_t, n_steps): the iterate y = S u and the rhs
+    f, one array on the coarsest level of several, which is solved in
+    place.  ``slabs[lev][wid]`` is worker wid's step range of level lev,
     ``tail`` the first level that worker 0 runs alone and ``workers`` the
     team (see :func:`_slab_table`).  On a smoothed level, ``edges[lev][0]``
     and ``[1]`` hold each worker's last ``width`` = max(nu1, nu2) + 1
     columns of the input of pass A (written on the finest level only) and
     of pass B, for its right neighbour.  In a solve that measures its
     residual, ``sq`` holds the finest residual's squared norm per step.
-    Each worker has one chunk of residual, ``res``, and two rows of scratch,
-    ``work``, so that the chunk kernels allocate nothing."""
+    Each worker has one chunk of scratch, ``res``, for a chunk's
+    g = omega f and then its residual, and two rows, ``work``, so that the
+    chunk kernels allocate nothing."""
 
     def __init__(self, levels: Sequence[Level], omegas: Sequence[float], nu1: int, nu2: int,
                  workers: int = 1, measure: bool = False):
@@ -415,17 +416,17 @@ class _Workspace:
         self.width = max(nu1, nu2) + 1
         self.slabs, self.tail, self.workers = _slab_table(self.levels, workers, self.width)
         n_t, n = self.levels[0].ops.n_t, self.levels[0].n_steps
-        self.y, self.f, self.g, self.edges = [], [], [], []
+        self.y, self.f, self.edges = [], [], []
         for k, lev in enumerate(self.levels):
-            self.y.append(np.zeros((n_t, lev.n_steps)))
-            self.f.append(np.zeros((n_t, lev.n_steps)))
             smoothed = k == 0 or k < len(self.levels) - 1
-            self.g.append(np.zeros((n_t, lev.n_steps)) if smoothed else None)
+            self.y.append(np.zeros((n_t, lev.n_steps)))
+            self.f.append(np.zeros((n_t, lev.n_steps)) if smoothed else self.y[-1])
             self.edges.append(np.zeros((2, self.workers, n_t, self.width)) if smoothed else None)
         self.sq = np.zeros(n) if measure else None
-        steps = min(_chunk_steps(n_t), n)
+        slab = max(b - a for row in self.slabs for a, b in row)
+        steps = max(min(_chunk_steps(n_t), slab), self.width)
         self.res = [np.empty((n_t, steps)) for _ in range(self.workers)]
-        self.work = [np.empty((2, max(steps, self.width))) for _ in range(self.workers)]
+        self.work = [np.empty((2, steps)) for _ in range(self.workers)]
         self.scan = scan_buffer(self.levels[-1].n_steps)
 
     def publish(self, lev: int, which: int, wid: int, a: int, b: int) -> None:
@@ -440,9 +441,10 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
     k's input at column a - 1 for k < nu, and the pass's sweep result there
     at row nu.  The left neighbour's published input columns (``edges``;
     None for the zero guess of a coarse level) are swept again, after the
-    prolongation-add when ``prolong``.  The window's first column is swept
-    without its predecessor; the error that leaves there moves one column
-    per sweep and never reaches column a - 1."""
+    prolongation-add when ``prolong``, with the window's g = omega f in the
+    worker's ``res``.  The window's first column is swept without its
+    predecessor; the error that leaves there moves one column per sweep and
+    never reaches column a - 1."""
     level = ws.levels[lev]
     carry = [None] * (nu + 1)
     if a == 0:
@@ -454,7 +456,8 @@ def _ghost(ws: _Workspace, lev: int, nu: int, wid: int, a: int, edges, prolong: 
         _prolong_add(level.p1, level.p2, ws.y[lev + 1], x, lo, ws.work[wid])
     omega = ws.omegas[lev]
     z = (omega * level.ops.end_step_inv).tolist()
-    _smooth(z, omega, ws.g[lev][:, lo:a], x, carry, nu, ws.work[wid])
+    g = np.multiply(ws.f[lev][:, lo:a], omega, out=ws.res[wid][:, :nu + 1])
+    _smooth(z, omega, g, x, carry, nu, ws.work[wid])
     carry[nu] = x[:, -1].tolist()
     return carry
 
@@ -476,34 +479,29 @@ def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
 
 
 def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
-    """Per chunk of the slab [a, b): nu1 sweeps, the residual and its
-    restriction into the coarse rhs, and a zero guess and g on a smoothed
+    """Per chunk of the slab [a, b): g and nu1 sweeps, the residual over g
+    and its restriction into the coarse rhs, and a zero guess on a smoothed
     coarse level; then the slab's edge for pass B."""
     if a >= b:
         return
     level, nu, omega = ws.levels[lev], ws.nu1, ws.omegas[lev]
-    y, f, g = ws.y[lev], ws.f[lev], ws.g[lev]
-    yc, fc, gc = ws.y[lev + 1], ws.f[lev + 1], ws.g[lev + 1]
+    y, f, yc, fc = ws.y[lev], ws.f[lev], ws.y[lev + 1], ws.f[lev + 1]
     z, zr = (omega * level.ops.end_step_inv).tolist(), level.ops.end_step_inv.tolist()
     work = ws.work[wid]
     # a coarse level's pass A starts from the zero guess
     carry = _ghost(ws, lev, nu, wid, a, ws.edges[lev][0] if lev == 0 else None, False)
     lap("smoothing")
     for s, e in _chunks(a, b, level.ops.n_t):
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, work)
-        lap("smoothing")
         r = ws.res[wid][:, :e - s]
+        _smooth(z, omega, np.multiply(f[:, s:e], omega, out=r), y[:, s:e], carry, nu, work)
+        lap("smoothing")
         _residual(zr, f[:, s:e], y[:, s:e], carry[nu], r, work)
         carry[nu] = y[:, e - 1].tolist()
         cs, ce = s // 2, e // 2
         _restrict(level.r1, level.r2, r, fc[:, cs:ce], work)
-        # the exact coarsest solve reads neither a guess nor g
-        if gc is not None:
+        if fc is not yc:  # the exact coarsest solve reads no guess
             yc[:, cs:ce] = 0.0
         lap("transfer")
-        if gc is not None:
-            np.multiply(fc[:, cs:ce], ws.omegas[lev + 1], out=gc[:, cs:ce])
-            lap("smoothing")
     ws.publish(lev, 1, wid, a, b)
 
 
@@ -515,7 +513,7 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     if a >= b:
         return
     level, nu, omega = ws.levels[lev], ws.nu2, ws.omegas[lev]
-    y, g, yc = ws.y[lev], ws.g[lev], ws.y[lev + 1]
+    y, f, yc = ws.y[lev], ws.f[lev], ws.y[lev + 1]
     z = (omega * level.ops.end_step_inv).tolist()
     work = ws.work[wid]
     measure = lev == 0 and ws.sq is not None
@@ -524,7 +522,8 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
     for s, e in _chunks(a, b, level.ops.n_t):
         _prolong_add(level.p1, level.p2, yc, y[:, s:e], s, work)
         lap("transfer")
-        _smooth(z, omega, g[:, s:e], y[:, s:e], carry, nu, work)
+        g = np.multiply(f[:, s:e], omega, out=ws.res[wid][:, :e - s])
+        _smooth(z, omega, g, y[:, s:e], carry, nu, work)
         lap("smoothing")
         if measure:
             _sq_chunk(ws, wid, s, e, carry[nu])
@@ -537,9 +536,9 @@ def _pass_b(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
 def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
     """One multigrid cycle at level ``lev``, in place on ws.y[lev] = S u, on
     this worker's slab ``ws.slabs[lev][wid]``; worker 0 runs the levels from
-    ``ws.tail`` down alone.  The caller guarantees the level's y, f and g and
+    ``ws.tail`` down alone.  The caller guarantees the level's y and f and
     its pass A edges are complete; every exit path ends on a barrier.  The
-    coarsest level is solved exactly, from its rhs alone."""
+    coarsest level is solved exactly, from its rhs alone, in place."""
     level, (a, b) = ws.levels[lev], ws.slabs[lev][wid]
     if lev == len(ws.levels) - 1:
         scan_rows(level.ops, ws.f[lev], ws.y[lev], ws.scan, a, b, barrier, wid == 0)
@@ -547,7 +546,7 @@ def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
         lap("coarse")
         return
     _pass_a(ws, lev, wid, a, b, lap)
-    barrier.wait()  # coarse rhs, guess and g, and the pass B edges complete
+    barrier.wait()  # coarse rhs and guess, and the pass B edges complete
     if lev + 1 == ws.tail:
         # worker 0 runs the unsplit coarse levels alone
         if wid == 0:
@@ -610,8 +609,10 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
 
     Each worker moves its finest slab of f and of u_init, as y = S u,
     straight into the workspace, and after the last cycle its y straight
-    into the result.  Every worker sums the per-step squared norms in the
-    same order, so all stop alike, with the same iterates for any team.
+    into u, which is the finest f's buffer viewed as (n_steps, n_t): no
+    pass reads f after the last cycle's final barrier.  With no cycle run,
+    u is ``u_init`` itself.  Every worker sums the per-step squared norms in
+    the same order, so all stop alike, with the same iterates for any team.
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
     to machine precision without running any cycle.  Without ``measure``
     (the public cycles) it computes no residual norm, runs exactly
@@ -619,7 +620,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     """
     omegas = [resolve_damping(config.damping, alpha(hier.basis, lev.tau)) for lev in hier.levels]
     ws = _Workspace(hier.levels, omegas, config.nu1, config.nu2, config.workers, measure=measure)
-    ops, y, out = ws.levels[0].ops, ws.y[0], np.empty_like(u_init)
+    ops, y, out = ws.levels[0].ops, ws.y[0], ws.f[0].reshape(u_init.shape)
     barrier = team_barrier(ws.workers)
     times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
     shared = {"iters": 0, "norms": []}
@@ -637,9 +638,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     def body(wid):
         lap = _lap_clock(times) if wid == 0 else _no_lap
         a, b = ws.slabs[0][wid]
-        # the finest slab is fixed, so each worker makes g from the f it moved in
         ws.f[0][:, a:b] = f[a:b].T
-        np.multiply(ws.f[0][:, a:b], ws.omegas[0], out=ws.g[0][:, a:b])
         _convert(ws, ops.step_matrix, u_init.T, y, wid, a, b)
         ws.publish(0, 0, wid, a, b)
         barrier.wait()  # y complete: the residual reads the previous slab's last step
@@ -657,14 +656,14 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
             iters += 1
             if measure:
                 rk = norm(wid, lap)
-        if iters:  # back to u = S^{-1} y
+        if iters:  # back to u = S^{-1} y, in f's buffer
             _convert(ws, ops.step_inv, y, out.T, wid, a, b)
         lap("smoothing")
         if wid == 0:
             shared["iters"] = iters
 
     run_team(ws.workers, body, barrier)
-    u = out if shared["iters"] else u_init.copy()
+    u = out if shared["iters"] else u_init
     if not measure:
         return u, None
     norms = shared["norms"]
@@ -702,11 +701,11 @@ def solve(hier: TimeHierarchy, f, u_init=None,
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
     u_init = block_input("u_init", u_init, shape)
-    if len(hier) > 1:
-        return _iterate(hier, f, u_init, config, config.max_iters)
-    # single level: solve directly, then measure the residual
-    u_init = forward_solve(GlobalSystem(finest.ops, finest.n_steps), f)
-    return _iterate(hier, f, u_init, config, 0)
+    if len(hier) == 1:  # solve directly, then measure the residual
+        return _iterate(hier, f, forward_solve(GlobalSystem(finest.ops, finest.n_steps), f),
+                        config, 0)
+    u, stats = _iterate(hier, f, u_init, config, config.max_iters)
+    return (u if stats.iterations else u.copy()), stats
 
 
 def measure_convergence_factor(hier: TimeHierarchy, config: CycleConfig = None) -> float:

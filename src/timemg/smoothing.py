@@ -35,15 +35,19 @@ def optimal_omega(a: float) -> float:
     return 1.0 / (1.0 + a * a) if a >= 0 else 1.0
 
 
-def check_damping(damping) -> None:
-    """Refuse, by name, a ``damping`` other than "optimal" or a number in (0, 2)."""
-    if isinstance(damping, str):
+def check_damping(damping, name: str = "damping") -> None:
+    """Refuse, by ``name``, a ``damping`` other than "optimal" or a number in
+    (0, 2); any name but "damping" (the sweep's ``omega``, which has no step
+    size to resolve "optimal") takes a number only."""
+    optimal = name == "damping"
+    if optimal and isinstance(damping, str):
         if damping != "optimal":
             raise ValueError(f"unknown damping mode {damping!r}")
     elif isinstance(damping, bool) or not isinstance(damping, numbers.Real):
-        raise ValueError(f"damping must be 'optimal' or a number in (0, 2), got {damping!r}")
+        wanted = "'optimal' or a number" if optimal else "a number"
+        raise ValueError(f"{name} must be {wanted} in (0, 2), got {damping!r}")
     elif not 0.0 < damping < 2.0:
-        raise ValueError(f"damping must lie in (0, 2), got {float(damping)}")
+        raise ValueError(f"{name} must lie in (0, 2), got {float(damping)}")
 
 
 def check_cycle(nu1: int, nu2: int, damping) -> None:

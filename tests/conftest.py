@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from timemg import multigrid
@@ -14,3 +16,19 @@ def teams(monkeypatch):
 
     monkeypatch.setattr(multigrid, "run_team", recording)
     return started
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(call)``: the most bytes that ``call()`` held allocated at once
+    beyond what existed before it, as traced by tracemalloc in every thread."""
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

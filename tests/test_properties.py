@@ -1,7 +1,8 @@
 """Property tests of the exact solver and the multigrid solve over drawn
 (p_t, tau, n, workers, MIN_SLAB, chunk size): the blocked scan against dense
-LU and the per-step loop, a converged solve against the scan, and bitwise
-invariance over the worker team and the chunks of its passes."""
+LU and the per-step loop, in place against out of place, a converged solve
+against the scan, and bitwise invariance over the worker team and the chunks
+of its passes."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from oracles import forward_substitution
 from timemg import multigrid
 from timemg.dense import dense_system
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local, block_apply,
-                       forward_solve, rhs_moments)
+                       forward_solve, rhs_moments, scan_block, scan_buffer, scan_rows)
 from timemg.multigrid import CycleConfig, TimeHierarchy, random_initial_guess, solve
-from timemg.parallel import NullBarrier
+from timemg.parallel import NullBarrier, run_team, team_barrier
 
 # derandomized, so that tier-1 draws the same examples on every run
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -49,6 +50,31 @@ def test_scan_matches_dense_lu(p_t, tau, n):
 def test_scan_matches_step_loop(p_t, tau, n):
     _, system, rhs = _problem(p_t, tau, n)
     assert _max_rel(forward_solve(system, rhs), forward_substitution(system, rhs)) <= 1e-10
+
+
+@PROPERTY
+@given(p_ts, taus, step_counts)
+def test_scan_in_place_matches_out_of_place(p_t, tau, n):
+    # the coarsest level of a cycle is solved with rhs is y; each team
+    # splits the steps by scan blocks, as the cycles do, and its workers
+    # meet at the scan's barriers
+    _, system, rhs = _problem(p_t, tau, n)
+    block = scan_block(n)
+    units = -(-n // block)
+    for workers in (1, 2, 3):
+        outs = []
+        for in_place in (False, True):
+            rows = rhs.T.copy()
+            y = rows if in_place else np.empty_like(rows)
+            work, barrier = scan_buffer(n), team_barrier(workers)
+
+            def body(wid):
+                a, b = (min(k * units // workers * block, n) for k in (wid, wid + 1))
+                scan_rows(system.ops, rows, y, work, a, b, barrier, wid == 0)
+
+            run_team(workers, body, barrier)
+            outs.append(y.tobytes())
+        assert outs[0] == outs[1], workers
 
 
 @PROPERTY
