@@ -9,6 +9,11 @@ to its predecessor through the rank-one matrix ``outer(e_0, eval_end)``: the
 previous step's end value enters the first row.  The global system is block
 lower bidiagonal and its exact solve reduces to a scalar affine recurrence for
 the end values, which :func:`forward_solve` evaluates as a blocked scan.
+Every array of the solver is float64, and the scan's arithmetic is IEEE
+double only, so it rounds alike on every platform; the exact solve adds one
+step of iterative refinement to the scan, and the multigrid cycle, which
+corrects its coarse solve in the next cycle anyway, does not (see
+:func:`scan_rows`).
 
 Every integral uses the basis's own left Radau rule, exact to degree 2 p_t
 (the mass and stiffness integrands); the basis is the identity at its nodes,
@@ -152,8 +157,7 @@ class LocalOperators:
 
     @functools.cached_property
     def step_inv_start(self) -> np.ndarray:
-        """step_inv @ eval_start, the coupling column of the smoother symbol;
-        eval_end @ step_inv_start is the scan's end-value factor R(-tau)."""
+        """step_inv @ eval_start, the coupling column of the smoother symbol."""
         return self.step_inv @ self.eval_start
 
     @functools.cached_property
@@ -329,12 +333,12 @@ def scan_block(n_steps: int) -> int:
 
 
 def scan_buffer(n_steps: int) -> np.ndarray:
-    """Work array of :func:`scan_rows` for ``n_steps`` steps, in extended
-    precision: the end values, padded to whole blocks, then the end value
-    before each block and after the last."""
+    """Work array of :func:`scan_rows` for ``n_steps`` steps, in float64
+    like every array of the scan: the end values, padded to whole blocks,
+    then the end value before each block and after the last."""
     block = scan_block(n_steps)
     n_blocks = -(-n_steps // block)
-    return np.zeros(n_blocks * (block + 1) + 1, dtype=np.longdouble)
+    return np.zeros(n_blocks * (block + 1) + 1)
 
 
 def row_dot(z, x, out, prod) -> np.ndarray:
@@ -349,6 +353,36 @@ def row_dot(z, x, out, prod) -> np.ndarray:
     return out
 
 
+def col_dot(z, col) -> float:
+    """z . col on Python floats, summed in the order of :func:`row_dot`:
+    its scalar twin, for the carried columns of the multigrid passes, which
+    are lists of floats."""
+    acc = z[0] * col[0]
+    for j in range(1, len(z)):
+        acc += z[j] * col[j]
+    return acc
+
+
+def coupling_row(z, x, work) -> np.ndarray:
+    """z . x[:, n - 1] for the columns n >= 1 of the rows ``x``, in
+    work[0]; work[1] holds each product."""
+    m = x.shape[1] - 1
+    return row_dot(z, x[:, :-1], work[0, :m], work[1, :m])
+
+
+def residual_rows(z, f, y, before, out, work) -> None:
+    """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on rows of steps
+    in the step-scaled unknowns y = S u, given z = eval_end S^{-1}
+    (``end_step_inv``): its leading rows, as many as ``out`` holds, since
+    rows 1.. are f - y alone.  ``before`` is the column ahead of the rows,
+    None at the first step, which has no predecessor; ``work`` is two
+    scratch rows at least as long as the rows."""
+    np.subtract(f[:len(out)], y[:len(out)], out=out)
+    out[0, 1:] += coupling_row(z, y, work)
+    if before is not None:
+        out[0, 0] += col_dot(z, before)
+
+
 def block_apply(mat, x, out, add: bool, work=None) -> None:
     """out[i, n] (+)= sum_j mat[i, j] * x[j, n], one :func:`row_dot` per row
     i; ``work`` is two scratch rows at least as long as x's, else allocated."""
@@ -360,7 +394,7 @@ def block_apply(mat, x, out, add: bool, work=None) -> None:
             row_dot(mat[i], x, out[i], work[1])
 
 
-def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
+def scan_rows(z, rhs, y, work, a: int, b: int,
               barrier=NullBarrier(), lead: bool = True) -> None:
     """Exact solve of one worker's steps [a, b) in the step-scaled unknowns
     y_n = S u_n, on block vectors stored as (n_t, n_steps) rows: ``rhs`` in,
@@ -370,44 +404,44 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
 
     The end values w_n = eval_end . u_n = z . y_n, z = eval_end S^{-1}
     (``end_step_inv``), follow the scalar recurrence w_n = R w_{n-1} + b_n
-    with b_n = z . rhs_n and R = eval_end . S^{-1} eval_start, and then
-    y_n = rhs_n + eval_start w_{n-1}: with eval_start = e_0, rows 1.. of y
+    with b_n = z . rhs_n and R = eval_end . S^{-1} eval_start = z[0], as
+    eval_start = e_0; then y_n = rhs_n + eval_start w_{n-1}: rows 1.. of y
     are those of rhs and w_{n-1} is added to row 0.  No block product is
-    needed (u_n = S^{-1} y_n is left to the caller).  The steps form blocks
-    of :func:`scan_block` steps.  Each worker sums the recurrence over its
-    blocks from a zero start, in place by pairwise combination over
-    doubling spans; between two barriers the ``lead`` worker carries the
-    block ends across the blocks by an inclusive scan over doubling spans;
-    then each worker completes its in-block sums by the reverse sweep over
-    the spans, adds each block's carry c as c R^(j+1) at its step j, and
-    forms y.  Every pass is one numpy call over all of a worker's blocks,
-    about 4 log2(block) in all, so the worker threads overlap.  ``a`` lies
-    on a block boundary and ``b`` on one or at n_steps (a >= b is an empty
-    share); every worker of the team calls this once with its own range and
-    the same ``barrier``.
+    needed (u_n = S^{-1} y_n is left to the caller).  Only z[0] and the
+    rows of rhs that z covers are read, so ``z[:1]`` and one row solve a
+    system whose rhs has rows 1.. zero, as a residual of y has.  The steps
+    form blocks of :func:`scan_block` steps.  Each worker sums the
+    recurrence over its blocks from a zero start, in place by pairwise
+    combination over doubling spans; between two barriers the ``lead``
+    worker carries the block ends across the blocks by an inclusive scan
+    over doubling spans; then each worker completes its in-block sums by the
+    reverse sweep over the spans, adds each block's carry c as c R^(j+1) at
+    its step j, and forms y.  Every pass is one numpy call over all of a
+    worker's blocks, about 4 log2(block) in all, so the worker threads
+    overlap.  ``a`` lies on a block boundary and ``b`` on one or at n_steps
+    (a >= b is an empty share); every worker of the team calls this once
+    with its own range and the same ``barrier``.
 
-    The in-block sums run in double, by a tree of log2(block) levels, and
-    the carries, the powers of R and the sum of the two in ``np.longdouble``,
-    so y is rounded once.  A per-step run in double through each block
-    drifts from its carried end value by rounding that grows with the block
-    length: the relative residual reached 3-12x the per-step loop's (p_t
-    0-5, tau 1e-6 to 1e6, 2^17 steps).  In this form it measured 0.87-1.38x
-    the loop's on the grid of ``test_scan_matches_step_loop``, but 2.14x at
-    p_t = 0, tau = 1e-2, 2^15 steps (3.38e-15 against 1.58e-15) and 2.63x at
-    2^17 steps (4.86e-15 against 1.85e-15), off that test's grid.
+    Every pass runs in float64, so the scan gives the same bits on every
+    IEEE platform.  Its sums are reordered against the per-step loop, and
+    its relative residual reads up to 2.2x the loop's on the grid of
+    ``test_scan_matches_step_loop`` and 3.3x at p_t = 0, tau = 1e-2, 2^15
+    to 2^17 steps; :func:`forward_solve` removes that with one refinement
+    step.  The multigrid cycle calls the scan as it is: its coarse
+    correction is then a few ulps off, which the next cycle removes, while
+    a refinement would more than double the cost of the coarse solve.
     """
     n = y.shape[1]
     block = scan_block(n)
     n_blocks = -(-n // block)
     blocks = work[:n_blocks * block].reshape(n_blocks, block)
     w, carry = blocks.reshape(-1), work[n_blocks * block:]  # carry[k] = w_{k block - 1}
-    z = ops.end_step_inv
-    r = ops.eval_end.astype(work.dtype) @ ops.step_inv_start.astype(work.dtype)
+    r = z[0]
     k0, k1 = a // block, -(-b // block)
     mine = blocks[k0:k1]
     spans, span, r_span = [], 1, r  # (span, R^span) for span = 1, 2, 4, ...
     while span < block:
-        spans.append((span, float(r_span)))
+        spans.append((span, r_span))
         span, r_span = 2 * span, r_span * r_span
     if a < b:
         # b_n; the partial last block is padded with zeros
@@ -443,16 +477,29 @@ def scan_rows(ops: LocalOperators, rhs, y, work, a: int, b: int,
 
 
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve the system exactly with the blocked scan of :func:`scan_rows`:
-    O(n_steps) work in O(sqrt(n_steps)) array passes.
+    """Solve the system exactly with the blocked scan of :func:`scan_rows`
+    and one step of iterative refinement in working precision (Skeel 1980,
+    Math. Comp. 35(151)): O(n_steps) work in O(sqrt(n_steps)) array passes.
+
+    The refinement takes row 0 of the residual of y by :func:`residual_rows`
+    (rows 1.. are exactly zero, since the scan copies rows 1.. of rhs into
+    y), solves for the correction of row 0 by a second scan on that one row
+    and adds it to y before the change to u = S^{-1} y.  It brings the
+    scan's relative residual, up to 3.3x the per-step loop's unrefined, to
+    within 1.4x of it.
 
     ``rhs`` must be finite and shaped (n_steps, n_t), else ``ValueError``.
-    The scan reads ``rhs`` in place and writes u = S^{-1} y straight into
-    the C-ordered result, with the same rounding for any input layout."""
+    The scan reads ``rhs`` in place and u = S^{-1} y is written straight
+    into the C-ordered result, with the same rounding for any input
+    layout."""
     rhs = block_input("rhs", rhs, (system.n_steps, system.ops.n_t))
-    y = np.empty(rhs.shape[::-1])
-    scan_rows(system.ops, rhs.T, y, scan_buffer(system.n_steps), 0, system.n_steps)
-    u = np.empty_like(rhs)  # after the scan has freed its work arrays
+    n, z = system.n_steps, system.ops.end_step_inv
+    y, work, res = np.empty(rhs.shape[::-1]), scan_buffer(n), np.empty((1, n))
+    scan_rows(z, rhs.T, y, work, 0, n)
+    residual_rows(z, rhs.T, y, None, res, np.empty((2, n)))
+    scan_rows(z[:1], res, res, work, 0, n)
+    y[0] += res[0]
+    u = np.empty_like(rhs)  # after the scans have freed their work arrays
     block_apply(system.ops.step_inv, y, u.T, add=False)
     return u
 

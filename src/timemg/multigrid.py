@@ -33,8 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_apply,
-                 block_input, build_transfers, check_count, check_step_size, forward_solve,
-                 row_dot, scan_block, scan_buffer, scan_rows)
+                 block_input, build_transfers, check_count, check_step_size, col_dot,
+                 coupling_row, forward_solve, residual_rows, row_dot, scan_block, scan_buffer,
+                 scan_rows)
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, check_cycle, check_damping, resolve_damping
 
@@ -213,7 +214,8 @@ SolveStats.converged = property(lambda self: self.status == "converged")
 # per step they are bitwise independent of the chunk and slab split, and the
 # inner loops release the GIL so the worker threads overlap.  The kernels run on y = S u.  The step
 # coupling is rank one, C = outer(e_0, eval_end), and C u_prev = e_0 (z .
-# y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev and the
+# y_prev) with z = eval_end S^{-1}: the residual f - y + C u_prev
+# (dg.residual_rows, which the exact solve's refinement shares) and the
 # sweep (1 - omega) y + omega (f + C u_prev) are row passes plus one dot
 # product per step, added to row 0.  The only block products left are the
 # transfers and the change to y = S u and back, once per solve or public
@@ -247,22 +249,6 @@ def _chunks(a: int, b: int, n_t: int):
     return ((s, min(s + step, b)) for s in range(a, b, step))
 
 
-def _dot(z, col) -> float:
-    """z . col on Python floats, summed in the order of :func:`dg.row_dot`:
-    its scalar twin, for the carried columns, which are lists of floats."""
-    acc = z[0] * col[0]
-    for j in range(1, len(z)):
-        acc += z[j] * col[j]
-    return acc
-
-
-def _coupling(z, x, work) -> np.ndarray:
-    """z . x[:, n - 1] for the columns n >= 1 of the chunk ``x``, in
-    work[0]; work[1] holds each product."""
-    m = x.shape[1] - 1
-    return row_dot(z, x[:, :-1], work[0, :m], work[1, :m])
-
-
 def _smooth(z, omega: float, g, y, carry, nu: int, work) -> None:
     """``nu`` sweeps y <- (1 - omega) y + g + e_0 (z . y_prev), given
     g = omega f, a chunk of scratch, and z = omega eval_end S^{-1}, in place
@@ -273,24 +259,14 @@ def _smooth(z, omega: float, g, y, carry, nu: int, work) -> None:
     carries are lists of Python floats, whose arithmetic rounds like
     numpy's; ``work`` is two rows of scratch at least as long as the chunk."""
     for k in range(nu):
-        value = _coupling(z, y, work)
-        first = None if carry[k] is None else _dot(z, carry[k])
+        value = coupling_row(z, y, work)
+        first = None if carry[k] is None else col_dot(z, carry[k])
         carry[k] = y[:, -1].tolist()
         np.multiply(y, 1.0 - omega, out=y)
         np.add(y, g, out=y)
         y[0, 1:] += value
         if first is not None:
             y[0, 0] += first
-
-
-def _residual(z, f, y, before, out, work) -> None:
-    """out = f - y + e_0 (z . y_prev) = f - S u + C u_prev on a chunk, given
-    z = eval_end S^{-1}; ``before`` is the column ahead of the chunk, None
-    at the level's first step, which has no predecessor."""
-    np.subtract(f, y, out=out)
-    out[0, 1:] += _coupling(z, y, work)
-    if before is not None:
-        out[0, 0] += _dot(z, before)
 
 
 def _restrict(r1, r2, fine, coarse, work) -> None:
@@ -471,10 +447,10 @@ def _convert(ws: _Workspace, mat, src, dst, wid: int, a: int, b: int) -> None:
 
 def _sq_chunk(ws: _Workspace, wid: int, s: int, e: int, before) -> None:
     """ws.sq[s:e] = the finest residual's squared norm per step of the chunk
-    [s, e); ``before`` as in :func:`_residual`."""
+    [s, e); ``before`` as in :func:`dg.residual_rows`."""
     r, work = ws.res[wid][:, :e - s], ws.work[wid]
     z = ws.levels[0].ops.end_step_inv.tolist()
-    _residual(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r, work)
+    residual_rows(z, ws.f[0][:, s:e], ws.y[0][:, s:e], before, r, work)
     row_dot(r, r, ws.sq[s:e], work[0, :e - s])
 
 
@@ -495,7 +471,7 @@ def _pass_a(ws: _Workspace, lev: int, wid: int, a: int, b: int, lap) -> None:
         r = ws.res[wid][:, :e - s]
         _smooth(z, omega, np.multiply(f[:, s:e], omega, out=r), y[:, s:e], carry, nu, work)
         lap("smoothing")
-        _residual(zr, f[:, s:e], y[:, s:e], carry[nu], r, work)
+        residual_rows(zr, f[:, s:e], y[:, s:e], carry[nu], r, work)
         carry[nu] = y[:, e - 1].tolist()
         cs, ce = s // 2, e // 2
         _restrict(level.r1, level.r2, r, fc[:, cs:ce], work)
@@ -541,7 +517,7 @@ def _cycle(ws: _Workspace, lev: int, barrier, wid: int, lap) -> None:
     coarsest level is solved exactly, from its rhs alone, in place."""
     level, (a, b) = ws.levels[lev], ws.slabs[lev][wid]
     if lev == len(ws.levels) - 1:
-        scan_rows(level.ops, ws.f[lev], ws.y[lev], ws.scan, a, b, barrier, wid == 0)
+        scan_rows(level.ops.end_step_inv, ws.f[lev], ws.y[lev], ws.scan, a, b, barrier, wid == 0)
         barrier.wait()  # coarse solution complete
         lap("coarse")
         return

@@ -4,7 +4,8 @@ import cycle cannot hide behind an import deferred into a function.  The
 import itself builds no quadrature tables: every cache starts empty.  Neither
 the import nor building a basis's tables loads scipy: numpy is the only
 runtime dependency.  The README's module table lists exactly the package's
-modules.  No module imports another module's private name."""
+modules.  No module imports another module's private name.  No module names
+an extended-precision type, whose width depends on the platform."""
 
 import ast
 import json
@@ -107,3 +108,15 @@ def test_no_private_name_imported_across_modules():
                for name, node in imports for alias in node.names if alias.name.startswith("_")]
     assert imports
     assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_extended_precision(module):
+    # np.longdouble is 80-bit x87 on x86-64 Linux, float64 under MSVC and on
+    # arm64 macOS and software binary128 on aarch64 Linux, so a result that
+    # rounds through it differs between platforms; a dtype string counts too
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    named = [node.lineno for node in ast.walk(tree)
+             if "longdouble" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "value", None))]
+    assert named == []

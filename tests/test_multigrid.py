@@ -737,6 +737,18 @@ class TestSolveLargeScale:
         assert stats.factor <= 0.55
 
 
+class TestReadmeIterations:
+    @pytest.mark.parametrize("p_t, iterations", [(0, 14), (1, 8), (3, 8)])
+    def test_two_grid_iterations_on_benchmark_problem(self, p_t, iterations):
+        # README's two-grid counts on the benchmark's problem: n = 2^17,
+        # tau = 1e-6, eps = 1e-8, f = sin 2t, u0 = 1, the default guess
+        basis, tau, n = BasisSpec(p_t), 1e-6, 1 << 17
+        hier = TimeHierarchy.build(basis, tau, n)
+        rhs = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
+        _, stats = solve(hier, rhs, config=CycleConfig(eps=1e-8))
+        assert stats.converged and stats.iterations == iterations
+
+
 class TestMeasuredVersusPredicted:
     @pytest.mark.parametrize("nu", [1, 2, 5])
     def test_additive_agreement_across_grid(self, nu):

@@ -1,8 +1,8 @@
 """Property tests of the exact solver and the multigrid solve over drawn
 (p_t, tau, n, workers, MIN_SLAB, chunk size): the blocked scan against dense
 LU and the per-step loop, in place against out of place, a converged solve
-against the scan, and bitwise invariance over the worker team and the chunks
-of its passes."""
+against the scan, the cycle's coarse solve against the one-worker scan, and
+bitwise invariance over the worker team and the chunks of its passes."""
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ def test_scan_in_place_matches_out_of_place(p_t, tau, n):
 
             def body(wid):
                 a, b = (min(k * units // workers * block, n) for k in (wid, wid + 1))
-                scan_rows(system.ops, rows, y, work, a, b, barrier, wid == 0)
+                scan_rows(system.ops.end_step_inv, rows, y, work, a, b, barrier, wid == 0)
 
             run_team(workers, body, barrier)
             outs.append(y.tobytes())
@@ -118,19 +118,21 @@ def test_solve_bitwise_invariant_over_workers(p_t, tau, n, workers, min_slab, le
 @PROPERTY
 @given(p_ts, taus, st.integers(5, 11).map(lambda k: 1 << k), st.integers(1, 4),
        st.sampled_from((16, 64)))
-def test_in_cycle_coarse_solve_is_forward_solve(p_t, tau, n, workers, min_slab):
+def test_in_cycle_coarse_solve_is_the_scan(p_t, tau, n, workers, min_slab):
     # record each coarsest-level solve of a two-grid solve, split over the
-    # team when the finest level is, and replay it through forward_solve;
-    # the cycle's scan returns y = S u, which forward_solve turns into u
-    # with one S^{-1} block product
+    # team when the finest level is, and replay it through one worker's
+    # out-of-place scan: the same bits.  The cycle does not refine its scan
+    # as forward_solve does, so against forward_solve it agrees to 1e-12
+    # only, once its y = S u is turned into u by one S^{-1} block product
     basis, _, rhs = _problem(p_t, tau, n)
     hier = TimeHierarchy.build(basis, tau, n)
     coarse = hier.levels[1]
+    z = coarse.ops.end_step_inv
     scan_rows, solves = multigrid.scan_rows, []
 
-    def recording(ops, f, y, work, a, b, barrier=NullBarrier(), lead=True):
+    def recording(z, f, y, work, a, b, barrier=NullBarrier(), lead=True):
         f_in = f.copy() if lead else None  # complete: the cycle waits before the solve
-        scan_rows(ops, f, y, work, a, b, barrier, lead)
+        scan_rows(z, f, y, work, a, b, barrier, lead)
         barrier.wait()
         if lead:
             solves.append((f_in, y.copy()))
@@ -143,6 +145,9 @@ def test_in_cycle_coarse_solve_is_forward_solve(p_t, tau, n, workers, min_slab):
     assert solves
     system = GlobalSystem(coarse.ops, coarse.n_steps)
     for f_in, y in solves:
+        alone = np.empty_like(f_in)
+        scan_rows(z, f_in, alone, scan_buffer(coarse.n_steps), 0, coarse.n_steps)
+        assert alone.tobytes() == y.tobytes()
         u = np.empty_like(y)
         block_apply(coarse.ops.step_inv, y, u, add=False)
-        assert forward_solve(system, f_in.T).tobytes() == u.T.copy().tobytes()
+        assert _max_rel(u.T, forward_solve(system, f_in.T)) <= 1e-12
