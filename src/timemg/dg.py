@@ -495,12 +495,14 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     rhs = block_input("rhs", rhs, (system.n_steps, system.ops.n_t))
     n, z = system.n_steps, system.ops.end_step_inv
     y, work, res = np.empty(rhs.shape[::-1]), scan_buffer(n), np.empty((1, n))
+    rows = np.empty((2, n))
     scan_rows(z, rhs.T, y, work, 0, n)
-    residual_rows(z, rhs.T, y, None, res, np.empty((2, n)))
+    residual_rows(z, rhs.T, y, None, res, rows)
     scan_rows(z[:1], res, res, work, 0, n)
     y[0] += res[0]
-    u = np.empty_like(rhs)  # after the scans have freed their work arrays
-    block_apply(system.ops.step_inv, y, u.T, add=False)
+    del work, res  # before u, so that the peak is y, u and the two rows
+    u = np.empty_like(rhs)
+    block_apply(system.ops.step_inv, y, u.T, add=False, work=rows)
     return u
 
 

@@ -3,6 +3,13 @@ the smoothing factor, and the two-grid symbol on pairs of aliased harmonics.
 
 The analysis is exact for time-periodic coupling; for the initial value
 problem it predicts the asymptotic behavior of the actual cycles.
+
+The damped block Jacobi smoother is a rank-one change of (1 - omega) I, so
+on a harmonic pair the two-grid iteration has the spectrum of a multiple of
+I plus a product of rank n_t + 2.  ``rho_profile`` (and so ``predicted_rho``)
+takes its radii from that (n_t + 2)-sized eigenproblem per frequency;
+``twogrid_symbol`` builds the full 2 n_t x 2 n_t symbol, the reference that
+the dense periodic operators are checked against.
 """
 
 from __future__ import annotations
@@ -179,15 +186,71 @@ def twogrid_symbol(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     return post_correction @ blocks
 
 
+def _smoother_weight(omega: float, s: float, theta, nu: int) -> np.ndarray:
+    """c(theta) in S(theta)^nu = (1 - omega)^nu I + c(theta) outer(u, v), with
+    u = ``step_inv_start``, v = ``eval_end`` and s = v . u.
+
+    c = ((1 - omega + e^{-i theta} omega s)^nu - (1 - omega)^nu) / s, taken as
+    the geometric sum e^{-i theta} omega sum_{k < nu} x^k (1 - omega)^{nu-1-k},
+    x = 1 - omega + e^{-i theta} omega s: no cancellation and no division by s.
+    """
+    a = 1.0 - omega
+    b = omega * np.exp(-1j * np.asarray(theta, dtype=float))
+    x = a + b * s
+    total = np.zeros_like(b)
+    for k in range(nu):
+        total = total * x + a ** k
+    return b * total
+
+
+def _twogrid_radii(ops_fine: LocalOperators, ops_coarse: LocalOperators,
+                   transfers: tuple[np.ndarray, np.ndarray], theta, nu: int,
+                   omega: float) -> np.ndarray:
+    """Spectral radius of ``twogrid_symbol`` at each low frequency in
+    ``theta``, with ``nu`` = nu1 + nu2, from the smoother's rank-two structure.
+
+    With X = Lc(2 theta)^{-1} R Lf, S^{nu2} (I - P X) S^{nu1} has the
+    eigenvalues of (I - P X) T, T = S^{nu1 + nu2} on the pair.  T is
+    A I + U D V^T with A = (1 - omega)^nu, U = diag(u, u), V = diag(v, v)
+    and D = diag(c(theta), c(gamma(theta))) (see :func:`_smoother_weight`).
+    So (I - P X) T = A I + E F with E = [P, (I - P X) U], 2 n_t x (n_t + 2),
+    and F = [-A X; D V^T].  For n_t >= 3 its eigenvalues are A + eig(F E)
+    and A, n_t - 2 times, taken in closed form; for n_t <= 2 the
+    2 n_t x 2 n_t matrix A I + E F is the smaller one.
+    """
+    n_t = ops_fine.n_t
+    u, v = ops_fine.step_inv_start, ops_fine.eval_end
+    a = (1.0 - omega) ** nu
+    pair = np.stack((theta, gamma(theta)))  # (2, ...): theta, then gamma(theta)
+    rhat, phat = transfer_symbols(*transfers, pair)
+    x = np.linalg.solve(symbol_system(ops_coarse, 2.0 * theta),
+                        np.concatenate(rhat @ symbol_system(ops_fine, pair), axis=-1))
+    p = np.concatenate(phat, axis=-2)  # (..., 2 n_t, n_t)
+    blocks_u = np.kron(np.eye(2), u[:, None])  # U, 2 n_t x 2
+    blocks_v = np.kron(np.eye(2), v)  # V^T, 2 x 2 n_t
+    x_u = x @ blocks_u
+    e = np.concatenate((p, blocks_u - p @ x_u), axis=-1)
+    d = np.moveaxis(_smoother_weight(omega, float(v @ u), pair, nu), 0, -1)
+    f = np.concatenate((-a * x, d[..., None] * blocks_v), axis=-2)
+    if n_t >= 3:
+        radii = np.abs(a + np.linalg.eigvals(f @ e)).max(axis=-1)
+        return np.maximum(radii, abs(a))
+    return np.abs(np.linalg.eigvals(a * np.eye(2 * n_t) + e @ f)).max(axis=-1)
+
+
 def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
                 nu1: int = 1, nu2: int = 1, damping="optimal"):
     """Spectral radius of the two-grid symbol at every low frequency.
 
     Returns (low_frequencies, radii); the max of ``radii`` is the predicted
     convergence factor and its argmax locates the worst frequency.  The
-    symbol is built from real blocks, so at -theta it is the complex
+    radii come from an (n_t + 2)-sized eigenproblem per frequency, not from
+    the 2 n_t x 2 n_t ``twogrid_symbol``: the smoother is a rank-one change
+    of (1 - omega) I, so on a harmonic pair the two-grid iteration is a
+    multiple of I plus a rank n_t + 2 product (see :func:`_twogrid_radii`).
+    The symbol is built from real blocks, so at -theta it is the complex
     conjugate of the one at theta and has the same radius: only the
-    frequencies in [0, pi/2] are diagonalized, and their radii are mirrored.
+    frequencies in [0, pi/2] are computed, and their radii are mirrored.
     """
     check_cycle(nu1, nu2, damping)
     if tau < MIN_TAU:
@@ -200,8 +263,7 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     low = frequencies(n_steps).low
     # low is 2 pi k / n for k = 1 - n/4 .. n/4, so its last n/4 + 1 entries
     # are theta >= 0 and the first n/4 - 1 mirror entries n/4 - 1 .. 1 of them
-    symbols = twogrid_symbol(ops_f, ops_c, transfers, low[n_steps // 4 - 1:], nu1, nu2, omega)
-    radii = np.abs(np.linalg.eigvals(symbols)).max(axis=-1)
+    radii = _twogrid_radii(ops_f, ops_c, transfers, low[n_steps // 4 - 1:], nu1 + nu2, omega)
     return low, np.concatenate((radii[-2:0:-1], radii))
 
 
@@ -210,7 +272,8 @@ def predicted_rho(basis: BasisSpec, tau: float, n_steps: int = 1024,
     """Predicted asymptotic two-grid convergence factor.
 
     Maximum over the low frequencies of the spectral radius of the two-grid
-    symbol, with the damping resolved at the fine step size.
+    symbol, with the damping resolved at the fine step size; the radii are
+    :func:`rho_profile`'s, from the (n_t + 2)-sized reduction.
     """
     _, radii = rho_profile(basis, tau, n_steps, nu1, nu2, damping)
     return float(np.max(radii))

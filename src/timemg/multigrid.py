@@ -148,6 +148,9 @@ class CycleConfig:
 # convergent solve (p_t 0-3, tau 1e-6..1e3, damping <= 1.99) exceeds 1
 DIVERGENCE_RATIO = 1e6
 
+# the phases of SolveStats.times
+_PHASES = ("smoothing", "transfer", "coarse", "residual")
+
 
 @dataclasses.dataclass
 class SolveStats:
@@ -169,10 +172,12 @@ class SolveStats:
     and "residual" (the residual norms that decide when to stop: the finest
     residual and its squared norms, fused into each cycle's last pass, and
     their sum).  The phases leave no gaps: they add up to worker 0's time
-    from the change to y to the change back.  ``workers`` is the size of the
-    team that ran: ``config.workers``, or 1 when the finest level is too
-    small to split into two slabs of ``MIN_SLAB`` steps (and of at least
-    max(nu1, nu2) + 1).
+    from the change to y to the change back.  A single level runs no cycle:
+    its exact solve is "coarse" and the norm of its residual "residual".
+    ``workers`` is the size of the team that ran: ``config.workers``, or 1
+    when the finest level is too small to split into two slabs of
+    ``MIN_SLAB`` steps (and of at least max(nu1, nu2) + 1), or is the only
+    level.
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -598,7 +603,7 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     ws = _Workspace(hier.levels, omegas, config.nu1, config.nu2, config.workers, measure=measure)
     ops, y, out = ws.levels[0].ops, ws.y[0], ws.f[0].reshape(u_init.shape)
     barrier = team_barrier(ws.workers)
-    times = dict.fromkeys(("smoothing", "transfer", "coarse", "residual"), 0.0)
+    times = dict.fromkeys(_PHASES, 0.0)
     shared = {"iters": 0, "norms": []}
     floor = 1e-12 * float(np.linalg.norm(f)) if measure else None
 
@@ -642,15 +647,43 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     u = out if shared["iters"] else u_init
     if not measure:
         return u, None
-    norms = shared["norms"]
+    return u, _stats(shared["norms"], shared["iters"], times, config, floor, ws.workers)
+
+
+def _stats(norms: list, iterations: int, times: dict, config: CycleConfig, floor: float,
+           workers: int) -> SolveStats:
+    """The record of a solve whose residual norms were ``norms``, with why it stopped."""
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)
               else "converged" if last <= max(config.eps * norms[0], floor)
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
-    stats = SolveStats(iterations=shared["iters"], residual_norms=norms,
-                       factor=_max_ratio(norms), times=times,
-                       seed=config.seed, workers=ws.workers, status=status)
-    return u, stats
+    return SolveStats(iterations=iterations, residual_norms=norms, factor=_max_ratio(norms),
+                      times=times, seed=config.seed, workers=workers, status=status)
+
+
+def _solve_exactly(level: Level, f, config: CycleConfig):
+    """A single level: ``forward_solve`` ("coarse"), then the residual norm
+    of its u ("residual") with the kernels and per-step squared norms of a
+    cycle's stopping test, so with the same bits, chunk by chunk: beside u
+    it holds one row of per-step sums and a chunk of scratch, no workspace."""
+    times = dict.fromkeys(_PHASES, 0.0)
+    lap = _lap_clock(times)
+    ops, n = level.ops, level.n_steps
+    u = forward_solve(GlobalSystem(ops, n), f)
+    lap("coarse")
+    z = ops.end_step_inv.tolist()
+    steps = min(n, max(2, CHUNK // ops.n_t))
+    y, r, work = np.empty((ops.n_t, steps)), np.empty((ops.n_t, steps)), np.empty((2, steps))
+    sq, before = np.empty(n), None
+    for s in range(0, n, steps):
+        m = min(steps, n - s)
+        block_apply(ops.step_matrix, u[s:s + m].T, y[:, :m], False, work)
+        residual_rows(z, f[s:s + m].T, y[:, :m], before, r[:, :m], work)
+        row_dot(r[:, :m], r[:, :m], sq[s:s + m], work[0, :m])
+        before = y[:, m - 1].tolist()
+    norms = [float(np.sqrt(np.sum(sq)))]
+    lap("residual")
+    return u, _stats(norms, 0, times, config, 1e-12 * float(np.linalg.norm(f)), 1)
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:
@@ -677,9 +710,8 @@ def solve(hier: TimeHierarchy, f, u_init=None,
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
     u_init = block_input("u_init", u_init, shape)
-    if len(hier) == 1:  # solve directly, then measure the residual
-        return _iterate(hier, f, forward_solve(GlobalSystem(finest.ops, finest.n_steps), f),
-                        config, 0)
+    if len(hier) == 1:
+        return _solve_exactly(finest, f, config)
     u, stats = _iterate(hier, f, u_init, config, config.max_iters)
     return (u if stats.iterations else u.copy()), stats
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -62,3 +63,41 @@ def forward_substitution(system, rhs):
     for n in range(1, system.n_steps):
         u[n] = ops.step_inv @ (rhs[n] + ops.eval_start * (ops.eval_end @ u[n - 1]))
     return u
+
+
+def twogrid_radius_mp(ops_fine, ops_coarse, transfers, theta, nu1, nu2, omega, dps=40):
+    """Spectral radius of the two-grid symbol S^{nu2} (I - P Lc^{-1} R Lf) S^{nu1}
+    on the pair (theta, gamma(theta)), evaluated in ``dps``-digit arithmetic
+    from the float64 blocks and vectors that ``fourier.twogrid_symbol`` reads:
+    every phase, product, inverse and eigenvalue is taken in mpmath."""
+    with mpmath.workdps(dps):
+        def mat(a):
+            return mpmath.matrix(np.atleast_2d(a).tolist())
+
+        n_t = ops_fine.n_t
+        r1, r2 = (mat(r) for r in transfers)
+        u, v = mat(ops_fine.step_inv_start).T, mat(ops_fine.eval_end)
+        w = mpmath.mpf(float(omega))
+        t = mpmath.mpf(float(theta))
+        pair = (t, t - mpmath.pi if theta > 0 else t + mpmath.pi)
+        p, r = mpmath.zeros(2 * n_t, n_t), mpmath.zeros(n_t, 2 * n_t)
+        lf, s1, s2 = (mpmath.zeros(2 * n_t, 2 * n_t) for _ in range(3))
+
+        def put(out, block, bi, bj):
+            for i in range(n_t):
+                for j in range(n_t):
+                    out[bi * n_t + i, bj * n_t + j] = block[i, j]
+
+        for k, tk in enumerate(pair):
+            z = mpmath.exp(-1j * tk)
+            smoother = (1 - w) * mpmath.eye(n_t) + z * w * u * v
+            put(p, (z.conjugate() * r1.T + r2.T) / 2, k, 0)
+            put(r, z * r1 + r2, 0, k)
+            put(lf, mat(ops_fine.step_matrix) - z * mat(ops_fine.eval_start).T * v, k, k)
+            put(s1, smoother ** nu1, k, k)
+            put(s2, smoother ** nu2, k, k)
+        z2 = mpmath.exp(-2j * t)
+        lc = mat(ops_coarse.step_matrix) \
+            - z2 * mat(ops_coarse.eval_start).T * mat(ops_coarse.eval_end)
+        m = s2 * (mpmath.eye(2 * n_t) - p * (mpmath.inverse(lc) * (r * lf))) * s1
+        return float(max(abs(x) for x in mpmath.eig(m, left=False, right=False)))

@@ -130,10 +130,11 @@ def test_criterion_9_determinism_under_parallelism():
            f"{'all equal' if ok else 'MISMATCH'}")
 
 
-def test_criterion_10_desk_scale_scaling_trends():
+def test_criterion_10_desk_scale_scaling_trends(host_control):
     # Thresholds assume >= 4 hardware threads; with fewer cores the 4-worker
     # speedup is arithmetically capped below 2.5 and the criterion reports
-    # the honest numbers for this host.
+    # the honest numbers for this host, with a two-thread host control
+    # measured right after them.
     cpus = hardware_threads()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -145,8 +146,10 @@ def test_criterion_10_desk_scale_scaling_trends():
             p_t_list=(0,), tau=1e-6, eps=1e-8, repetitions=3, seed=42))
     speedup4 = [r.scaled for r in strong if r.workers == 4][0]
     ratio8 = [r.scaled for r in weak if r.workers == 8][0]
+    control = host_control()
     ok = speedup4 >= 2.5 and ratio8 <= 3.0
     report(10, "desk-scale scaling trends", ok,
            f"strong speedup at 4 workers {speedup4:.2f} (need >= 2.5), "
            f"weak time ratio at 8 workers {ratio8:.2f} (need <= 3.0), "
-           f"host has {cpus} hardware threads")
+           f"host has {cpus} hardware threads, host control: two GIL-free "
+           f"threads ran {control:.2f}x one")
