@@ -228,8 +228,7 @@ def _twogrid_radii(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     p = np.concatenate(phat, axis=-2)  # (..., 2 n_t, n_t)
     blocks_u = np.kron(np.eye(2), u[:, None])  # U, 2 n_t x 2
     blocks_v = np.kron(np.eye(2), v)  # V^T, 2 x 2 n_t
-    x_u = x @ blocks_u
-    e = np.concatenate((p, blocks_u - p @ x_u), axis=-1)
+    e = np.concatenate((p, blocks_u - p @ (x @ blocks_u)), axis=-1)
     d = np.moveaxis(_smoother_weight(omega, float(v @ u), pair, nu), 0, -1)
     f = np.concatenate((-a * x, d[..., None] * blocks_v), axis=-2)
     if n_t >= 3:
