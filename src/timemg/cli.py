@@ -120,7 +120,7 @@ def _tau_grid(args) -> np.ndarray:
 # outside its +-theta pair by at least PEAK_MARGIN times the peak, else null:
 # on analyze's default grid, the radii near a flat peak moved by up to 16 eps
 # of the peak when the same symbols were diagonalized as transposes, enough
-# to move the argmax, while every clear peak stood at least 290 eps above the rest
+# to move the argmax, while every clear peak stood at least 288 eps above the rest
 PEAK_MARGIN = 64 * np.finfo(float).eps
 
 

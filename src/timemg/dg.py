@@ -476,6 +476,12 @@ def scan_rows(z, rhs, y, work, a: int, b: int,
         np.add(rhs[0, a + 1:b], w[a:b - 1], out=y[0, a + 1:b])
 
 
+# steps per chunk of forward_solve's change to u: its two scratch rows
+# stay small beside y, u and the scan's work arrays (2.5 finest block
+# vectors at p_t = 3, not 3.0 with full-length rows)
+_CONVERT_STEPS = 1 << 12
+
+
 def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the system exactly with the blocked scan of :func:`scan_rows`
     and one step of iterative refinement in working precision (Skeel 1980,
@@ -495,14 +501,15 @@ def forward_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     rhs = block_input("rhs", rhs, (system.n_steps, system.ops.n_t))
     n, z = system.n_steps, system.ops.end_step_inv
     y, work, res = np.empty(rhs.shape[::-1]), scan_buffer(n), np.empty((1, n))
-    rows = np.empty((2, n))
     scan_rows(z, rhs.T, y, work, 0, n)
-    residual_rows(z, rhs.T, y, None, res, rows)
+    residual_rows(z, rhs.T, y, None, res, np.empty((2, n)))
     scan_rows(z[:1], res, res, work, 0, n)
     y[0] += res[0]
-    del work, res  # before u, so that the peak is y, u and the two rows
     u = np.empty_like(rhs)
-    block_apply(system.ops.step_inv, y, u.T, add=False, work=rows)
+    rows = np.empty((2, min(n, _CONVERT_STEPS)))
+    for s in range(0, n, _CONVERT_STEPS):
+        block_apply(system.ops.step_inv, y[:, s:s + _CONVERT_STEPS], u[s:s + _CONVERT_STEPS].T,
+                    False, rows)
     return u
 
 

@@ -63,7 +63,8 @@ def host_control():
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
             ratios.append(one / (time.perf_counter() - t0))
         return statistics.median(ratios)
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import forward_substitution, pade_exp_eval
+from timemg import dg
 from timemg.dense import dense_system
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_derivatives, basis_values, build_transfers, forward_solve,
@@ -341,6 +342,18 @@ class TestForwardSolve:
         res, loop_res = (np.linalg.norm(rhs - apply_global(sys, x)) / np.linalg.norm(rhs)
                          for x in (u, loop))
         assert res <= 2.0 * loop_res or res < 1e-15
+
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    @pytest.mark.parametrize("steps", [1, 7, 64, 333])
+    def test_change_to_u_independent_of_chunk(self, p_t, steps, monkeypatch):
+        # the change back to u runs in chunks of steps; any chunk length,
+        # with a partial last chunk, gives the bits of one chunk
+        basis, n, tau = BasisSpec(p_t), 333, 1e-2
+        sys = GlobalSystem(assemble_local(basis, tau), n)
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        want = forward_solve(sys, rhs)
+        monkeypatch.setattr(dg, "_CONVERT_STEPS", steps)
+        assert np.array_equal(forward_solve(sys, rhs), want)
 
     def test_endpoint_order_p2(self):
         # endpoint error decays at order 2 p_t + 1 = 5 under step halving

@@ -636,8 +636,9 @@ class TestWorkspaceMemory:
         # scratch per worker.  Measured: 3.44/3.63 block vectors (two-grid,
         # 1/2 workers) and 4.46/4.65 (V-cycle); with a level-size g, a
         # separate coarsest rhs and a separate result, 5.94 and 7.46.  A
-        # single level is forward_solve and a chunkwise residual norm:
-        # forward_solve's own peak; 5.1 with a whole workspace for the norm
+        # single level is forward_solve and a chunkwise residual norm, 2.52:
+        # forward_solve's own peak; 3.69 with a whole workspace for the norm
+        # and forward_solve's change to u in one full-length pass
         basis, tau, n = BasisSpec(3), 1e-6, 1 << 17
         hier = TimeHierarchy.build(basis, tau, n, n_levels=levels)
         f = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
