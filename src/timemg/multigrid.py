@@ -672,7 +672,7 @@ def _solve_exactly(level: Level, f, config: CycleConfig):
     u = forward_solve(GlobalSystem(ops, n), f)
     lap("coarse")
     z = ops.end_step_inv.tolist()
-    steps = min(n, max(2, CHUNK // ops.n_t))
+    steps = min(n, CHUNK // ops.n_t)
     y, r, work = np.empty((ops.n_t, steps)), np.empty((ops.n_t, steps)), np.empty((2, steps))
     sq, before = np.empty(n), None
     for s in range(0, n, steps):

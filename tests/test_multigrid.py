@@ -469,6 +469,22 @@ class TestSolve:
         assert 0.0 < stats.residual_norms[0] <= 1e-14 * np.linalg.norm(rhs)
         assert abs(stats.residual_norms[0] - want) <= 1e-15 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_single_level_norm_is_the_cycles(self, p_t, monkeypatch):
+        # a single level measures its residual chunk by chunk with the
+        # cycle's kernels: chunks of 7 and 64 steps (partial last chunks)
+        # give the bits of one chunk, and of the first norm of a two-level
+        # solve started from the same u
+        basis, n, tau = BasisSpec(p_t), 320, 0.1
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        single = TimeHierarchy.build(basis, tau, n, n_levels=1)
+        u, stats = solve(single, rhs)
+        _, cycled = solve(TimeHierarchy.build(basis, tau, n), rhs, u_init=u)
+        assert cycled.residual_norms[0] == stats.residual_norms[0]
+        for steps in (7, 64):
+            monkeypatch.setattr(multigrid, "CHUNK", steps * basis.n_t)
+            assert solve(single, rhs)[1].residual_norms == stats.residual_norms
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("p_t", [0, 1, 3])
     def test_no_cycle_returns_input_bits(self, p_t, workers):
