@@ -707,11 +707,12 @@ def solve(hier: TimeHierarchy, f, u_init=None,
     finest = hier.finest
     shape = (finest.n_steps, finest.ops.n_t)
     f = block_input("f", f, shape)
+    if u_init is not None:
+        u_init = block_input("u_init", u_init, shape)
+    if len(hier) == 1:  # the guess is checked but not used
+        return _solve_exactly(finest, f, config)
     if u_init is None:
         u_init = random_initial_guess(hier, config.seed)
-    u_init = block_input("u_init", u_init, shape)
-    if len(hier) == 1:
-        return _solve_exactly(finest, f, config)
     u, stats = _iterate(hier, f, u_init, config, config.max_iters)
     return (u if stats.iterations else u.copy()), stats
 
