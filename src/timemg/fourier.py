@@ -7,7 +7,7 @@ problem it predicts the asymptotic behavior of the actual cycles.
 The damped block Jacobi smoother is a rank-one change of (1 - omega) I, so
 on a harmonic pair the two-grid iteration has the spectrum of a multiple of
 I plus a product of rank n_t + 2.  ``rho_profile`` (and so ``predicted_rho``)
-takes its radii from that (n_t + 2)-sized eigenproblem per frequency;
+takes its radii from an eigenproblem of size min(n_t + 2, 2 n_t) per frequency;
 ``twogrid_symbol`` builds the full 2 n_t x 2 n_t symbol, the reference that
 the dense periodic operators are checked against.
 """
@@ -243,10 +243,11 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
 
     Returns (low_frequencies, radii); the max of ``radii`` is the predicted
     convergence factor and its argmax locates the worst frequency.  The
-    radii come from an (n_t + 2)-sized eigenproblem per frequency, not from
-    the 2 n_t x 2 n_t ``twogrid_symbol``: the smoother is a rank-one change
-    of (1 - omega) I, so on a harmonic pair the two-grid iteration is a
-    multiple of I plus a rank n_t + 2 product (see :func:`_twogrid_radii`).
+    radii come from an eigenproblem of size min(n_t + 2, 2 n_t) per
+    frequency, not from the 2 n_t x 2 n_t ``twogrid_symbol``: the smoother
+    is a rank-one change of (1 - omega) I, so on a harmonic pair the
+    two-grid iteration is a multiple of I plus a rank n_t + 2 product (see
+    :func:`_twogrid_radii`).
     The symbol is built from real blocks, so at -theta it is the complex
     conjugate of the one at theta and has the same radius: only the
     frequencies in [0, pi/2] are computed, and their radii are mirrored.
@@ -272,7 +273,7 @@ def predicted_rho(basis: BasisSpec, tau: float, n_steps: int = 1024,
 
     Maximum over the low frequencies of the spectral radius of the two-grid
     symbol, with the damping resolved at the fine step size; the radii are
-    :func:`rho_profile`'s, from the (n_t + 2)-sized reduction.
+    :func:`rho_profile`'s, from the rank-two reduction.
     """
     _, radii = rho_profile(basis, tau, n_steps, nu1, nu2, damping)
     return float(np.max(radii))
