@@ -27,13 +27,28 @@ class Result(NamedTuple):
 
 
 def closed_form_rho(taus) -> list:
-    """Degree-0 predicted factor vs 1/(2 + 2 tau + tau^2); value: relative deviation."""
+    """Degree-0 predicted factors at the optimal damping against their closed
+    forms, per step size: nu 1/1 against 1/(2 + 2 tau + tau^2), then one
+    sweep (nu 1/0) against tau/(2 + 2 tau + tau^2); value: relative deviation.
+
+    The one-sweep form: at p_t = 0, with q = 1 + tau and z = e^{-i theta},
+    the symbols on the pair {theta, gamma(theta)} are L = q -/+ z,
+    S = 1 - omega +/- omega z / q, R = 1 +/- z and P = (1 +/- 1/z) / 2, and
+    Lc = 2 q - 1 - z^2 = R L P.  So K = I - P Lc^{-1} R L is a rank-one
+    projection, and K S has the one nonzero eigenvalue tr(K S).  At
+    omega = q^2 / (1 + q^2) that is
+    -tau^2 (1 + z^2) / ((1 + q^2) (2 q - 1 - z^2)), whose modulus grows
+    with cos 2 theta, so it peaks at theta = 0, a frequency of every grid,
+    at tau / (1 + q^2) = tau / (2 + 2 tau + tau^2).
+    """
     results = []
     for tau in taus:
-        got = predicted_rho(BasisSpec(0), tau, 1024, 1, 1, "optimal")
-        want = 1.0 / (2.0 + 2.0 * tau + tau * tau)
-        results.append(Result(f"closed-form rho p_t=0 tau={tau}", abs(got - want) / want,
-                              abs(got - want) <= 1e-9 * want, f"{got:.6e} vs {want:.6e}"))
+        for nu2, want in ((1, 1.0 / (2.0 + 2.0 * tau + tau * tau)),
+                          (0, tau / (2.0 + 2.0 * tau + tau * tau))):
+            got = predicted_rho(BasisSpec(0), tau, 1024, 1, nu2, "optimal")
+            results.append(Result(f"closed-form rho p_t=0 nu=1/{nu2} tau={tau}",
+                                  abs(got - want) / want, abs(got - want) <= 1e-9 * want,
+                                  f"{got:.6e} vs {want:.6e}"))
     return results
 
 

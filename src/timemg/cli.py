@@ -213,7 +213,11 @@ def cmd_solve(args) -> int:
     _write_rows(res_path, [{"iteration": k, "residual_norm": r}
                            for k, r in enumerate(stats.residual_norms)], "csv")
     factor = f"{stats.factor:.6e}" if len(stats.residual_norms) > 1 else "not measured"
-    print(f"measured convergence factor: {factor}")
+    cycle = ("no cycle: exact solve" if stats.nu1 is None
+             else f"cycle nu1={stats.nu1} nu2={stats.nu2} omega={stats.omega:.6g}")
+    if stats.predicted_factor is not None:
+        cycle += f", chosen for its predicted factor {stats.predicted_factor:.6e}"
+    print(f"measured convergence factor: {factor} ({cycle})")
     print(f"wrote {sol_path}, {stats_path} and {res_path}")
 
     if args.compare_sequential:
@@ -285,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("analyze", help="tabulate predicted convergence factors")
     p.add_argument("--pt", type=int, default=0)
     p.add_argument("--nu1", type=int, default=1, help="pre-sweeps, default 1: nu 1/1 gives the "
-                   "closed form 1/(2 + 2 tau + tau^2) at p_t 0; solve defaults to 2/2")
+                   "closed form 1/(2 + 2 tau + tau^2) at p_t 0; solve chooses its two-grid "
+                   "cycle by this prediction, and runs a V-cycle at 2/2")
     p.add_argument("--nu2", type=int, default=1, help="post-sweeps, default 1 (see --nu1)")
     p.add_argument("--omega", type=_parse_omega, default="optimal")
     p.add_argument("--steps", type=int, default=1024)
@@ -308,9 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", type=float, default=1.0)
     p.add_argument("--f", choices=("zero", "const", "poly", "sin"), default="zero")
     p.add_argument("--f-param", type=float, default=1.0)
-    p.add_argument("--nu1", type=int, default=CycleConfig.nu1)
-    p.add_argument("--nu2", type=int, default=CycleConfig.nu2)
-    p.add_argument("--omega", type=_parse_omega, default=CycleConfig.damping)
+    p.add_argument("--nu1", type=int, default=CycleConfig.nu1, help="pre-sweeps (see --omega)")
+    p.add_argument("--nu2", type=int, default=CycleConfig.nu2, help="post-sweeps (see --omega)")
+    p.add_argument("--omega", type=_parse_omega, default=CycleConfig.damping,
+                   help="damping, 'optimal' or a number in (0, 2); unless --nu1, --nu2 or "
+                   "--omega is given, a two-level solve chooses all three by their predicted "
+                   "cost and a deeper one runs 2/2 at 'optimal'; the ones not given default "
+                   "to 2, 2 and 'optimal'")
     p.add_argument("--levels", type=_parse_levels,
                    default=inspect.signature(TimeHierarchy.build).parameters["n_levels"].default)
     p.add_argument("--eps", type=float, default=CycleConfig.eps)

@@ -36,6 +36,7 @@ from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_
                  block_input, build_transfers, check_count, check_step_size, col_dot,
                  coupling_row, forward_solve, residual_rows, row_dot, scan_block, scan_buffer,
                  scan_rows)
+from .fourier import MIN_TAU, cycle_factors
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, check_cycle, check_damping, resolve_damping
 
@@ -111,9 +112,22 @@ class TimeHierarchy:
         return cls(basis, levels)
 
 
+# the cycle (nu1, nu2, damping) of a V-cycle, and of a config that sets any of the three
+DEFAULT_CYCLE = (2, 2, "optimal")
+
+
 @dataclasses.dataclass
 class CycleConfig:
     """Solver parameters.
+
+    ``nu1``, ``nu2`` and ``damping`` are the cycle.  Left unset (None, the
+    default), all three are chosen when a solve starts: on a two-level
+    hierarchy by :func:`choose_cycle`, from the two-grid prediction at the
+    finest step size and ``eps``; on a deeper one they are
+    ``DEFAULT_CYCLE``, (2, 2, "optimal"), since no prediction covers the
+    V-cycle and one sweep stalls it (factor 0.974 at p_t = 0, tau = 1e-6).
+    A config that sets any of the three is given ``DEFAULT_CYCLE``'s values
+    for the others when it is made.
 
     ``damping`` is "optimal" (recomputed per level from the level step size)
     or a fixed value in (0, 2).  The hierarchy sets the cycle depth.  A deep
@@ -126,22 +140,75 @@ class CycleConfig:
     when the config is made (the cycle by ``check_cycle``), by name.
     """
 
-    nu1: int = 2
-    nu2: int = 2
-    damping: object = "optimal"
+    nu1: Optional[int] = None
+    nu2: Optional[int] = None
+    damping: object = None
     eps: float = 1e-8
     max_iters: int = 250
     seed: int = 42
     workers: int = 1
 
     def __post_init__(self):
-        check_cycle(self.nu1, self.nu2, self.damping)
+        cycle = ("nu1", "nu2", "damping")
+        if any(getattr(self, name) is not None for name in cycle):
+            for name, default in zip(cycle, DEFAULT_CYCLE):
+                if getattr(self, name) is None:
+                    setattr(self, name, default)
+            check_cycle(self.nu1, self.nu2, self.damping)
+            if self.nu1 + self.nu2 < 1:
+                raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
         for name, low in (("max_iters", 1), ("seed", 0), ("workers", 1)):
             check_count(name, getattr(self, name), low)
-        if self.nu1 + self.nu2 < 1:
-            raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+
+
+# the cycles choose_cycle weighs: nu = 1-4 sweeps, split as (ceil(nu/2), floor(nu/2)),
+# each at every damping here
+CHOICE_DAMPINGS = ("optimal", 0.75, 1.0)
+
+# the part of a two-grid cycle that runs no sweep (residual, transfers, exact
+# coarse solve, stopping test), in sweeps: at n = 2^17, tau = 1e-6 a cycle took
+# 6.7 ms plus 0.8 ms per sweep at p_t = 3, and 2.0 plus 0.2 ms at p_t = 0, on one
+# worker of a 2-vCPU host; any value from 2 to 59 gives the same choices there
+FIXED_SWEEPS = 8
+
+
+def choose_cycle(basis: BasisSpec, tau: float, eps: float):
+    """The two-grid cycle that the prediction says reaches ``eps`` at the
+    least cost, as (nu1, nu2, damping, predicted factor).
+
+    Each candidate of nu = nu1 + nu2 sweeps with predicted factor rho
+    (``fourier.cycle_factors`` at ``tau``, or at ``MIN_TAU`` below it, where
+    the predictions have stopped moving) costs ceil(log eps / log rho)
+    cycles of ``FIXED_SWEEPS`` + nu sweeps each.  Ties go to fewer sweeps,
+    then to the earlier candidate (nu ascending, dampings in the order of
+    ``CHOICE_DAMPINGS``).  At tau = 1e-6, eps = 1e-8 it picks one sweep at
+    the optimal damping for p_t = 0 (factor 5e-7) and (2, 1) at 0.75 for
+    p_t 1 and 3 (0.0547), against 0.288 and 0.114 for ``DEFAULT_CYCLE``.
+    """
+    candidates = [(nu, damping) for nu in range(1, 5) for damping in CHOICE_DAMPINGS]
+    factors = cycle_factors(basis, max(tau, MIN_TAU), candidates)
+
+    def cost(k):
+        rho, nu = float(factors[k]), candidates[k][0]
+        cycles = (math.inf if not rho < 1.0 else 1 if rho == 0.0
+                  else math.ceil(math.log(eps) / math.log(rho)))
+        return cycles * (FIXED_SWEEPS + nu), nu, k
+
+    k = min(range(len(candidates)), key=cost)
+    nu, damping = candidates[k]
+    return -(-nu // 2), nu // 2, damping, float(factors[k])
+
+
+def _resolve_cycle(hier: TimeHierarchy, config: CycleConfig):
+    """The cycle (nu1, nu2, damping) a solve on ``hier`` runs, and the
+    predicted factor when :func:`choose_cycle` chose it, else None."""
+    if config.nu1 is not None:
+        return config.nu1, config.nu2, config.damping, None
+    if len(hier) == 2:
+        return choose_cycle(hier.basis, hier.finest.tau, config.eps)
+    return DEFAULT_CYCLE + (None,)
 
 
 # residual growth over the initial residual that stops a solve as diverged; no
@@ -177,7 +244,10 @@ class SolveStats:
     ``workers`` is the size of the team that ran: ``config.workers``, or 1
     when the finest level is too small to split into two slabs of
     ``MIN_SLAB`` steps (and of at least max(nu1, nu2) + 1), or is the only
-    level.
+    level.  ``nu1``, ``nu2`` and ``omega`` (the finest level's damping) are
+    the cycle that ran, all None for a single level, which runs none;
+    ``predicted_factor`` is :func:`choose_cycle`'s prediction when it chose
+    the cycle, else None.
 
     The constructor still takes ``converged`` so that
     ``dataclasses.replace(stats, converged=False)`` marks a record as not
@@ -190,6 +260,10 @@ class SolveStats:
     seed: int
     workers: int
     status: str
+    nu1: Optional[int] = None
+    nu2: Optional[int] = None
+    omega: Optional[float] = None
+    predicted_factor: Optional[float] = None
     converged: dataclasses.InitVar[Optional[bool]] = None
 
     def __post_init__(self, converged):
@@ -202,7 +276,8 @@ class SolveStats:
         return {"iterations": self.iterations, "residual_norms": list(self.residual_norms),
                 "factor": self.factor, "times": dict(self.times),
                 "converged": self.converged, "seed": self.seed,
-                "workers": self.workers, "status": self.status}
+                "workers": self.workers, "status": self.status, "nu1": self.nu1,
+                "nu2": self.nu2, "omega": self.omega, "predicted_factor": self.predicted_factor}
 
 
 # set after the class body, where it would become the default of the InitVar
@@ -597,15 +672,17 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     An absolute floor of 1e-12 * ||f|| accepts inputs that are already solved
     to machine precision without running any cycle.  Without ``measure``
     (the public cycles) it computes no residual norm, runs exactly
-    ``max_iters`` cycles and returns None for the stats.
+    ``max_iters`` cycles and returns None for the stats.  The cycle is
+    resolved first (see :func:`_resolve_cycle`), inside the call's time.
     """
-    omegas = [resolve_damping(config.damping, alpha(hier.basis, lev.tau)) for lev in hier.levels]
-    ws = _Workspace(hier.levels, omegas, config.nu1, config.nu2, config.workers, measure=measure)
+    nu1, nu2, damping, predicted = _resolve_cycle(hier, config)
+    omegas = [resolve_damping(damping, alpha(hier.basis, lev.tau)) for lev in hier.levels]
+    ws = _Workspace(hier.levels, omegas, nu1, nu2, config.workers, measure=measure)
     ops, y, out = ws.levels[0].ops, ws.y[0], ws.f[0].reshape(u_init.shape)
     barrier = team_barrier(ws.workers)
     times = dict.fromkeys(_PHASES, 0.0)
     shared = {"iters": 0, "norms": []}
-    floor = 1e-12 * float(np.linalg.norm(f)) if measure else None
+    floor = _floor(f) if measure else None
 
     def norm(wid, lap):
         """The residual norm from ws.sq; pass B rewrites ws.sq only after a
@@ -647,18 +724,29 @@ def _iterate(hier: TimeHierarchy, f, u_init, config: CycleConfig, max_iters: int
     u = out if shared["iters"] else u_init
     if not measure:
         return u, None
-    return u, _stats(shared["norms"], shared["iters"], times, config, floor, ws.workers)
+    return u, _stats(shared["norms"], shared["iters"], times, config, floor, ws.workers,
+                     nu1=nu1, nu2=nu2, omega=omegas[0], predicted_factor=predicted)
+
+
+def _floor(f) -> float:
+    """1e-12 ||f||, the residual a solve accepts as solved whatever eps is.
+    The sum is einsum's, not a BLAS dot: a threaded BLAS keeps its threads
+    spinning for about 0.1 s after a call this long, on the cores the worker
+    team is about to use (2^20 steps, p_t = 0, 2-vCPU host: a two-worker
+    solve of 2 cycles ran 0.9x one worker's speed, and 1.7x with the einsum)."""
+    return 1e-12 * math.sqrt(float(np.einsum("ij,ij->", f, f)))
 
 
 def _stats(norms: list, iterations: int, times: dict, config: CycleConfig, floor: float,
-           workers: int) -> SolveStats:
-    """The record of a solve whose residual norms were ``norms``, with why it stopped."""
+           workers: int, **cycle) -> SolveStats:
+    """The record of a solve whose residual norms were ``norms``, with why
+    it stopped, and the ``cycle`` fields of :class:`SolveStats`."""
     last = norms[-1]
     status = ("non_finite" if not math.isfinite(last)
               else "converged" if last <= max(config.eps * norms[0], floor)
               else "diverged" if last > DIVERGENCE_RATIO * norms[0] else "max_iters")
     return SolveStats(iterations=iterations, residual_norms=norms, factor=_max_ratio(norms),
-                      times=times, seed=config.seed, workers=workers, status=status)
+                      times=times, seed=config.seed, workers=workers, status=status, **cycle)
 
 
 def _solve_exactly(level: Level, f, config: CycleConfig):
@@ -683,7 +771,7 @@ def _solve_exactly(level: Level, f, config: CycleConfig):
         before = y[:, m - 1].tolist()
     norms = [float(np.sqrt(np.sum(sq)))]
     lap("residual")
-    return u, _stats(norms, 0, times, config, 1e-12 * float(np.linalg.norm(f)), 1)
+    return u, _stats(norms, 0, times, config, _floor(f), 1)
 
 
 def random_initial_guess(hier: TimeHierarchy, seed: int) -> np.ndarray:

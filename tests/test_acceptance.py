@@ -30,7 +30,7 @@ def test_criterion_1_closed_form_two_grid_factor():
     results = closed_form_rho((1e-3, 1e-1, 1.0, 10.0, 1e3))
     worst = max(r.value for r in results)
     report(1, "closed-form two-grid factor", all(r.ok for r in results),
-           f"max relative deviation {worst:.2e} over 5 step sizes")
+           f"max relative deviation {worst:.2e} over 5 step sizes, nu 1/1 and 1/0")
 
 
 def test_criterion_2_theory_practice_agreement():

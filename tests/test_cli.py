@@ -193,7 +193,7 @@ class TestSolve:
     def test_nonconvergence_exit_code_still_writes(self, tmp_path):
         code = main(["solve", "--pt", "0", "--steps", "64", "--tau", "1e-6",
                      "--eps", "1e-14", "--max-iters", "1", "--f", "const",
-                     "--out", str(tmp_path)])
+                     "--nu1", "2", "--nu2", "2", "--out", str(tmp_path)])
         assert code == 3
         assert (tmp_path / "solve_stats.json").exists()
         assert json.loads((tmp_path / "solve_stats.json").read_text())["converged"] is False

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 import sys
 import threading
@@ -14,12 +15,12 @@ from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_values, build_transfers, forward_solve, rhs_moments)
-from timemg.fourier import predicted_rho
-from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep,
+from timemg.fourier import MIN_TAU, cycle_factors, predicted_rho
+from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep, choose_cycle,
                               measure_convergence_factor, random_initial_guess,
                               solve, two_grid_cycle, v_cycle)
 from timemg.parallel import run_team, team_barrier
-from timemg.smoothing import alpha, optimal_omega
+from timemg.smoothing import alpha, optimal_omega, resolve_damping
 
 
 class TestTransfers:
@@ -132,12 +133,27 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             CycleConfig(max_iters=0)
 
-    @pytest.mark.parametrize("field", ["nu1", "nu2", "max_iters", "workers", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, np.float64(2.0)],
-                             ids=["float", "whole-float", "bool", "str", "none", "np-float"])
+    # None is nu1's and nu2's default: the cycle is then chosen (see below)
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{vid}-{field}")
+        for vid, value in [("float", 2.5), ("whole-float", 2.0), ("bool", True), ("str", "2"),
+                           ("none", None), ("np-float", np.float64(2.0))]
+        for field in ["nu1", "nu2", "max_iters", "workers", "seed"]
+        if not (value is None and field in ("nu1", "nu2"))])
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             CycleConfig(**{field: value})
+
+    @pytest.mark.parametrize("given, cycle", [
+        ({}, (None, None, None)), ({"nu1": 1}, (1, 2, "optimal")),
+        ({"nu2": 0}, (2, 0, "optimal")), ({"damping": 0.7}, (2, 2, 0.7)),
+        ({"nu1": 3, "nu2": 1, "damping": 1.0}, (3, 1, 1.0))])
+    def test_config_cycle_is_chosen_or_set_whole(self, given, cycle):
+        # unset, the three are chosen together at the solve; set in part,
+        # the rest take DEFAULT_CYCLE's values when the config is made
+        config = CycleConfig(**given)
+        assert (config.nu1, config.nu2, config.damping) == cycle
+        assert dataclasses.replace(config, workers=2).damping == cycle[2]
 
     @pytest.mark.parametrize("field, value", [
         ("nu1", -1), ("nu2", -1), ("max_iters", 0), ("seed", -1), ("workers", 0)])
@@ -331,7 +347,8 @@ class TestSolve:
     def test_nonconvergence_flagged_not_raised(self):
         hier = TimeHierarchy.build(BasisSpec(0), 1e-4, 64)
         f = np.zeros((64, 1))
-        u, stats = solve(hier, f, config=CycleConfig(eps=1e-12, max_iters=2, seed=0))
+        u, stats = solve(hier, f, config=CycleConfig(nu1=2, nu2=2, eps=1e-12, max_iters=2,
+                                                     seed=0))
         assert not stats.converged and stats.status == "max_iters"
         assert stats.iterations == 2
 
@@ -360,7 +377,8 @@ class TestSolve:
         _, stats = solve(hier, f, config=CycleConfig(eps=1e-6, seed=0))
         d = stats.to_dict()
         assert list(d) == ["iterations", "residual_norms", "factor", "times",
-                           "converged", "seed", "workers", "status"]
+                           "converged", "seed", "workers", "status", "nu1", "nu2", "omega",
+                           "predicted_factor"]
         assert d["status"] == "converged" and d["converged"] is True
         assert set(d["times"]) == {"smoothing", "transfer", "coarse", "residual"}
 
@@ -700,7 +718,7 @@ class TestFusedPasses:
         rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
         guess = random_initial_guess(hier, 3)
         monkeypatch.setattr(multigrid, "MIN_SLAB", 16)
-        config = CycleConfig(eps=1e-10, max_iters=6)
+        config = CycleConfig(nu1=2, nu2=2, eps=1e-10, max_iters=6)
         want, _ = solve(hier, rhs, guess, config)
         monkeypatch.setattr(multigrid, "_chunk_steps", lambda n_t: 16)
         got = []
@@ -758,15 +776,71 @@ class TestSolveLargeScale:
 
 
 class TestReadmeIterations:
-    @pytest.mark.parametrize("p_t, iterations", [(0, 14), (1, 8), (3, 8)])
+    @pytest.mark.parametrize("p_t, iterations", [(0, 2), (1, 7), (3, 7)])
     def test_two_grid_iterations_on_benchmark_problem(self, p_t, iterations):
         # README's two-grid counts on the benchmark's problem: n = 2^17,
-        # tau = 1e-6, eps = 1e-8, f = sin 2t, u0 = 1, the default guess
+        # tau = 1e-6, eps = 1e-8, f = sin 2t, u0 = 1, the default guess and
+        # the chosen cycle (14/8/8 at nu 2/2 and the optimal damping)
         basis, tau, n = BasisSpec(p_t), 1e-6, 1 << 17
         hier = TimeHierarchy.build(basis, tau, n)
         rhs = rhs_moments(lambda t: np.sin(2.0 * t), basis, tau, n, u0=1.0)
         _, stats = solve(hier, rhs, config=CycleConfig(eps=1e-8))
         assert stats.converged and stats.iterations == iterations
+
+
+def _predicted_cost(basis, tau, eps, nu, damping):
+    # choose_cycle's cost: predicted cycles to reach eps times sweeps per cycle
+    rho = float(cycle_factors(basis, tau, [(nu, damping)])[0])
+    return math.ceil(math.log(eps) / math.log(rho)) * (multigrid.FIXED_SWEEPS + nu)
+
+
+class TestChooseCycle:
+    @pytest.mark.parametrize("p_t, cycle, factor", [
+        (0, (1, 0, "optimal"), 5e-7), (1, (2, 1, 0.75), 0.0547), (3, (2, 1, 0.75), 0.0547)])
+    def test_picks_on_benchmark_problem(self, p_t, cycle, factor):
+        # at tau = 1e-6, eps = 1e-8: one sweep at p_t = 0, (2, 1) at 0.75
+        # for p_t >= 1, each predicted to cost no more than DEFAULT_CYCLE
+        basis, tau, eps = BasisSpec(p_t), 1e-6, 1e-8
+        nu1, nu2, damping, predicted = choose_cycle(basis, tau, eps)
+        assert (nu1, nu2, damping) == cycle
+        assert predicted == pytest.approx(factor, rel=1e-3)
+        assert (_predicted_cost(basis, tau, eps, nu1 + nu2, damping)
+                <= _predicted_cost(basis, tau, eps, 4, "optimal"))
+
+    def test_choice_below_the_analyzer_floor(self):
+        # the analyzer refuses tau < MIN_TAU; the choice is made there instead
+        basis = BasisSpec(1)
+        assert choose_cycle(basis, 1e-16, 1e-8) == choose_cycle(basis, MIN_TAU, 1e-8)
+
+    @pytest.mark.parametrize("p_t", [0, 1, 3])
+    def test_solve_records_the_cycle_it_ran(self, p_t):
+        # the chosen cycle on two levels, DEFAULT_CYCLE on more, none on one;
+        # the public cycles and the factor measurement resolve it alike
+        basis, tau, n = BasisSpec(p_t), 1e-6, 256
+        rhs = rhs_moments(np.cos, basis, tau, n, u0=1.0)
+        nu1, nu2, damping, predicted = choose_cycle(basis, tau, 1e-8)
+        omega = resolve_damping(damping, alpha(basis, tau))
+        hier = TimeHierarchy.build(basis, tau, n)
+        chosen = CycleConfig(nu1=nu1, nu2=nu2, damping=damping)
+        u, stats = solve(hier, rhs)
+        assert (stats.nu1, stats.nu2, stats.omega, stats.predicted_factor) == (
+            nu1, nu2, omega, predicted)
+        assert u.tobytes() == solve(hier, rhs, config=chosen)[0].tobytes()
+        guess = random_initial_guess(hier, 3)
+        for cycle in (v_cycle, lambda h, u, f, c=None: two_grid_cycle(h, 0, u, f, c)):
+            assert cycle(hier, guess, rhs).tobytes() == cycle(hier, guess, rhs, chosen).tobytes()
+        eps = CycleConfig(eps=1e-30)
+        assert (measure_convergence_factor(hier, eps) == measure_convergence_factor(
+            hier, dataclasses.replace(eps, **dict(zip(("nu1", "nu2", "damping"),
+                                                      choose_cycle(basis, tau, 1e-30)[:3])))))
+        deep = TimeHierarchy.build(basis, tau, n, n_levels="max")
+        _, stats = solve(deep, rhs)
+        assert (stats.nu1, stats.nu2, stats.predicted_factor) == (2, 2, None)
+        assert stats.omega == optimal_omega(alpha(basis, tau))
+        _, stats = solve(TimeHierarchy.build(basis, tau, n, n_levels=1), rhs)
+        assert (stats.nu1, stats.nu2, stats.omega, stats.predicted_factor) == (None,) * 4
+        _, stats = solve(hier, rhs, config=CycleConfig(nu1=1))
+        assert (stats.nu1, stats.nu2, stats.predicted_factor) == (1, 2, None)
 
 
 class TestMeasuredVersusPredicted:
