@@ -149,11 +149,10 @@ class CycleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        cycle = ("nu1", "nu2", "damping")
-        if any(getattr(self, name) is not None for name in cycle):
-            for name, default in zip(cycle, DEFAULT_CYCLE):
-                if getattr(self, name) is None:
-                    setattr(self, name, default)
+        given = (self.nu1, self.nu2, self.damping)
+        if any(value is not None for value in given):
+            self.nu1, self.nu2, self.damping = (default if value is None else value
+                                                for value, default in zip(given, DEFAULT_CYCLE))
             check_cycle(self.nu1, self.nu2, self.damping)
             if self.nu1 + self.nu2 < 1:
                 raise ValueError(f"need nu1 + nu2 >= 1, got {self.nu1}, {self.nu2}")
