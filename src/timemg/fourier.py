@@ -19,8 +19,7 @@ import dataclasses
 import numpy as np
 
 from .dg import BasisSpec, LocalOperators, assemble_local, build_transfers, check_count
-from .smoothing import (alpha, check_cycle, check_damping, resolve_damping,
-                        smoothing_symbol_modulus)
+from .smoothing import alpha, check_cycle, resolve_damping, smoothing_symbol_modulus
 
 _BOUNDARY_TOL = 1e-12
 
@@ -187,29 +186,36 @@ def twogrid_symbol(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     return post_correction @ blocks
 
 
-def _smoother_weight(omega: float, s: float, theta, nu: int) -> np.ndarray:
+def _smoother_weight(omega, s: float, theta, nu) -> np.ndarray:
     """c(theta) in S(theta)^nu = (1 - omega)^nu I + c(theta) outer(u, v), with
     u = ``step_inv_start``, v = ``eval_end`` and s = v . u.
 
     c = ((1 - omega + e^{-i theta} omega s)^nu - (1 - omega)^nu) / s, taken as
     the geometric sum e^{-i theta} omega sum_{k < nu} x^k (1 - omega)^{nu-1-k},
     x = 1 - omega + e^{-i theta} omega s: no cancellation and no division by s.
+    ``omega`` and ``nu`` may be arrays that broadcast against ``theta``, one
+    entry per cycle; each entry's sum then stops at its own nu.
     """
     a = 1.0 - omega
     b = omega * np.exp(-1j * np.asarray(theta, dtype=float))
     x = a + b * s
     total = np.zeros_like(b)
-    for k in range(nu):
-        total = total * x + a ** k
+    if not isinstance(nu, np.ndarray):
+        for k in range(nu):
+            total = total * x + a ** k
+        return b * total
+    for k in range(nu.max()):
+        total = np.where(k < nu, total * x + a ** k, total)
     return b * total
 
 
 def _twogrid_radii(ops_fine: LocalOperators, ops_coarse: LocalOperators,
-                   transfers: tuple[np.ndarray, np.ndarray], theta, cycles) -> np.ndarray:
+                   transfers: tuple[np.ndarray, np.ndarray], theta, nu, omega) -> np.ndarray:
     """Spectral radius of ``twogrid_symbol`` at each low frequency in
-    ``theta`` for each cycle ``(nu, omega)`` in ``cycles``, nu = nu1 + nu2,
-    from the smoother's rank-two structure; shape
-    ``(len(cycles),) + theta.shape``.
+    ``theta``, with ``nu`` = nu1 + nu2, from the smoother's rank-two structure.
+    ``nu`` and ``omega`` are one cycle's scalars, or 1-D arrays of equal
+    length, one entry per cycle, which put a leading axis over the cycles on
+    the result.
 
     With X = Lc(2 theta)^{-1} R Lf, S^{nu2} (I - P X) S^{nu1} has the
     eigenvalues of (I - P X) T, T = S^{nu1 + nu2} on the pair.  T is
@@ -232,20 +238,25 @@ def _twogrid_radii(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     blocks_u = np.kron(np.eye(2), u[:, None])  # U, 2 n_t x 2
     blocks_v = np.kron(np.eye(2), v)  # V^T, 2 x 2 n_t
     e = np.concatenate((p, blocks_u - p @ (x @ blocks_u)), axis=-1)
-    # one leading axis over the cycles
-    a = np.array([(1.0 - omega) ** nu for nu, omega in cycles]).reshape((-1,) + (1,) * x.ndim)
-    d = np.stack([np.moveaxis(_smoother_weight(omega, float(v @ u), pair, nu), 0, -1)
-                  for nu, omega in cycles])
-    f = np.concatenate((-a * x, d[..., None] * blocks_v), axis=-2)
+    batch = isinstance(nu, np.ndarray)
+    if batch:  # a leading axis over the cycles
+        nu, omega = (c.reshape((-1,) + (1,) * pair.ndim) for c in (nu, omega))
+    a = (1.0 - omega) ** nu  # broadcasts against pair's shape
+    d = np.moveaxis(_smoother_weight(omega, float(v @ u), pair, nu), -pair.ndim, -1)
+    a_blocks = a[..., None] if batch else a  # against (..., rows, cols)
+    f = np.concatenate((-a_blocks * x, d[..., None] * blocks_v), axis=-2)
     if n_t >= 3:
-        radii = np.abs(a[..., 0] + np.linalg.eigvals(f @ e)).max(axis=-1)
-        return np.maximum(radii, np.abs(a[..., 0, 0]))
-    return np.abs(np.linalg.eigvals(a * np.eye(2 * n_t) + e @ f)).max(axis=-1)
+        return np.maximum(np.abs(a + np.linalg.eigvals(f @ e)), np.abs(a)).max(axis=-1)
+    return np.abs(np.linalg.eigvals(a_blocks * np.eye(2 * n_t) + e @ f)).max(axis=-1)
 
 
-def _low_radii(basis: BasisSpec, tau: float, n_steps: int, cycles):
-    """The low frequencies for ``n_steps`` and, per cycle ``(nu, damping)``
-    in ``cycles``, the two-grid radius at each of them.
+def low_radii(basis: BasisSpec, tau: float, n_steps: int, nu, damping):
+    """The low frequencies for ``n_steps`` and the two-grid radius at each of
+    them, for ``nu`` = nu1 + nu2 sweeps at ``damping``, or for a 1-D array
+    of nu and a sequence of dampings, one entry per cycle (see
+    :func:`_twogrid_radii`).  The cycles are taken as checked:
+    :func:`rho_profile` checks its one with ``check_cycle``, and
+    ``multigrid.choose_cycle`` prices a fixed batch in one call.
 
     The symbol is built from real blocks, so at -theta it is the complex
     conjugate of the one at theta and has the same radius: only the
@@ -255,15 +266,16 @@ def _low_radii(basis: BasisSpec, tau: float, n_steps: int, cycles):
         raise ValueError(f"tau must be >= MIN_TAU = {MIN_TAU:g}, got {tau}: below it "
                          "stiffness + mass rounds the mass away and the coarse symbol is singular")
     a = alpha(basis, tau)
+    omega = (np.array([resolve_damping(each, a) for each in damping])
+             if isinstance(nu, np.ndarray) else resolve_damping(damping, a))
     ops_f = assemble_local(basis, tau)
     ops_c = assemble_local(basis, 2.0 * tau)
     transfers = build_transfers(basis, tau)
     low = frequencies(n_steps).low
     # low is 2 pi k / n for k = 1 - n/4 .. n/4, so its last n/4 + 1 entries
     # are theta >= 0 and the first n/4 - 1 mirror entries n/4 - 1 .. 1 of them
-    radii = _twogrid_radii(ops_f, ops_c, transfers, low[n_steps // 4 - 1:],
-                           [(nu, resolve_damping(damping, a)) for nu, damping in cycles])
-    return low, np.concatenate((radii[:, -2:0:-1], radii), axis=-1)
+    radii = _twogrid_radii(ops_f, ops_c, transfers, low[n_steps // 4 - 1:], nu, omega)
+    return low, np.concatenate((radii[..., -2:0:-1], radii), axis=-1)
 
 
 def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
@@ -280,25 +292,7 @@ def rho_profile(basis: BasisSpec, tau: float, n_steps: int = 1024,
     computed; the symbol at -theta is the conjugate of the one at theta.
     """
     check_cycle(nu1, nu2, damping)
-    low, radii = _low_radii(basis, tau, n_steps, [(nu1 + nu2, damping)])
-    return low, radii[0]
-
-
-def cycle_factors(basis: BasisSpec, tau: float, cycles, n_steps: int = 32) -> np.ndarray:
-    """Predicted two-grid factor of each cycle ``(nu, damping)`` in
-    ``cycles``, nu = nu1 + nu2 >= 1: the radius depends on the sum only
-    (see :func:`_twogrid_radii`), and ``damping`` is resolved at ``tau``
-    as in :func:`rho_profile`.  Every cycle shares the symbols that hold no
-    nu and no omega, and one batched eigenproblem gives all the radii.
-
-    The default of 32 steps puts 9 frequencies in [0, pi/2].  At tau = 1e-6,
-    p_t 0/1/3, for the cycles that ``multigrid.choose_cycle`` picks there,
-    its factors lay within 6e-4 of those at 1024 steps.
-    """
-    for nu, damping in cycles:
-        check_count("nu", nu, 1)
-        check_damping(damping)
-    return _low_radii(basis, tau, n_steps, cycles)[1].max(axis=-1)
+    return low_radii(basis, tau, n_steps, nu1 + nu2, damping)
 
 
 def predicted_rho(basis: BasisSpec, tau: float, n_steps: int = 1024,

@@ -36,7 +36,7 @@ from .dg import (BasisSpec, GlobalSystem, LocalOperators, assemble_local, block_
                  block_input, build_transfers, check_count, check_step_size, col_dot,
                  coupling_row, forward_solve, residual_rows, row_dot, scan_block, scan_buffer,
                  scan_rows)
-from .fourier import MIN_TAU, cycle_factors
+from .fourier import MIN_TAU, low_radii
 from .parallel import NullBarrier, run_team, team_barrier
 from .smoothing import alpha, check_cycle, check_damping, resolve_damping
 
@@ -166,6 +166,11 @@ class CycleConfig:
 # each at every damping here
 CHOICE_DAMPINGS = ("optimal", 0.75, 1.0)
 
+# the steps choose_cycle predicts at, 9 frequencies in [0, pi/2]: over analyze's
+# 49 step sizes, p_t 0-3 and eps = 1e-8 it picks what 1024 steps would, with
+# factors within 3.8e-4 of theirs
+CHOICE_STEPS = 32
+
 # the part of a two-grid cycle that runs no sweep (residual, transfers, exact
 # coarse solve, stopping test), in sweeps: at n = 2^17, tau = 1e-6 a cycle took
 # 6.7 ms plus 0.8 ms per sweep at p_t = 3, and 2.0 plus 0.2 ms at p_t = 0, on one
@@ -178,8 +183,9 @@ def choose_cycle(basis: BasisSpec, tau: float, eps: float):
     least cost, as (nu1, nu2, damping, predicted factor).
 
     Each candidate of nu = nu1 + nu2 sweeps with predicted factor rho
-    (``fourier.cycle_factors`` at ``tau``, or at ``MIN_TAU`` below it, where
-    the predictions have stopped moving) costs ceil(log eps / log rho)
+    (the two-grid prediction at ``CHOICE_STEPS`` steps and ``tau``, or at
+    ``MIN_TAU`` below it, where the predictions have stopped moving; one
+    batched call prices every candidate) costs ceil(log eps / log rho)
     cycles of ``FIXED_SWEEPS`` + nu sweeps each.  Ties go to fewer sweeps,
     then to the earlier candidate (nu ascending, dampings in the order of
     ``CHOICE_DAMPINGS``).  At tau = 1e-6, eps = 1e-8 it picks one sweep at
@@ -187,7 +193,9 @@ def choose_cycle(basis: BasisSpec, tau: float, eps: float):
     p_t 1 and 3 (0.0547), against 0.288 and 0.114 for ``DEFAULT_CYCLE``.
     """
     candidates = [(nu, damping) for nu in range(1, 5) for damping in CHOICE_DAMPINGS]
-    factors = cycle_factors(basis, max(tau, MIN_TAU), candidates)
+    nus, dampings = zip(*candidates)
+    factors = low_radii(basis, max(tau, MIN_TAU), CHOICE_STEPS, np.array(nus),
+                         dampings)[1].max(axis=-1)
 
     def cost(k):
         rho, nu = float(factors[k]), candidates[k][0]

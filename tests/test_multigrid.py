@@ -15,7 +15,7 @@ from timemg.dense import (dense_prolongation, dense_restriction, dense_smoother,
                           dense_twogrid)
 from timemg.dg import (BasisSpec, GlobalSystem, apply_global, assemble_local,
                        basis_values, build_transfers, forward_solve, rhs_moments)
-from timemg.fourier import MIN_TAU, cycle_factors, predicted_rho
+from timemg.fourier import MIN_TAU, predicted_rho
 from timemg.multigrid import (CycleConfig, TimeHierarchy, block_jacobi_sweep, choose_cycle,
                               measure_convergence_factor, random_initial_guess,
                               solve, two_grid_cycle, v_cycle)
@@ -790,7 +790,7 @@ class TestReadmeIterations:
 
 def _predicted_cost(basis, tau, eps, nu, damping):
     # choose_cycle's cost: predicted cycles to reach eps times sweeps per cycle
-    rho = float(cycle_factors(basis, tau, [(nu, damping)])[0])
+    rho = predicted_rho(basis, tau, multigrid.CHOICE_STEPS, -(-nu // 2), nu // 2, damping)
     return math.ceil(math.log(eps) / math.log(rho)) * (multigrid.FIXED_SWEEPS + nu)
 
 
@@ -806,6 +806,23 @@ class TestChooseCycle:
         assert predicted == pytest.approx(factor, rel=1e-3)
         assert (_predicted_cost(basis, tau, eps, nu1 + nu2, damping)
                 <= _predicted_cost(basis, tau, eps, 4, "optimal"))
+
+    @pytest.mark.parametrize("p_t", [0, 1, 2, 3])
+    def test_choice_steps_against_fine_prediction(self, p_t, monkeypatch):
+        # over analyze's 49 step sizes at the default eps, predicting at
+        # CHOICE_STEPS picks the cycle that 1024 steps would, with a factor
+        # within 1e-3 of the 1024-step one (worst 3.8e-4); each factor of the
+        # batched prediction is the one-cycle prediction of the pick
+        basis, eps = BasisSpec(p_t), CycleConfig().eps
+        for tau in np.logspace(-6, 6, 49):
+            nu1, nu2, damping, factor = choose_cycle(basis, tau, eps)
+            assert factor == pytest.approx(
+                predicted_rho(basis, tau, multigrid.CHOICE_STEPS, nu1, nu2, damping), rel=1e-9)
+            with monkeypatch.context() as patch:
+                patch.setattr(multigrid, "CHOICE_STEPS", 1024)
+                *fine_cycle, fine_factor = choose_cycle(basis, tau, eps)
+            assert fine_cycle == [nu1, nu2, damping], tau
+            assert abs(factor - fine_factor) <= 1e-3, tau
 
     def test_choice_below_the_analyzer_floor(self):
         # the analyzer refuses tau < MIN_TAU; the choice is made there instead
