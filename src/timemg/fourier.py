@@ -246,7 +246,8 @@ def _twogrid_radii(ops_fine: LocalOperators, ops_coarse: LocalOperators,
     a_blocks = a[..., None] if batch else a  # against (..., rows, cols)
     f = np.concatenate((-a_blocks * x, d[..., None] * blocks_v), axis=-2)
     if n_t >= 3:
-        return np.maximum(np.abs(a + np.linalg.eigvals(f @ e)), np.abs(a)).max(axis=-1)
+        radii = np.abs(a + np.linalg.eigvals(f @ e)).max(axis=-1)
+        return np.maximum(radii, np.abs(a[..., 0] if batch else a))
     return np.abs(np.linalg.eigvals(a_blocks * np.eye(2 * n_t) + e @ f)).max(axis=-1)
 
 
